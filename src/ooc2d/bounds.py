@@ -71,7 +71,9 @@ def lifting_equal(u: int, v: int, k: int, lam: int) -> bool:
     frac = j1(n, k, lam) - johnson_bound(1, n, k, lam)
     predicted = frac < Fraction(1, u)
     direct = johnson_bound(u, v, k, lam) == u * johnson_bound(1, n, k, lam)
-    assert predicted == direct, (u, v, k, lam)
+    if predicted != direct:
+        raise AssertionError("lifting criterion disagrees with the bounds at %r"
+                             % ((u, v, k, lam),))
     return predicted
 
 
@@ -100,7 +102,8 @@ def jstar(u: int, v: int) -> tuple:
         case, value = hits[0]
     else:
         case, value = JOHNSON, johnson_bound(u, v, 4, 2)
-    assert value <= johnson_bound(u, v, 4, 2)
+    if value > johnson_bound(u, v, 4, 2):
+        raise AssertionError("jstar %d exceeds the Johnson bound at (%d,%d)" % (value, u, v))
     return value, case
 
 
@@ -126,7 +129,8 @@ def perfect_class(u: int, v: int) -> str:
         cls = EXCLUDED_COR5_5
     else:
         cls = NOT_ADMISSIBLE
-    assert (cls != NOT_ADMISSIBLE) == admissible, (u, v, cls)
+    if (cls != NOT_ADMISSIBLE) != admissible:
+        raise AssertionError("class %s disagrees with admissibility at (%d,%d)" % (cls, u, v))
     return cls
 
 

@@ -66,10 +66,6 @@ def _emit(obj, out, as_json: bool) -> None:
         print(json.dumps(design_to_dict(obj), indent=1, sort_keys=True))
 
 
-def _kind_name(obj) -> str:
-    return design_to_dict(obj)["kind"]
-
-
 def _object_summary(obj) -> dict:
     doc = design_to_dict(obj)
     summary = {"kind": doc["kind"], "parameters": doc["parameters"]}
@@ -276,7 +272,9 @@ def cmd_search(args) -> int:
         print(json.dumps({"max": result.max_blocks,
                           "proved": result.proved_optimal,
                           "nodes": result.nodes_explored,
-                          "budget_exhausted": result.budget_exhausted},
+                          "budget_exhausted": result.budget_exhausted,
+                          "proof": result.proof,
+                          "bound": result.upper_bound},
                          sort_keys=True))
     else:
         tag = "proved" if result.proved_optimal else "not proved (budget exhausted)"

@@ -28,7 +28,8 @@ class ConstructionTrace:
 
 def _finish(inputs, steps, output, count: int):
     total = sum(delta for _, delta in steps)
-    assert total == count, "trace steps sum to %d, output has %d" % (total, count)
+    if total != count:
+        raise AssertionError("trace steps sum to %d, output has %d" % (total, count))
     return output, ConstructionTrace(tuple(inputs), tuple(steps), output)
 
 

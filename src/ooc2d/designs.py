@@ -330,7 +330,8 @@ def verify_h_design(d: HDesign) -> DesignReport:
             return DesignReport(False, "t-subset %r covered %d times, expected %d"
                                 % (sub, got, want))
     for b in d.base_blocks:
-        assert block_stabilizer_h(d, b) == 1, b
+        if block_stabilizer_h(d, b) != 1:
+            raise AssertionError("transversal block %r has a nontrivial stabilizer" % (b,))
     return DesignReport(True)
 
 

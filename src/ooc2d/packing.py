@@ -69,7 +69,8 @@ def leave(p: CyclicPacking) -> list:
     points = [Point(i, j) for i in range(p.u) for j in range(p.v)]
     missing = [sub for sub in combinations(sorted(points), p.t) if sub not in covered]
     expected = comb(p.u * p.v, p.t) - len(developed) * comb(p.k, p.t)
-    assert len(missing) == expected, (len(missing), expected)
+    if len(missing) != expected:
+        raise AssertionError("leave has %d t-subsets, expected %d" % (len(missing), expected))
     return missing
 
 
@@ -79,5 +80,7 @@ def is_perfect(p: CyclicPacking) -> bool:
     perfect = report.valid and report.strictly_cyclic and report.leave_size == 0
     if perfect and (p.k, p.t) == (4, 3):
         n = p.u * p.v
-        assert p.num_base_blocks * 24 == p.u * (n - 1) * (n - 2)
+        if p.num_base_blocks * 24 != p.u * (n - 1) * (n - 2):
+            raise AssertionError("perfect packing with %d base blocks breaks the count"
+                                 % p.num_base_blocks)
     return perfect

@@ -1,20 +1,35 @@
 """Search for maximum strictly cyclic packings.
 
+Grid point (i, j) is the int i*v + j, and each t-subset of the n = uv
+points is one bit: its index in combinations(range(n), t), so bit
+order is lexicographic order.  A candidate orbit is kept as
+(rep, mask): its canonical representative and the int mask of the
+v*C(k, t) t-subsets its images cover.  Only strictly cyclic orbits
+whose images repeat no t-subset are candidates.
+
 Two stages.  A seeded ruin-and-recreate heuristic first tries to grow
 a packing to the sharpened counting bound; reaching it is already a
 proof of optimality, no tree search needed.  Otherwise the heuristic's
-best packing becomes the incumbent for an exhaustive branch and bound:
-branch on the lexicographically least t-subset that is neither covered
-nor written off, either covering it with one of the candidate block
-orbits or pushing it permanently into the leave.  All pruning is
-against strictly-better-than-incumbent, so a finished run proves the
-incumbent maximal.
+best packing becomes the incumbent for an exhaustive branch and bound,
+Knuth's Algorithm X with the leave as optional cover ("Dancing Links",
+arXiv cs/0011047).  It branches on the lowest t-subset bit that is
+neither covered nor written off (free & -free), either covering it
+with one of the orbits that hold it, in the order of the other points
+of the image that holds it, or pushing it permanently into the leave.
+All pruning is against strictly-better-than-incumbent, so a finished
+run proves the incumbent maximal.  The tree is walked with an explicit
+stack, so its depth is not limited by Python's recursion limit.
 
 The optional row filter insists that solution blocks introduce new
 rows in ascending order.  It can speed the tree search up, but whether
 it keeps the search complete is checked empirically in the tests,
 never assumed; a witness meeting the counting bound is proof either
 way.
+
+Every witness is checked by verify_packing before it is returned, and
+a proof says why it holds: "bound" when the witness meets the
+sharpened counting bound (k=4, t=3 only), "exhausted" when the tree
+search finished within its node budget.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from math import comb
 
 from .bounds import jstar
 from .core import CyclicPacking, Point, make_packing
+from .packing import verify_packing
 
 
 @dataclass(frozen=True)
@@ -35,17 +51,23 @@ class SearchResult:
     proved_optimal: bool
     nodes_explored: int
     budget_exhausted: bool
+    # "bound" when max_blocks meets upper_bound, "exhausted" when the
+    # tree search finished, None when optimality is not proved
+    proof: str | None
+    # jstar(u, v) for k=4, t=3; None for other parameters
+    upper_bound: int | None
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _shift_map(u: int, v: int) -> list:
+    """Point index -> its image under one column shift."""
+    return [p - p % v + (p % v + 1) % v for p in range(u * v)]
 
 
-def _build_orbits(u: int, v: int, k: int, t: int) -> list:
+def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     """All orbit representatives whose orbit repeats no t-subset,
-    paired with the frozen set of t-subsets the orbit covers."""
+    paired with the bit mask of the t-subsets the orbit covers."""
     n = u * v
-    sh = [p - p % v + (p % v + 1) % v for p in range(n)]
+    sh = _shift_map(u, v)
     orbits = []
     seen: set = set()
     for c in combinations(range(n), k):
@@ -65,18 +87,19 @@ def _build_orbits(u: int, v: int, k: int, t: int) -> list:
         if rep in seen:
             continue
         seen.add(rep)
-        subs: set = set()
+        mask = 0
         ok = True
         for img in imgs:
             for sub in combinations(sorted(img), t):
-                if sub in subs:
+                bit = 1 << index[sub]
+                if mask & bit:
                     ok = False
                     break
-                subs.add(sub)
+                mask |= bit
             if not ok:
                 break
         if ok:
-            orbits.append((rep, frozenset(subs)))
+            orbits.append((rep, mask))
     return orbits
 
 
@@ -84,28 +107,115 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
     """Grow a packing greedily, then repeatedly drop a few random
     blocks and regrow, keeping the best.  Stops early at cap."""
 
-    def grow(blocks: list, covered: frozenset):
-        while True:
-            avail = [o for o in orbits if not (o[1] & covered)]
-            if not avail:
-                return blocks, covered
+    def grow(blocks: list) -> list:
+        covered = 0
+        for _, mask in blocks:
+            covered |= mask
+        avail = [o for o in orbits if not o[1] & covered]
+        while avail:
             pick = avail[rng.randrange(len(avail))]
             blocks.append(pick)
-            covered = covered | pick[1]
+            avail = [o for o in avail if not o[1] & pick[1]]
+        return blocks
 
-    cur, covered = grow([], frozenset())
+    cur = grow([])
     best = list(cur)
     for _ in range(iterations):
         if cap is not None and len(best) >= cap:
             break
         keep = max(0, len(cur) - rng.randrange(2, 7))
         rng.shuffle(cur)
-        cur = cur[:keep]
-        covered = frozenset().union(*[o[1] for o in cur]) if cur else frozenset()
-        cur, covered = grow(cur, covered)
+        cur = grow(cur[:keep])
         if len(cur) > len(best):
             best = list(cur)
     return best
+
+
+def _candidates(u: int, v: int, t: int, orbits: list, index: dict) -> list:
+    """Per t-subset index, the (mask, row mask, rep) of every orbit
+    covering it, ordered by the other points of the image that holds
+    the t-subset."""
+    sh = _shift_map(u, v)
+    keyed: list = [[] for _ in range(len(index))]
+    for rep, mask in orbits:
+        rows = 0
+        for p in rep:
+            rows |= 1 << (p // v)
+        entry = (mask, rows, rep)
+        img = rep
+        for _ in range(v):
+            for sub in combinations(img, t):
+                extra = tuple(p for p in img if p not in sub)
+                keyed[index[sub]].append((extra, entry))
+            img = tuple(sorted(sh[p] for p in img))
+    return [[entry for _, entry in sorted(options)] for options in keyed]
+
+
+def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, index: dict,
+                      incumbent: list, cap, node_budget: int, row_filter: bool):
+    """Exhaustive search from the incumbent.  Returns (best reps,
+    nodes visited, whether the node budget ran out)."""
+    total_t = len(index)
+    per_block = v * comb(k, t)
+    full = (1 << total_t) - 1
+    options_of = _candidates(u, v, t, orbits, index)
+    best = len(incumbent)
+    best_blocks = [rep for rep, _ in incumbent]
+    nodes = 0
+    path: list = []  # reps of the blocks chosen on the way to the current node
+    # one frame per node with options left: [depth, used, n_used,
+    # rows_used, target bit, options, next option position], where
+    # used = covered | forbidden and n_used counts its bits.  The
+    # leave branch is the node's last child, so it replaces the frame.
+    stack: list = []
+    call = (0, 0, 0, 0)
+    while call is not None or stack:
+        if call is None:
+            frame = stack[-1]
+            depth, used, n_used, rows_used, target, options, pos = frame
+            while pos < len(options):
+                mask, rows, rep = options[pos]
+                pos += 1
+                if mask & used:
+                    continue
+                grown = rows_used
+                if row_filter:
+                    # new rows must be the lowest unused ones, so
+                    # rows_used always stays a prefix 0..m-1
+                    grown |= rows
+                    if grown & (grown + 1):
+                        continue
+                frame[6] = pos
+                del path[depth:]
+                path.append(rep)
+                call = (depth + 1, used | mask, n_used + per_block, grown)
+                break
+            else:
+                stack.pop()
+                forbidden = n_used - depth * per_block
+                if forbidden + 1 <= total_t - (best + 1) * per_block:
+                    del path[depth:]
+                    call = (depth, used | target, n_used + 1, rows_used)
+            continue
+
+        depth, used, n_used, rows_used = call
+        call = None
+        nodes += 1
+        if nodes > node_budget:
+            return best_blocks, nodes, True
+        free = full ^ used
+        if not free:
+            if depth > best:
+                best, best_blocks = depth, path[:depth]
+                if cap is not None and best >= cap:
+                    break
+        elif cap is not None and best >= cap:
+            break
+        elif depth + (total_t - n_used) // per_block > best:
+            target = free & -free
+            stack.append([depth, used, n_used, rows_used, target,
+                          options_of[target.bit_length() - 1], 0])
+    return best_blocks, nodes, False
 
 
 def max_packing(u: int, v: int, k: int, t: int,
@@ -121,135 +231,39 @@ def max_packing(u: int, v: int, k: int, t: int,
     if node_budget < 1:
         raise ValueError("node budget must be positive")
 
-    n = u * v
-    per_block = v * comb(k, t)
-    all_t = list(combinations(range(n), t))
-    total_t = len(all_t)
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-
-    def to_packing(reps) -> CyclicPacking:
-        blocks = [tuple(Point(p // v, p % v) for p in b) for b in reps]
-        return make_packing(u, v, k, t, blocks)
-
-    orbits = _build_orbits(u, v, k, t)
+    orbits = _build_orbits(u, v, k, t, index)
     incumbent: list = []
     if heuristic_iterations > 0 and orbits and cap != 0:
         rng = random.Random(20210 + 31 * u + v)
         incumbent = _ruin_recreate(orbits, cap, heuristic_iterations, rng)
-        if cap is not None and len(incumbent) >= cap:
-            return SearchResult(
-                max_blocks=len(incumbent),
-                witness=to_packing([rep for rep, _ in incumbent]),
-                proved_optimal=True,
-                nodes_explored=0,
-                budget_exhausted=False,
-            )
+    reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
+    if not incumbent or cap is None or len(incumbent) < cap:
+        reps, nodes, exhausted = _branch_and_bound(
+            u, v, k, t, orbits, index, incumbent, cap, node_budget, row_filter)
 
-    sh = [p - p % v + (p % v + 1) % v for p in range(n)]
+    witness = make_packing(u, v, k, t,
+                           [tuple(Point(p // v, p % v) for p in b) for b in reps])
+    report = verify_packing(witness)
+    if not report.valid:
+        raise ValueError("search witness covers t-subset %r %d times" % report.violation)
+    for block, length in zip(witness.base_blocks, report.orbit_lengths):
+        if length != v:
+            raise ValueError("search witness block %r has a short orbit" % (block,))
 
-    def orbit_images(block: frozenset) -> list:
-        imgs = [block]
-        cur = block
-        for _ in range(v - 1):
-            cur = frozenset(sh[p] for p in cur)
-            imgs.append(cur)
-        return imgs
-
-    covered: set = set()
-    forbidden: set = set()
-    cur_blocks: list = []
-    rows_used: set = set()
-    state = {
-        "best": len(incumbent),
-        "best_blocks": [rep for rep, _ in incumbent],
-        "nodes": 0,
-        "done": False,
-    }
-
-    def rec(depth: int, start: int) -> None:
-        if state["done"]:
-            return
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise _BudgetExhausted
-        idx = start
-        while idx < total_t and (all_t[idx] in covered or all_t[idx] in forbidden):
-            idx += 1
-        if idx == total_t:
-            if depth > state["best"]:
-                state["best"] = depth
-                state["best_blocks"] = list(cur_blocks)
-                if cap is not None and state["best"] >= cap:
-                    state["done"] = True
-            return
-        if cap is not None and state["best"] >= cap:
-            state["done"] = True
-            return
-        remaining = total_t - len(covered) - len(forbidden)
-        if depth + remaining // per_block <= state["best"]:
-            return
-
-        target = all_t[idx]
-        target_set = set(target)
-        rest = [p for p in range(n) if p not in target_set]
-        seen_orbits: set = set()
-        for extra in combinations(rest, k - t):
-            block = frozenset(target_set.union(extra))
-            imgs = orbit_images(block)
-            if any(img == block for img in imgs[1:]):
-                continue  # short orbit, not strictly cyclic
-            rep = min(tuple(sorted(img)) for img in imgs)
-            if rep in seen_orbits:
-                continue
-            seen_orbits.add(rep)
-            subs = []
-            subs_seen: set = set()
-            ok = True
-            for img in imgs:
-                for sub in combinations(sorted(img), t):
-                    if sub in subs_seen or sub in covered or sub in forbidden:
-                        ok = False
-                        break
-                    subs_seen.add(sub)
-                    subs.append(sub)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            new_rows: list = []
-            if row_filter:
-                fresh = sorted({p // v for p in block} - rows_used)
-                if fresh:
-                    unused = sorted(set(range(u)) - rows_used)
-                    if fresh != unused[:len(fresh)]:
-                        continue
-                    new_rows = fresh
-            covered.update(subs)
-            cur_blocks.append(rep)
-            rows_used.update(new_rows)
-            rec(depth + 1, idx)
-            rows_used.difference_update(new_rows)
-            cur_blocks.pop()
-            covered.difference_update(subs)
-            if state["done"]:
-                return
-
-        if len(forbidden) + 1 <= total_t - (state["best"] + 1) * per_block:
-            forbidden.add(target)
-            rec(depth, idx + 1)
-            forbidden.discard(target)
-
-    exhausted = False
-    try:
-        rec(0, 0)
-    except _BudgetExhausted:
-        exhausted = True
-
-    proved = (not exhausted) or (cap is not None and state["best"] >= cap)
+    if cap is not None and len(reps) >= cap:
+        proof = "bound"
+    elif not exhausted:
+        proof = "exhausted"
+    else:
+        proof = None
     return SearchResult(
-        max_blocks=state["best"],
-        witness=to_packing(state["best_blocks"]),
-        proved_optimal=proved,
-        nodes_explored=state["nodes"],
+        max_blocks=len(reps),
+        witness=witness,
+        proved_optimal=proof is not None,
+        nodes_explored=nodes,
         budget_exhausted=exhausted,
+        proof=proof,
+        upper_bound=cap,
     )

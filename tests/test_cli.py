@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import ooc2d.search as search
 from ooc2d.cli import main
 from ooc2d.files import load_design
 from ooc2d.packing import verify_packing
@@ -159,3 +160,24 @@ def test_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "jstar=68" in proc.stdout
+
+
+def test_search_json_proof_keys(capsys):
+    assert main(["search", "2", "4", "4", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["proof"], doc["bound"]) == ("bound", 3)
+    assert main(["search", "2", "3", "4", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["proof"], doc["bound"]) == ("exhausted", None)
+
+
+def test_search_refuses_bad_witness(tmp_path, monkeypatch, capsys):
+    def overlapping(orbits, cap, iterations, rng):
+        first = orbits[0]
+        return [first, next(o for o in orbits[1:] if o[1] & first[1])]
+
+    monkeypatch.setattr(search, "_ruin_recreate", overlapping)
+    out = tmp_path / "w.json"
+    assert main(["search", "2", "3", "4", "3", "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+
 import pytest
 
 from ooc2d.bounds import jstar
 from ooc2d.constructs import fold
 from ooc2d.correlation import packing_to_code
+from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
 from ooc2d.search import max_packing
 
@@ -65,3 +70,61 @@ def test_single_row_optimum_folds_down():
     assert (by_five.u, by_five.v, by_five.size) == (5, 2, 15)
     assert by_two.size == jstar(2, 5)[0]
     assert by_five.size == jstar(5, 2)[0]
+
+
+def _digest(result) -> str:
+    text = json.dumps(design_to_dict(result.witness), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("u, v, digest", [
+    (6, 2, "3840be4ec578e772"), (12, 1, "5a34b9118ee773f2"), (3, 4, "9031739f94250909"),
+])
+def test_heuristic_witnesses_pinned(u, v, digest):
+    result = max_packing(u, v, 4, 3)
+    assert (result.proof, result.nodes_explored) == ("bound", 0)
+    assert _digest(result) == digest
+
+
+@pytest.mark.parametrize("u, v, nodes, digest", [
+    (4, 3, 47_493, "41210ef277b459e1"), (9, 1, 152_875, "54493c71be697e66"),
+    (2, 7, 2_343, "4534c107055ba340"),
+])
+def test_tree_witnesses_pinned(u, v, nodes, digest):
+    result = max_packing(u, v, 4, 3, heuristic_iterations=0)
+    assert result.nodes_explored == nodes
+    assert _digest(result) == digest
+
+
+def test_proof_reasons():
+    # 6x2 is proved by the bound in test_heuristic_witnesses_pinned
+    result = max_packing(2, 2, 4, 3)
+    assert (result.proof, result.upper_bound, result.max_blocks) == ("bound", 0, 0)
+    result = max_packing(2, 3, 4, 2)
+    assert (result.proof, result.upper_bound) == ("exhausted", None)
+    assert result.proved_optimal
+    result = max_packing(3, 4, 4, 3, node_budget=50, heuristic_iterations=0)
+    assert (result.proof, result.upper_bound) == (None, 12)
+    assert not result.proved_optimal
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_tree_needs_no_recursion():
+    # without an incumbent the 1x16 tree nests 119 open nodes deep
+    # before its witness meets the bound
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        result = max_packing(1, 16, 4, 3, heuristic_iterations=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.proof == "bound"
+    assert result.max_blocks == 8
