@@ -4,10 +4,17 @@ correlation(a, b, r) counts positions where a overlaps b after b's
 columns are rotated left by r.  A code is acceptable when every such
 count stays at or below lambda, excluding the trivial case of a
 codeword against itself at zero shift.
+
+verify_ooc checks a whole code through an inverted index from grid
+cells to (codeword, rotation) keys, so its work follows the point
+pairs that actually meet rather than the n(n+1)/2 codeword pairs: a
+pair that shares no cell at any rotation costs nothing.  The index
+holds k * v entries per codeword.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Block, Code, CodewordMatrix, CyclicPacking, Point, as_block, make_packing
@@ -50,45 +57,48 @@ def matrix_to_block(m: CodewordMatrix) -> Block:
     return tuple(Point(i, j) for i in range(m.u) for j in range(m.v) if m.bits[i][j])
 
 
-def _pair_profile(a: Block, b: Block, v: int) -> dict:
-    """correlation values of the pair at every rotation, as a sparse map.
-
-    correlation(A, B, r) counts same-row point pairs (p, q) with
-    q.col = p.col + r mod v, so one pass over the point pairs gives
-    all v values at once.
-    """
-    counts: dict = {}
-    for p in a:
-        for q in b:
-            if p.row == q.row:
-                r = (q.col - p.col) % v
-                counts[r] = counts.get(r, 0) + 1
-    return counts
-
-
 def verify_ooc(code: Code) -> CorrelationReport:
     """Check every codeword pair at every rotation.
 
     Only unordered pairs are scanned: correlation(A, B, r) equals
     correlation(B, A, v - r), so the ordered half is redundant.  The
     witness is the first violation in (index_a, index_b, r) order.
+
+    The scan runs over an inverted index.  Cell i * v + j lists the
+    keys ib * v + r of every codeword ib that, rotated by r, has a
+    point there: (i, (j + r) % v) is in block ib.  Codewords are
+    visited from last to first, each adding its v rotations to the
+    index before it looks up its own k cells, so the index holds the
+    codewords ib >= ia and key ib * v + r is hit correlation(A, B, r)
+    times.  Key ia * v, the codeword against itself at zero shift, is
+    dropped.  The cost is the k * v * n index entries plus one step per
+    hit; keys order as (index_b, r), so the least key over lambda of
+    the last codeword visited that has one is the witness.
     """
-    v = code.v
+    u, v = code.u, code.v
     lam = code.lam
-    blocks = [matrix_to_block(m) for m in code.codewords]
+    index: list = [[] for _ in range(u * v)]
     worst = 0
     witness = None
-    for ia in range(len(blocks)):
-        for ib in range(ia, len(blocks)):
-            counts = _pair_profile(blocks[ia], blocks[ib], v)
-            for r in range(v):
-                if ia == ib and r == 0:
-                    continue
-                value = counts.get(r, 0)
-                if value > worst:
-                    worst = value
-                if value > lam and witness is None:
-                    witness = ((ia, ib), r)
+    for ia in range(len(code.codewords) - 1, -1, -1):
+        base = ia * v
+        cells = []
+        for i, bits in enumerate(code.codewords[ia].bits):
+            row = i * v
+            for j, bit in enumerate(bits):
+                if bit:
+                    cells.append(row + j)
+                    for col in range(v):
+                        index[row + col].append(base + (j - col) % v)
+        hits = Counter()
+        for cell in cells:
+            hits.update(index[cell])
+        del hits[base]
+        top = max(hits.values(), default=0)
+        worst = max(worst, top)
+        if top > lam:
+            key = min(key for key, value in hits.items() if value > lam)
+            witness = ((ia, key // v), key % v)
     return CorrelationReport(ok=worst <= lam, worst_value=worst, witness=witness)
 
 

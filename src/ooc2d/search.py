@@ -18,7 +18,9 @@ with one of the orbits that hold it, in the order of the other points
 of the image that holds it, or pushing it permanently into the leave.
 All pruning is against strictly-better-than-incumbent, so a finished
 run proves the incumbent maximal.  The tree is walked with an explicit
-stack, so its depth is not limited by Python's recursion limit.
+stack, so its depth is not limited by Python's recursion limit.  For
+(k, t) != (4, 3) the Johnson bound only stops the heuristic early; the
+tree search still proves those optima.
 
 The optional row filter insists that solution blocks introduce new
 rows in ascending order.  It can speed the tree search up, but whether
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bounds import jstar
+from .bounds import johnson_bound, jstar
 from .core import CyclicPacking, Point, make_packing
 from .packing import verify_packing
 
@@ -65,12 +67,18 @@ def _shift_map(u: int, v: int) -> list:
 
 def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     """All orbit representatives whose orbit repeats no t-subset,
-    paired with the bit mask of the t-subsets the orbit covers."""
+    paired with the bit mask of the t-subsets the orbit covers.
+
+    k-subsets come in lexicographic order, so each orbit is first met
+    at its representative, the least of its images.  That image's
+    least point lies in column 0, so any other first point is skipped
+    before the subset is developed."""
     n = u * v
     sh = _shift_map(u, v)
     orbits = []
-    seen: set = set()
     for c in combinations(range(n), k):
+        if c[0] % v:
+            continue
         block = frozenset(c)
         imgs = [block]
         cur = block
@@ -83,10 +91,8 @@ def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
             imgs.append(cur)
         if short:
             continue
-        rep = min(tuple(sorted(img)) for img in imgs)
-        if rep in seen:
+        if min(tuple(sorted(img)) for img in imgs) != c:
             continue
-        seen.add(rep)
         mask = 0
         ok = True
         for img in imgs:
@@ -99,7 +105,7 @@ def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
             if not ok:
                 break
         if ok:
-            orbits.append((rep, mask))
+            orbits.append((c, mask))
     return orbits
 
 
@@ -233,11 +239,14 @@ def max_packing(u: int, v: int, k: int, t: int,
 
     index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
+    # The heuristic keeps strict improvements only, so stopping it at
+    # any valid upper bound leaves its best packing unchanged.
+    stop = cap if cap is not None or t < 2 else johnson_bound(u, v, k, t - 1)
     orbits = _build_orbits(u, v, k, t, index)
     incumbent: list = []
     if heuristic_iterations > 0 and orbits and cap != 0:
         rng = random.Random(20210 + 31 * u + v)
-        incumbent = _ruin_recreate(orbits, cap, heuristic_iterations, rng)
+        incumbent = _ruin_recreate(orbits, stop, heuristic_iterations, rng)
     reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
     if not incumbent or cap is None or len(incumbent) < cap:
         reps, nodes, exhausted = _branch_and_bound(

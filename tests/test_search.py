@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +13,7 @@ from ooc2d.constructs import fold
 from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
-from ooc2d.search import max_packing
+from ooc2d.search import _build_orbits, max_packing
 
 
 def test_small_grids_proved():
@@ -128,3 +130,28 @@ def test_deep_tree_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert result.proof == "bound"
     assert result.max_blocks == 8
+
+
+@pytest.mark.parametrize("u, v, k, t, best, digest", [
+    (4, 3, 4, 4, 165, "e91b0fe819574f2d"), (3, 5, 4, 2, 3, "835aec087422fcb8"),
+])
+def test_johnson_bound_stops_heuristic(u, v, k, t, best, digest):
+    # the heuristic stops once it meets johnson_bound(u, v, k, t - 1)
+    # instead of running all 30,000 iterations, which takes several
+    # times the limit below, and a one-node tree then proves the optimum
+    start = time.perf_counter()
+    result = max_packing(u, v, k, t)
+    elapsed = time.perf_counter() - start
+    assert (result.max_blocks, result.nodes_explored, result.proof) == (best, 1, "exhausted")
+    assert _digest(result) == digest
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("u, v, count, digest", [
+    (3, 5, 270, "61872ed8066189c0"), (2, 9, 324, "9b286a0a76b92448"),
+])
+def test_orbit_list_pinned(u, v, count, digest):
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), 3))}
+    orbits = _build_orbits(u, v, 4, 3, index)
+    assert len(orbits) == count
+    assert hashlib.sha256(repr(orbits).encode()).hexdigest()[:16] == digest
