@@ -45,18 +45,24 @@ class UsageError(Exception):
     pass
 
 
-def _load_source(source: str):
+def _load_source(source: str, kind=None):
+    """The design a source names; with kind, it must be of that class."""
     if source.startswith("catalog:"):
         try:
-            return catalog_get(source[len("catalog:"):]).payload
+            obj = catalog_get(source[len("catalog:"):]).payload
         except KeyError as exc:
             raise UsageError(str(exc.args[0]))
-    try:
-        return load_design(source)
-    except OSError as exc:
-        raise UsageError("cannot read %s: %s" % (source, exc))
-    except (ValueError, KeyError) as exc:
-        raise UsageError("cannot parse %s: %s" % (source, exc))
+    else:
+        try:
+            obj = load_design(source)
+        except OSError as exc:
+            raise UsageError("cannot read %s: %s" % (source, exc))
+        except (ValueError, KeyError) as exc:
+            raise UsageError("cannot parse %s: %s" % (source, exc))
+    if kind is not None and not isinstance(obj, kind):
+        raise UsageError("%s holds a %s, expected a %s"
+                         % (source, type(obj).__name__, kind.__name__))
+    return obj
 
 
 def _emit(obj, out, as_json: bool) -> None:
@@ -152,11 +158,11 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_sized(token: str, label: str):
+def _parse_sized(token: str, label: str, kind):
     size, eq, src = token.partition("=")
     if not eq or not size.isdigit():
         raise UsageError("%s wants SIZE=SOURCE, got %r" % (label, token))
-    return int(size), _load_source(src)
+    return int(size), _load_source(src, kind)
 
 
 def _parse_weighting_args(rest):
@@ -164,10 +170,10 @@ def _parse_weighting_args(rest):
     hs = {}
     for token in rest:
         if token.startswith("fan:"):
-            size, obj = _parse_sized(token[4:], "fan ingredient")
+            size, obj = _parse_sized(token[4:], "fan ingredient", FanDesign)
             fans[size] = obj
         elif token.startswith("h:"):
-            size, obj = _parse_sized(token[2:], "h ingredient")
+            size, obj = _parse_sized(token[2:], "h ingredient", HDesign)
             hs[size] = obj
         else:
             raise UsageError("weighting wants fan:SIZE=SOURCE or h:SIZE=SOURCE, got %r"
@@ -179,28 +185,28 @@ def _dispatch_recipe(recipe: str, rest: list):
     if recipe == "hartman":
         if len(rest) != 1:
             raise UsageError("construct hartman SOURCE")
-        return hartman(_load_source(rest[0]), input_label=rest[0])
+        return hartman(_load_source(rest[0], RoSQSDesign), input_label=rest[0])
     if recipe == "filling1":
         if len(rest) < 2:
             raise UsageError("construct filling1 MASTER SIZE=SOURCE...")
-        fillers = dict(_parse_sized(tok, "filler") for tok in rest[1:])
-        return filling_1(_load_source(rest[0]), fillers)
+        fillers = dict(_parse_sized(tok, "filler", CyclicPacking) for tok in rest[1:])
+        return filling_1(_load_source(rest[0], FanDesign), fillers)
     if recipe == "filling2":
         if len(rest) != 2:
             raise UsageError("construct filling2 MASTER FILLER")
-        return filling_2(_load_source(rest[0]), _load_source(rest[1]))
+        return filling_2(_load_source(rest[0], FanDesign), _load_source(rest[1], CyclicPacking))
     if recipe in ("weighting1", "weighting2"):
         if len(rest) < 2:
             raise UsageError("construct %s MASTER fan:SIZE=SOURCE... h:SIZE=SOURCE..."
                              % recipe)
         fans, hs = _parse_weighting_args(rest[1:])
         op = weighting_1 if recipe == "weighting1" else weighting_2
-        return op(_load_source(rest[0]), fans, hs)
+        return op(_load_source(rest[0], FanDesign), fans, hs)
     if recipe == "weighting3":
         if len(rest) < 2:
             raise UsageError("construct weighting3 MASTER SIZE=SOURCE...")
-        ingredients = dict(_parse_sized(tok, "ingredient") for tok in rest[1:])
-        return weighting_3(_load_source(rest[0]), ingredients)
+        ingredients = dict(_parse_sized(tok, "ingredient", HDesign) for tok in rest[1:])
+        return weighting_3(_load_source(rest[0], HDesign), ingredients)
     if recipe == "fold":
         if len(rest) != 2 or not rest[1].isdigit():
             raise UsageError("construct fold SOURCE V1")
@@ -213,20 +219,20 @@ def _dispatch_recipe(recipe: str, rest: list):
     if recipe == "remap":
         if len(rest) != 2:
             raise UsageError("construct remap MODE SOURCE")
-        mode, obj = rest[0], _load_source(rest[1])
+        mode, source = rest
         if mode == "semicyclic":
-            return semicyclic_to_vcyclic(obj)
+            return semicyclic_to_vcyclic(_load_source(source, FanDesign))
         if mode == "hsemicyclic":
-            return as_semicyclic(obj)
+            return as_semicyclic(_load_source(source, HDesign))
         if mode.startswith("h1cyclic:"):
             h1 = mode[len("h1cyclic:"):]
             if not h1.isdigit():
                 raise UsageError("remap h1cyclic:<h1> SOURCE")
-            return regular_to_h1cyclic(obj, int(h1))
+            return regular_to_h1cyclic(_load_source(source, FanDesign), int(h1))
         if mode == "pairs":
-            return add_cross_pairs_layer(obj)
+            return add_cross_pairs_layer(_load_source(source, FanDesign))
         if mode == "perfect1fg":
-            return perfect_to_regular_1fg(obj)
+            return perfect_to_regular_1fg(_load_source(source, CyclicPacking))
         raise UsageError("unknown remap mode %r" % mode)
     if recipe == "pairfan":
         if len(rest) != 1 or not rest[0].isdigit():
@@ -381,9 +387,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (TypeError, AttributeError) as exc:
-        print("error: wrong design kind for this operation (%s)" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         print("FAIL: %s" % exc, file=sys.stderr)

@@ -9,9 +9,9 @@ which is asserted centrally in _finish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .core import Code, CyclicPacking, Point, canonicalize, make_packing, shift
+from .core import Code, CyclicPacking, Point, _orbit, canonicalize, make_packing, shift
 from .correlation import block_to_matrix, matrix_to_block, verify_ooc
 from .designs import (CYCLIC, INF, REGULAR, DesignReport, FanDesign, HDesign,
                       RoSQSDesign, develop_family, verify_fan, verify_h_cyclic,
@@ -41,6 +41,13 @@ def _require(cond: bool, message: str) -> None:
 def _require_report(report: DesignReport, label: str) -> None:
     if not report.ok:
         raise ValueError("%s: %s" % (label, report.detail))
+
+
+def _require_fan(d: FanDesign, label: str, strict: bool = True) -> None:
+    """verify_fan, then the action check for the design's shape."""
+    _require_report(verify_fan(d), label)
+    action = verify_h_cyclic if d.shape == CYCLIC else verify_regular
+    _require_report(action(d, strict=strict), label)
 
 
 def _require_packing(p: CyclicPacking, label: str, strict: bool = True) -> None:
@@ -124,8 +131,7 @@ def hartman_part_sizes(r: RoSQSDesign) -> tuple:
 def _master_cyclic_0fg(master: FanDesign, label: str) -> None:
     _require(master.shape == CYCLIC, "%s must use the cyclic shape" % label)
     _require(master.s == 0, "%s must have no layers" % label)
-    _require_report(verify_fan(master), label)
-    _require_report(verify_h_cyclic(master, strict=True), label)
+    _require_fan(master, label)
 
 
 def filling_1(master: FanDesign, fillers: dict, input_labels=None):
@@ -150,11 +156,7 @@ def filling_1(master: FanDesign, fillers: dict, input_labels=None):
                      "no filler for fibre size %d and the group can hold blocks" % g)
 
     blocks = []
-    offsets = []
-    o = 0
-    for g in master.g_list:
-        offsets.append(o)
-        o += g
+    offsets = list(accumulate(master.g_list, initial=0))
     for b in master.terminal:
         blocks.append(tuple(sorted(Point(offsets[x] + y, j) for x, y, j in b)))
     master_count = len(blocks)
@@ -182,8 +184,7 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     _require(master.shape == REGULAR, "filling_2 master must use the regular shape")
     _require(master.s == 0, "filling_2 master must have no layers")
     _require(master.u * master.h >= 4, "group size %d is too small" % (master.u * master.h))
-    _require_report(verify_fan(master), "filling_2 master")
-    _require_report(verify_regular(master, strict=True), "filling_2 master")
+    _require_fan(master, "filling_2 master")
     _require((filler.u, filler.v) == (master.u, master.h),
              "filler must live on %dx%d, got %dx%d"
              % (master.u, master.h, filler.u, filler.v))
@@ -212,9 +213,7 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
         _require(fan.shape == CYCLIC, "ingredient fans must use the cyclic shape")
         _require(len(fan.g_list) == size and len(set(fan.g_list)) == 1,
                  "ingredient fan for size %d must have %d equal groups" % (size, size))
-        _require_report(verify_fan(fan), "ingredient fan for size %d" % size)
-        _require_report(verify_h_cyclic(fan, strict=True),
-                        "ingredient fan for size %d" % size)
+        _require_fan(fan, "ingredient fan for size %d" % size)
         sig = (fan.g_list[0], fan.h, fan.s)
         _require(shape is None or sig == shape,
                  "ingredient fans disagree on (g2, h2, s): %r vs %r" % (sig, shape))
@@ -232,6 +231,16 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
     return shape
 
 
+def _glue(mblock, iblock, g1: int, h1: int) -> tuple:
+    """Ingredient block on the points of a master block: ingredient
+    group a lands on the a-th point (x, y, j) of the master block."""
+    out = []
+    for a, y2, j2 in iblock:
+        x, y, j = mblock[a]
+        out.append((x, y + y2 * g1, j + j2 * h1))
+    return tuple(sorted(out))
+
+
 def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_labels=None):
     """Replace every point of a strictly h1-cyclic one-layer fan design
     by g2 x h2 new points.  Layer blocks are inflated by ingredient fan
@@ -240,8 +249,7 @@ def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
     _require(master.shape == CYCLIC, "weighting_1 master must use the cyclic shape")
     _require(master.s == 1, "weighting_1 master must have exactly one layer")
     _require(len(set(master.g_list)) == 1, "master groups must share one fibre size")
-    _require_report(verify_fan(master), "weighting_1 master")
-    _require_report(verify_h_cyclic(master, strict=True), "weighting_1 master")
+    _require_fan(master, "weighting_1 master")
     g1, h1 = master.g_list[0], master.h
     n = len(master.g_list)
 
@@ -249,13 +257,6 @@ def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
     terminal_sizes = {len(b) for b in master.terminal}
     g2, h2, s2 = _check_weighting_ingredients((layer_sizes, terminal_sizes),
                                               layer_fans, terminal_h)
-
-    def glue(mblock, iblock):
-        out = []
-        for a, y2, j2 in iblock:
-            x, y, j = mblock[a]
-            out.append((x, y + y2 * g1, j + j2 * h1))
-        return tuple(sorted(out))
 
     out_layers = [[] for _ in range(s2)]
     out_terminal = []
@@ -265,23 +266,22 @@ def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
         fan = layer_fans[len(mb)]
         for idx, fam in enumerate(fan.layers):
             for ib in fam:
-                out_layers[idx].append(glue(mb, ib))
+                out_layers[idx].append(_glue(mb, ib, g1, h1))
                 layer_delta += 1
         for ib in fan.terminal:
-            out_terminal.append(glue(mb, ib))
+            out_terminal.append(_glue(mb, ib, g1, h1))
             layer_delta += 1
     for mb in master.terminal:
         hd = terminal_h[len(mb)]
         for ib in hd.base_blocks:
-            out_terminal.append(glue(mb, ib))
+            out_terminal.append(_glue(mb, ib, g1, h1))
             terminal_delta += 1
 
     out = FanDesign(s=s2, shape=CYCLIC, h=h1 * h2,
                     layers=tuple(tuple(lay) for lay in out_layers),
                     terminal=tuple(out_terminal),
                     g_list=(g1 * g2,) * n)
-    _require_report(verify_fan(out), "weighting_1 output")
-    _require_report(verify_h_cyclic(out, strict=True), "weighting_1 output")
+    _require_fan(out, "weighting_1 output")
     labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
     steps = (("inflated layer blocks", layer_delta),
              ("inflated terminal blocks", terminal_delta))
@@ -294,8 +294,7 @@ def weighting_2(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
     I_g1 x Z_{h1 n}; the output lives on I_{g1 g2} x Z_{h1 h2 n}."""
     _require(master.shape == REGULAR, "weighting_2 master must use the regular shape")
     _require(master.s == 1, "weighting_2 master must have exactly one layer")
-    _require_report(verify_fan(master), "weighting_2 master")
-    _require_report(verify_regular(master, strict=True), "weighting_2 master")
+    _require_fan(master, "weighting_2 master")
     g1, h1 = master.u, master.h
     n = master.v // master.h
 
@@ -334,8 +333,7 @@ def weighting_2(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
                     layers=tuple(tuple(lay) for lay in out_layers),
                     terminal=tuple(out_terminal),
                     u=g1 * g2, v=h1 * h2 * n)
-    _require_report(verify_fan(out), "weighting_2 output")
-    _require_report(verify_regular(out, strict=True), "weighting_2 output")
+    _require_fan(out, "weighting_2 output")
     labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
     steps = (("inflated layer blocks", layer_delta),
              ("inflated terminal blocks", terminal_delta))
@@ -362,18 +360,11 @@ def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
         shape = sig
     g2, h2 = shape
 
-    def glue(mblock, iblock):
-        out = []
-        for a, y2, j2 in iblock:
-            x, y, j = mblock[a]
-            out.append((x, y + y2 * g1, j + j2 * h1))
-        return tuple(sorted(out))
-
     blocks = []
     for mb in master.base_blocks:
         hd = ingredients[len(mb)]
         for ib in hd.base_blocks:
-            blocks.append(glue(mb, ib))
+            blocks.append(_glue(mb, ib, g1, h1))
 
     out = HDesign(n=master.n, l=g1 * g2, h=h1 * h2, t=master.t,
                   base_blocks=tuple(blocks))
@@ -383,28 +374,29 @@ def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
     return _finish(labels, steps, out, len(out.base_blocks))
 
 
+def _orbit_representatives(blocks, fibre: int, h: int, suffix: str) -> tuple:
+    """Sorted representatives of whole, full orbits of blocks of points
+    (x, y, j), y < fibre, under +1 on j modulo h."""
+    reps = {}
+    for b in blocks:
+        codes = tuple(sorted((x * fibre + y) * h + j for x, y, j in b))
+        rep, stab = _orbit(codes, h)
+        if stab != 1:
+            raise ValueError("block %r has a short orbit%s" % (b, suffix))
+        reps[rep] = None
+    _require(len(reps) * h == len(blocks), "orbits do not partition the block set")
+    return tuple(sorted(tuple((e // h // fibre, e // h % fibre, e % h) for e in rep)
+                        for rep in reps))
+
+
 def as_semicyclic(d: HDesign):
     """Reread a plain H design whose groups are I_l as one with
     cyclic groups Z_l, then present it by base blocks under that
     action.  Fails if any block orbit is short."""
     _require(d.h == 1, "input must be a plain H design")
     remapped = [tuple(sorted((x, 0, y) for x, y, _ in b)) for b in d.base_blocks]
-    out_h = d.l
-    reps = []
-    seen: set = set()
-    for b in remapped:
-        images = [tuple(sorted((x, 0, (j + delta) % out_h) for x, _, j in b))
-                  for delta in range(out_h)]
-        if len(set(images)) != out_h:
-            raise ValueError("block %r has a short orbit" % (b,))
-        rep = min(images)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        reps.append(rep)
-    _require(len(reps) * out_h == len(remapped),
-             "orbits do not partition the block set")
-    out = HDesign(n=d.n, l=1, h=out_h, t=d.t, base_blocks=tuple(sorted(reps)))
+    reps = _orbit_representatives(remapped, 1, d.l, "")
+    out = HDesign(n=d.n, l=1, h=d.l, t=d.t, base_blocks=reps)
     _require_report(verify_h_design(out), "as_semicyclic output")
     steps = (("orbit representatives", len(reps)),)
     return _finish(["plain H design"], steps, out, len(out.base_blocks))
@@ -442,38 +434,22 @@ def semicyclic_to_vcyclic(d: FanDesign):
     _require(d.shape == CYCLIC and d.s == 0, "input must be a 0-layer cyclic fan")
     _require(tuple(d.g_list) == (1, 1), "input must have two fibres of size 1")
     _require(d.h % 2 == 0 and (d.h // 2) % 2 == 1, "period must be 2v with v odd")
-    _require_report(verify_fan(d), "semicyclic_to_vcyclic input")
-    _require_report(verify_h_cyclic(d, strict=False), "semicyclic_to_vcyclic input")
+    _require_fan(d, "semicyclic_to_vcyclic input", strict=False)
     v = d.h // 2
 
     full, _, problem = develop_family(d, d.terminal)
     _require(problem is None, "input family problem: %s" % problem)
     remapped = [tuple(sorted((x, i % 2, i // 2) for x, _, i in b)) for b in full]
-    reps = []
-    seen: set = set()
-    for b in remapped:
-        images = [tuple(sorted((x, y, (j + delta) % v) for x, y, j in b))
-                  for delta in range(v)]
-        if len(set(images)) != v:
-            raise ValueError("block %r has a short orbit under the new action" % (b,))
-        rep = min(images)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        reps.append(rep)
-    _require(len(reps) * v == len(remapped), "orbits do not partition the block set")
+    reps = _orbit_representatives(remapped, 2, v, " under the new action")
 
-    out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=tuple(sorted(reps)),
-                    g_list=(2, 2))
-    _require_report(verify_fan(out), "semicyclic_to_vcyclic output")
-    _require_report(verify_h_cyclic(out, strict=True), "semicyclic_to_vcyclic output")
+    out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))
+    _require_fan(out, "semicyclic_to_vcyclic output")
     steps = (("orbit representatives", len(reps)),)
     count = sum(len(fam) for fam in out.families())
     return _finish(["semicyclic fan"], steps, out, count)
 
 
-def fan_shift_regular(block, delta: int, v: int):
-    return tuple(sorted(Point(q.row, (q.col + delta) % v) for q in block))
+fan_shift_regular = shift
 
 
 def regular_to_h1cyclic(d: FanDesign, h1: int):
@@ -483,8 +459,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     fibre row + u * a, cyclic coordinate b."""
     _require(d.shape == REGULAR, "input must use the regular shape")
     _require(h1 >= 1 and d.h % h1 == 0, "h1 must divide h")
-    _require_report(verify_fan(d), "regular_to_h1cyclic input")
-    _require_report(verify_regular(d, strict=True), "regular_to_h1cyclic input")
+    _require_fan(d, "regular_to_h1cyclic input")
     step = d.v // d.h
     ratio = d.h // h1
 
@@ -514,8 +489,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     out = FanDesign(s=d.s, shape=CYCLIC, h=h1,
                     layers=tuple(new_layers), terminal=tuple(new_terminal),
                     g_list=(d.u * ratio,) * step)
-    _require_report(verify_fan(out), "regular_to_h1cyclic output")
-    _require_report(verify_h_cyclic(out, strict=True), "regular_to_h1cyclic output")
+    _require_fan(out, "regular_to_h1cyclic output")
     steps = tuple(("family %d representatives" % i, n) for i, n in enumerate(deltas))
     count = sum(len(fam) for fam in out.families())
     return _finish(["regular fan"], steps, out, count)
@@ -525,19 +499,13 @@ def add_cross_pairs_layer(d: FanDesign):
     """Turn a 0-layer regular fan design into a 1-layer one by adding
     the orbit representatives of all cross-group point pairs."""
     _require(d.shape == REGULAR and d.s == 0, "input must be a 0-layer regular fan")
-    _require_report(verify_fan(d), "add_cross_pairs_layer input")
-    _require_report(verify_regular(d, strict=True), "add_cross_pairs_layer input")
+    _require_fan(d, "add_cross_pairs_layer input")
     step = d.v // d.h
-    pairs = set()
-    for p in d.points():
-        for q in d.points():
-            if p < q and p.col % step != q.col % step:
-                pairs.add(canonicalize((p, q), d.v))
-    layer = tuple(sorted(pairs))
+    layer = tuple(sorted({canonicalize(pq, d.v) for pq in combinations(d.points(), 2)
+                          if pq[0].col % step != pq[1].col % step}))
     out = FanDesign(s=1, shape=REGULAR, h=d.h, layers=(layer,),
                     terminal=d.terminal, u=d.u, v=d.v)
-    _require_report(verify_fan(out), "add_cross_pairs_layer output")
-    _require_report(verify_regular(out, strict=True), "add_cross_pairs_layer output")
+    _require_fan(out, "add_cross_pairs_layer output")
     steps = (("existing terminal blocks", len(d.terminal)),
              ("cross pair representatives", len(layer)))
     count = sum(len(fam) for fam in out.families())

@@ -4,11 +4,26 @@ Points live on a u x v grid.  The group Z_v acts on the grid by adding
 1 to the column index modulo v, row indices never move.  A base block
 is the chosen representative of its orbit under that action: the
 lexicographically least among the v column shifts, with points sorted.
+
+All orbit and cover work runs on one private integer kernel.  Each
+universe codes its points 0 .. N-1 in lexicographic order, so sorted
+codes decode to sorted points: grid (row, col) -> row * v + col; cyclic
+fan (x, y, j) -> (off[x] + y) * h + j, off[x] being the fibre rows of
+the earlier groups; H design (x, y, j) -> (x * l + y) * h + j;
+rotational quadruple system INF -> 0, x -> x + 1.  Z_P moves code e by d
+to e - e % P + (e % P + d) % P.  The canonical image and the stabilizer
+come from at most k shifts, those taking a least-row point to 0.  A
+cover check counts the covered t-subsets once and passes when none is
+counted twice, none wanting 0 is counted, and as many are counted as
+the closed form says want 1; only a failure walks all C(N, t) subsets
+in order to name the first miscounted one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
 
@@ -33,11 +48,70 @@ def check_block_range(block: Block, u: int, v: int) -> None:
             raise ValueError("point %r outside %dx%d grid" % (p, u, v))
 
 
+def _image(codes: tuple, delta: int, period: int) -> tuple:
+    """Sorted codes moved by delta under Z_period."""
+    if not delta % period:
+        return codes
+    return tuple(sorted([e - e % period + (e % period + delta) % period for e in codes]))
+
+
+def _orbit(codes: tuple, period: int) -> tuple:
+    """(least image, stabilizer order) of sorted codes.  The candidates move
+    a least-row point to 0: the least image is one of them, and the shifts
+    fixing the block are the differences of candidates with equal images."""
+    if not codes:
+        return codes, period
+    row = codes[0] - codes[0] % period
+    images = [_image(codes, row - e, period) for e in codes if e - row < period]
+    return min(images), images.count(images[0])
+
+
+def _develop(blocks, period: int) -> tuple:
+    """(images, stabilizer orders, clash) for sorted blocks of codes:
+    each orbit in shift order for its own length, stopping at the first
+    image an earlier orbit produced (clash, else None)."""
+    images, seen, stabs = [], set(), []
+    for codes in blocks:
+        stabs.append(_orbit(codes, period)[1])
+        for d in range(period // stabs[-1]):
+            img = _image(codes, d, period)
+            if img in seen:
+                return images, stabs, img
+            seen.add(img)
+            images.append(img)
+    return images, stabs, None
+
+
+def _cover_counts(blocks, t: int) -> Counter:
+    return Counter(chain.from_iterable(combinations(b, t) for b in blocks))
+
+
+def _cover_miss(counts: Counter, n: int, t: int, want, n_want: int, strays: bool = False):
+    """None when counts cover each t-subset of range(n) want(sub) in
+    {0, 1} times, n_want of them wanting 1, else the first (sub, got,
+    wanted) in order.  strays says a block covers a subset wanting 0."""
+    if not strays and len(counts) == n_want == sum(counts.values()):
+        return None
+    for sub in combinations(range(n), t):
+        got, wanted = counts.get(sub, 0), want(sub)
+        if got != wanted:
+            return sub, got, wanted
+    raise AssertionError("cover count failed but every %d-subset has its count" % t)
+
+
+def _grid_codes(block, v: int) -> tuple:
+    return tuple(sorted(p[0] * v + p[1] for p in block))
+
+
+def _grid_block(codes, v: int) -> Block:
+    return tuple(Point(e // v, e % v) for e in codes)
+
+
 def shift(block: Block, delta: int, v: int) -> Block:
     """Add delta to every column index modulo v and re-sort."""
     if v <= 0:
         raise ValueError("period v must be positive")
-    return tuple(sorted(Point(p.row, (p.col + delta) % v) for p in block))
+    return _grid_block(_image(_grid_codes(block, v), delta, v), v)
 
 
 def canonicalize(block: Block, v: int) -> Block:
@@ -47,27 +121,19 @@ def canonicalize(block: Block, v: int) -> Block:
     for p in block:
         if p.row < 0 or not (0 <= p.col < v):
             raise ValueError("point %r out of range for period %d" % (p, v))
-    return min(shift(block, d, v) for d in range(v))
+    return _grid_block(_orbit(_grid_codes(block, v), v)[0], v)
 
 
 def stabilizer_order(block: Block, v: int) -> int:
     """Order of the subgroup of Z_v fixing the block setwise."""
-    base = tuple(sorted(block))
-    return sum(1 for d in range(v) if shift(base, d, v) == base)
+    return _orbit(_grid_codes(block, v), v)[1]
 
 
 def orbit(block: Block, v: int) -> list:
     """All distinct column shifts of the block, starting from the
     canonical representative."""
-    rep = canonicalize(block, v)
-    seen = []
-    seen_set = set()
-    for d in range(v):
-        img = shift(rep, d, v)
-        if img not in seen_set:
-            seen_set.add(img)
-            seen.append(img)
-    return seen
+    images, _, _ = _develop([_grid_codes(canonicalize(block, v), v)], v)
+    return [_grid_block(img, v) for img in images]
 
 
 @dataclass(frozen=True)
@@ -93,7 +159,7 @@ class CyclicPacking:
             if len(b) != self.k:
                 raise ValueError("block %r has size %d, expected %d" % (b, len(b), self.k))
             check_block_range(b, self.u, self.v)
-            rep = canonicalize(b, self.v)
+            rep = _grid_block(_orbit(_grid_codes(b, self.v), self.v)[0], self.v)
             if b != rep:
                 raise ValueError("block %r is not the canonical representative %r" % (b, rep))
             if rep in seen:

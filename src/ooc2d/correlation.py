@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Block, Code, CodewordMatrix, CyclicPacking, Point, as_block, make_packing
+from .core import Block, Code, CodewordMatrix, CyclicPacking, Point, make_packing
 
 
 @dataclass(frozen=True)
@@ -112,5 +112,5 @@ def packing_to_code(p: CyclicPacking) -> Code:
 
 
 def code_to_packing(c: Code) -> CyclicPacking:
-    blocks = [as_block(matrix_to_block(m)) for m in c.codewords]
+    blocks = [matrix_to_block(m) for m in c.codewords]
     return make_packing(c.u, c.v, c.k, c.lam + 1, blocks)

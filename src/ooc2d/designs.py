@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from math import gcd
+from itertools import accumulate, chain, combinations
+from math import comb, gcd
 
-from .core import Point
+from .core import Point, _cover_counts, _cover_miss, _develop, _grid_codes, _image, _orbit
 
 CYCLIC = "cyclic"
 REGULAR = "regular"
@@ -153,15 +153,41 @@ class FanDesign:
         return group_type([self.u * self.h] * (self.v // self.h))
 
 
+def _codec(d) -> tuple:
+    """(encode, points, period) of a fan or H design: encode gives a block's
+    sorted codes (see core), points[e] decodes e, Z_period acts."""
+    points = d.points()
+    if isinstance(d, FanDesign) and d.shape == REGULAR:
+        return (lambda b: _grid_codes(b, d.v)), points, d.v
+    off = list(accumulate(d.g_list if isinstance(d, FanDesign) else (d.l,) * d.n, initial=0))
+    return (lambda b: tuple(sorted((off[x] + y) * d.h + j for x, y, j in b))), points, d.h
+
+
 def fan_shift(d: FanDesign, block, delta: int = 1):
-    if d.shape == CYCLIC:
-        return tuple(sorted((x, y, (j + delta) % d.h) for x, y, j in block))
-    return tuple(sorted(Point(p[0], (p[1] + delta) % d.v) for p in block))
+    encode, points, period = _codec(d)
+    return tuple(points[e] for e in _image(encode(block), delta, period))
 
 
 def block_stabilizer(d: FanDesign, block) -> int:
-    base = tuple(sorted(block))
-    return sum(1 for delta in range(d.period) if fan_shift(d, base, delta) == base)
+    encode, _, period = _codec(d)
+    return _orbit(encode(block), period)[1]
+
+
+def _develop_codes(d: FanDesign, blocks, encode, points) -> tuple:
+    """develop_family on codes: (images, stabilizer orders, problem)."""
+    if d.developed:
+        fam = [encode(b) for b in blocks]
+        fam_set = set(fam)
+        if len(fam_set) != len(fam):
+            return fam, (), "duplicate block in developed family"
+        for b, codes in zip(blocks, fam):
+            if _image(codes, 1, d.period) not in fam_set:
+                return fam, (), "family not closed under the action at %r" % (tuple(sorted(b)),)
+        return fam, tuple(_orbit(codes, d.period)[1] for codes in fam), None
+    images, stabs, clash = _develop([encode(b) for b in blocks], d.period)
+    problem = None if clash is None else "orbit collision at %r" % (
+        tuple(points[e] for e in clash),)
+    return images, tuple(stabs), problem
 
 
 def develop_family(d: FanDesign, blocks) -> tuple:
@@ -172,83 +198,59 @@ def develop_family(d: FanDesign, blocks) -> tuple:
     is a collision.  Developed input is returned as is after checking
     the family is closed under the action.
     """
+    encode, points, _ = _codec(d)
+    images, stabs, problem = _develop_codes(d, blocks, encode, points)
     if d.developed:
-        fam = [tuple(sorted(b)) for b in blocks]
-        fam_set = set(fam)
-        if len(fam_set) != len(fam):
-            return fam, (), "duplicate block in developed family"
-        for b in fam:
-            if fan_shift(d, b, 1) not in fam_set:
-                return fam, (), "family not closed under the action at %r" % (b,)
-        stabs = tuple(block_stabilizer(d, b) for b in fam)
-        return fam, stabs, None
-    out = []
-    seen: set = set()
-    stabs = []
-    for b in blocks:
-        stabs.append(block_stabilizer(d, b))
-        for delta in range(d.period):
-            img = fan_shift(d, b, delta)
-            if img in seen:
-                if img in {fan_shift(d, b, e) for e in range(delta)}:
-                    continue
-                return out, tuple(stabs), "orbit collision at %r" % (img,)
-            seen.add(img)
-            out.append(img)
-    return out, tuple(stabs), None
+        return [tuple(sorted(b)) for b in blocks], stabs, problem
+    return [tuple(points[e] for e in img) for img in images], stabs, problem
 
 
 def verify_fan(d: FanDesign) -> DesignReport:
     """Check the covering conditions over the developed families."""
+    encode, points, _ = _codec(d)
     developed = []
     for idx, fam in enumerate(d.families()):
-        full, _, problem = develop_family(d, fam)
+        full, _, problem = _develop_codes(d, fam, encode, points)
         if problem:
             return DesignReport(False, "family %d: %s" % (idx, problem))
         developed.append(full)
-    *layer_full, terminal_full = developed
 
-    pts = d.points()
-    triple_counts: dict = {}
+    group = [d.group_of(p) for p in points]
+
+    def want(sub):
+        return 1 if len({group[e] for e in sub}) >= 2 else 0
+
+    # the action maps groups onto groups, so an input block covers a
+    # t-subset inside one group exactly when one of its images does;
     # size-2 blocks contribute no triples, so no filtering is needed
-    for fam in developed:
-        for b in fam:
-            for sub in combinations(b, 3):
-                triple_counts[sub] = triple_counts.get(sub, 0) + 1
-    for sub in combinations(sorted(pts), 3):
-        groups = {d.group_of(p) for p in sub}
-        want = 1 if len(groups) >= 2 else 0
-        got = triple_counts.get(sub, 0)
-        if got != want:
-            return DesignReport(False, "triple %r covered %d times, expected %d"
-                                % (sub, got, want))
-
-    for idx, fam in enumerate(layer_full):
-        pair_counts: dict = {}
-        for b in fam:
-            for sub in combinations(b, 2):
-                pair_counts[sub] = pair_counts.get(sub, 0) + 1
-        for sub in combinations(sorted(pts), 2):
-            want = 1 if d.group_of(sub[0]) != d.group_of(sub[1]) else 0
-            got = pair_counts.get(sub, 0)
-            if got != want:
-                return DesignReport(False, "layer %d: pair %r covered %d times, expected %d"
-                                    % (idx, sub, got, want))
+    checks = [("triple", 3, chain.from_iterable(developed), chain.from_iterable(d.families()))]
+    checks += [("layer %d: pair" % idx, 2, full, fam)
+               for idx, (fam, full) in enumerate(zip(d.layers, developed))]
+    for name, t, blocks, inputs in checks:
+        strays = any(not want(sub) for b in inputs for sub in combinations(encode(b), t))
+        n_want = comb(len(points), t) - sum(n * comb(g, t) for g, n in d.group_sizes().parts)
+        bad = _cover_miss(_cover_counts(blocks, t), len(points), t, want, n_want, strays)
+        if bad:
+            sub, got, wanted = bad
+            return DesignReport(False, "%s %r covered %d times, expected %d"
+                                % (name, tuple(points[e] for e in sub), got, wanted))
     return DesignReport(True)
 
 
 def _verify_action(d: FanDesign, shape: str, strict: bool) -> DesignReport:
     if d.shape != shape:
         raise ValueError("expected %s shape, got %s" % (shape, d.shape))
+    encode, points, _ = _codec(d)
     for idx, fam in enumerate(d.families()):
-        full, stabs, problem = develop_family(d, fam)
+        _, stabs, problem = _develop_codes(d, fam, encode, points)
         if problem:
             return DesignReport(False, "family %d: %s" % (idx, problem))
         if strict:
-            for b, order in zip(fam if not d.developed else full, stabs):
+            for b, order in zip(fam, stabs):
                 if order != 1:
+                    shown = tuple(sorted(b)) if d.developed else b
                     return DesignReport(False, "family %d: block %r has stabilizer of order %d"
-                                        % (idx, b, order))
+                                        % (idx, shown, order))
     return DesignReport(True)
 
 
@@ -297,47 +299,35 @@ class HDesign:
                 for y in range(self.l) for j in range(self.h)]
 
 
-def h_shift(d: HDesign, block, delta: int = 1):
-    return tuple(sorted((x, y, (j + delta) % d.h) for x, y, j in block))
-
-
 def verify_h_design(d: HDesign) -> DesignReport:
     """Exact cover of the transverse t-subsets by the developed blocks.
 
     A valid design here is automatically strict: a block with a
     nontrivial stabilizer would repeat one of its own t-subsets.
     """
-    developed = []
-    seen: set = set()
-    for b in d.base_blocks:
-        for delta in range(d.h):
-            img = h_shift(d, b, delta)
-            if img in seen:
-                if img in {h_shift(d, b, e) for e in range(delta)}:
-                    continue
-                return DesignReport(False, "orbit collision at %r" % (img,))
-            seen.add(img)
-            developed.append(img)
+    encode, points, _ = _codec(d)
+    developed, stabs, clash = _develop([encode(b) for b in d.base_blocks], d.h)
+    if clash is not None:
+        return DesignReport(False, "orbit collision at %r" % (tuple(points[e] for e in clash),))
 
-    counts: dict = {}
-    for b in developed:
-        for sub in combinations(b, d.t):
-            counts[sub] = counts.get(sub, 0) + 1
-    for sub in combinations(sorted(d.points()), d.t):
-        want = 1 if len({x for x, _, _ in sub}) == d.t else 0
-        got = counts.get(sub, 0)
-        if got != want:
-            return DesignReport(False, "t-subset %r covered %d times, expected %d"
-                                % (sub, got, want))
-    for b in d.base_blocks:
-        if block_stabilizer_h(d, b) != 1:
+    # base blocks are transversal and the action keeps x, so no
+    # developed block covers a t-subset that wants 0
+    bad = _cover_miss(_cover_counts(developed, d.t), len(points), d.t,
+                      lambda sub: 1 if len({e // d.g for e in sub}) == d.t else 0,
+                      comb(d.n, d.t) * d.g ** d.t)
+    if bad:
+        sub, got, wanted = bad
+        return DesignReport(False, "t-subset %r covered %d times, expected %d"
+                            % (tuple(points[e] for e in sub), got, wanted))
+    for b, stab in zip(d.base_blocks, stabs):
+        if stab != 1:
             raise AssertionError("transversal block %r has a nontrivial stabilizer" % (b,))
     return DesignReport(True)
 
 
-def block_stabilizer_h(d: HDesign, block) -> int:
-    base = tuple(sorted(block))
-    return sum(1 for delta in range(d.h) if h_shift(d, base, delta) == base)
+# the H design universe is the cyclic fan one with every fibre of size l
+h_shift = fan_shift
+block_stabilizer_h = block_stabilizer
 
 
 @dataclass(frozen=True)
@@ -366,34 +356,31 @@ class RoSQSDesign:
         return tuple(b for b in self.base_blocks if INF not in b)
 
 
+def _with_inf(cyclic: tuple) -> tuple:
+    """A block from its cyclic part: blocks have four points, so a cyclic
+    part of three lost the fixed point."""
+    return (INF,) * (4 - len(cyclic)) + cyclic
+
+
 def rosqs_shift(block, delta: int, m: int):
-    return tuple(sorted(x if x == INF else (x + delta) % m for x in block))
+    cyclic = tuple(sorted(x for x in block if x != INF))
+    return (INF,) * (len(block) - len(cyclic)) + _image(cyclic, delta, m)
 
 
 def verify_rosqs(d: RoSQSDesign) -> DesignReport:
     if d.n % 6 not in (2, 4):
         return DesignReport(False, "no quadruple system on %d points" % d.n)
-    m = d.n - 1
-    developed = []
-    seen: set = set()
-    for b in d.base_blocks:
-        for delta in range(m):
-            img = rosqs_shift(b, delta, m)
-            if img in seen:
-                if img in {rosqs_shift(b, e, m) for e in range(delta)}:
-                    continue
-                return DesignReport(False, "orbit collision at %r" % (img,))
-            seen.add(img)
-            developed.append(img)
-    counts: dict = {}
-    for b in developed:
-        for sub in combinations(b, 3):
-            counts[sub] = counts.get(sub, 0) + 1
-    pts = [INF] + list(range(m))
-    for sub in combinations(sorted(pts), 3):
-        got = counts.get(sub, 0)
-        if got != 1:
-            return DesignReport(False, "triple %r covered %d times" % (sub, got))
+    # the kernel develops the cyclic parts on Z_{n-1}; INF stays put
+    cyclic, _, clash = _develop([tuple(x for x in b if x != INF) for b in d.base_blocks],
+                                d.n - 1)
+    if clash is not None:
+        return DesignReport(False, "orbit collision at %r" % (_with_inf(clash),))
+    counts = _cover_counts([tuple(x + 1 for x in _with_inf(c)) for c in cyclic], 3)
+    bad = _cover_miss(counts, d.n, 3, lambda sub: 1, comb(d.n, 3))
+    if bad:
+        sub, got, _ = bad
+        return DesignReport(False, "triple %r covered %d times"
+                            % (tuple(e - 1 for e in sub), got))
     return DesignReport(True)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import CyclicPacking, Point, shift, stabilizer_order
+from .core import CyclicPacking, _cover_counts, _develop, _grid_block, _grid_codes
 
 
 @dataclass(frozen=True)
@@ -25,33 +25,29 @@ class PackingReport:
     violation: tuple | None
 
 
+def _developed(p: CyclicPacking) -> tuple:
+    """(images as codes, stabilizer orders, None): base blocks are
+    distinct canonical representatives, so no orbits clash."""
+    return _develop([_grid_codes(b, p.v) for b in p.base_blocks], p.v)
+
+
 def develop(p: CyclicPacking) -> list:
     """All distinct developed blocks, orbit by orbit in base order."""
-    out = []
-    for b in p.base_blocks:
-        seen = set()
-        for d in range(p.v):
-            img = shift(b, d, p.v)
-            if img not in seen:
-                seen.add(img)
-                out.append(img)
-    return out
+    return [_grid_block(img, p.v) for img in _developed(p)[0]]
 
 
 def verify_packing(p: CyclicPacking) -> PackingReport:
-    lengths = tuple(p.v // stabilizer_order(b, p.v) for b in p.base_blocks)
-    counts: dict = {}
-    for block in develop(p):
-        for sub in combinations(block, p.t):
-            counts[sub] = counts.get(sub, 0) + 1
-    bad = sorted(sub for sub, c in counts.items() if c > 1)
-    violation = (bad[0], counts[bad[0]]) if bad else None
-    leave_size = comb(p.u * p.v, p.t) - len(counts)
+    images, stabs, _ = _developed(p)
+    counts = _cover_counts(images, p.t)
+    violation = None
+    if sum(counts.values()) != len(counts):
+        sub = min(sub for sub, c in counts.items() if c > 1)
+        violation = (_grid_block(sub, p.v), counts[sub])
     return PackingReport(
-        valid=not bad,
-        strictly_cyclic=all(n == p.v for n in lengths),
-        orbit_lengths=lengths,
-        leave_size=leave_size,
+        valid=violation is None,
+        strictly_cyclic=all(s == 1 for s in stabs),
+        orbit_lengths=tuple(p.v // s for s in stabs),
+        leave_size=comb(p.u * p.v, p.t) - len(counts),
         violation=violation,
     )
 
@@ -62,13 +58,11 @@ def leave(p: CyclicPacking) -> list:
     if not report.valid:
         raise ValueError("leave is only defined for valid packings, found %r"
                          % (report.violation,))
-    covered = set()
-    developed = develop(p)
-    for block in developed:
-        covered.update(combinations(block, p.t))
-    points = [Point(i, j) for i in range(p.u) for j in range(p.v)]
-    missing = [sub for sub in combinations(sorted(points), p.t) if sub not in covered]
-    expected = comb(p.u * p.v, p.t) - len(developed) * comb(p.k, p.t)
+    images, _, _ = _developed(p)
+    covered = _cover_counts(images, p.t)
+    missing = [_grid_block(sub, p.v) for sub in combinations(range(p.u * p.v), p.t)
+               if sub not in covered]
+    expected = comb(p.u * p.v, p.t) - len(images) * comb(p.k, p.t)
     if len(missing) != expected:
         raise AssertionError("leave has %d t-subsets, expected %d" % (len(missing), expected))
     return missing

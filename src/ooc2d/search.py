@@ -42,7 +42,7 @@ from itertools import combinations
 from math import comb
 
 from .bounds import johnson_bound, jstar
-from .core import CyclicPacking, Point, make_packing
+from .core import CyclicPacking, Point, _image, _orbit, make_packing
 from .packing import verify_packing
 
 
@@ -60,11 +60,6 @@ class SearchResult:
     upper_bound: int | None
 
 
-def _shift_map(u: int, v: int) -> list:
-    """Point index -> its image under one column shift."""
-    return [p - p % v + (p % v + 1) % v for p in range(u * v)]
-
-
 def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     """All orbit representatives whose orbit repeats no t-subset,
     paired with the bit mask of the t-subsets the orbit covers.
@@ -73,30 +68,14 @@ def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     at its representative, the least of its images.  That image's
     least point lies in column 0, so any other first point is skipped
     before the subset is developed."""
-    n = u * v
-    sh = _shift_map(u, v)
     orbits = []
-    for c in combinations(range(n), k):
-        if c[0] % v:
-            continue
-        block = frozenset(c)
-        imgs = [block]
-        cur = block
-        short = False
-        for _ in range(v - 1):
-            cur = frozenset(sh[q] for q in cur)
-            if cur == block:
-                short = True
-                break
-            imgs.append(cur)
-        if short:
-            continue
-        if min(tuple(sorted(img)) for img in imgs) != c:
+    for c in combinations(range(u * v), k):
+        if c[0] % v or _orbit(c, v) != (c, 1):
             continue
         mask = 0
         ok = True
-        for img in imgs:
-            for sub in combinations(sorted(img), t):
+        for d in range(v):
+            for sub in combinations(_image(c, d, v), t):
                 bit = 1 << index[sub]
                 if mask & bit:
                     ok = False
@@ -141,19 +120,17 @@ def _candidates(u: int, v: int, t: int, orbits: list, index: dict) -> list:
     """Per t-subset index, the (mask, row mask, rep) of every orbit
     covering it, ordered by the other points of the image that holds
     the t-subset."""
-    sh = _shift_map(u, v)
     keyed: list = [[] for _ in range(len(index))]
     for rep, mask in orbits:
         rows = 0
         for p in rep:
             rows |= 1 << (p // v)
         entry = (mask, rows, rep)
-        img = rep
-        for _ in range(v):
+        for d in range(v):
+            img = _image(rep, d, v)
             for sub in combinations(img, t):
                 extra = tuple(p for p in img if p not in sub)
                 keyed[index[sub]].append((extra, entry))
-            img = tuple(sorted(sh[p] for p in img))
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 

@@ -181,3 +181,29 @@ def test_search_refuses_bad_witness(tmp_path, monkeypatch, capsys):
     assert main(["search", "2", "3", "4", "3", "--out", str(out)]) == 1
     assert "FAIL" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["hartman", "catalog:fg-4^2-s2c"],
+    ["filling1", "catalog:rosqs8", "2=catalog:small-(2,3)"],
+    ["filling1", "catalog:fg-6^2-s3c", "2=catalog:h-4-2-4-3"],
+    ["filling2", "catalog:small-(2,3)", "catalog:small-(2,3)"],
+    ["filling2", "catalog:fg-(2,2)reg-4^2", "catalog:fg-4^2-s2c"],
+    ["weighting1", "catalog:h-4-2-4-3", "fan:2=catalog:fg-4^2-s2c"],
+    ["weighting1", "catalog:fg-4^2-s2c", "fan:2=catalog:rosqs8"],
+    ["weighting2", "catalog:small-(2,3)", "fan:2=catalog:fg-4^2-s2c"],
+    ["weighting2", "catalog:fg-(2,2)reg-4^2", "h:4=catalog:fg-4^2-s2c"],
+    ["weighting3", "catalog:fg-4^2-s2c", "4=catalog:h-4-2-4-3"],
+    ["weighting3", "catalog:h-4-2-4-3", "4=catalog:rosqs8"],
+    ["remap", "semicyclic", "catalog:h-4-2-4-3"],
+    ["remap", "hsemicyclic", "catalog:fg-4^2-s2c"],
+    ["remap", "h1cyclic:2", "catalog:rosqs8"],
+    ["remap", "pairs", "catalog:small-(2,3)"],
+    ["remap", "perfect1fg", "catalog:fg-(2,2)reg-4^2"],
+    ["fold", "catalog:rosqs8", "2"],
+])
+def test_construct_rejects_each_wrong_kind(argv, capsys):
+    """every recipe checks the kind of each source it loads and names it"""
+    assert main(["construct"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
