@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
-from .core import Code, CyclicPacking, Point, _orbit, canonicalize, make_packing, shift
-from .correlation import block_to_matrix, matrix_to_block, verify_ooc
+from .core import (Code, CyclicPacking, Point, _cells_matrix, _image, _orbit, canonicalize,
+                   make_packing, shift)
+from .correlation import verify_ooc
 from .designs import (CYCLIC, INF, REGULAR, DesignReport, FanDesign, HDesign,
                       RoSQSDesign, develop_family, verify_fan, verify_h_cyclic,
                       verify_h_design, verify_regular, verify_rosqs)
@@ -409,18 +410,15 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     _require(v1 >= 1 and code.v % v1 == 0, "v1 must divide v")
     report = verify_ooc(code)
     _require(report.ok, "fold input fails correlation at %r" % (report.witness,))
-    u2, v2 = code.u * v1, code.v // v1
+    u, v = code.u, code.v
+    u2, v2 = u * v1, v // v1
 
-    def remap(block):
-        return tuple(sorted(Point(q.row + code.u * (q.col % v1), q.col // v1)
-                            for q in block))
+    def remap(e):
+        i, x = divmod(e, v)
+        return (i + u * (x % v1)) * v2 + x // v1
 
-    mats = []
-    for m in code.codewords:
-        block = matrix_to_block(m)
-        for d in range(v1):
-            shifted = shift(block, d, code.v)
-            mats.append(block_to_matrix(remap(shifted), u2, v2))
+    mats = [_cells_matrix(map(remap, _image(m.cells, d, v)), u2, v2)
+            for m in code.codewords for d in range(v1)]
     out = Code(u=u2, v=v2, k=code.k, lam=code.lam, codewords=tuple(mats))
     report = verify_ooc(out)
     _require(report.ok, "fold output fails correlation at %r" % (report.witness,))

@@ -17,13 +17,18 @@ cover check counts the covered t-subsets once and passes when none is
 counted twice, none wanting 0 is counted, and as many are counted as
 the closed form says want 1; only a failure walks all C(N, t) subsets
 in order to name the first miscounted one.
+
+A u x v codeword matrix hands out its ones as the sorted grid codes
+i * v + j (CodewordMatrix.cells), so codes reach the same kernel: a
+codeword rotated by r is its cells' image under Z_v, and a code's
+correlation is a cover count of its developed codewords.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterable, NamedTuple
 
 
@@ -159,11 +164,14 @@ class CyclicPacking:
             if len(b) != self.k:
                 raise ValueError("block %r has size %d, expected %d" % (b, len(b), self.k))
             check_block_range(b, self.u, self.v)
-            rep = _grid_block(_orbit(_grid_codes(b, self.v), self.v)[0], self.v)
-            if b != rep:
-                raise ValueError("block %r is not the canonical representative %r" % (b, rep))
+            codes = tuple(p[0] * self.v + p[1] for p in b)
+            rep = _orbit(tuple(sorted(codes)), self.v)[0]
+            if codes != rep:
+                raise ValueError("block %r is not the canonical representative %r"
+                                 % (b, _grid_block(rep, self.v)))
             if rep in seen:
-                raise ValueError("two base blocks share the orbit of %r" % (rep,))
+                raise ValueError("two base blocks share the orbit of %r"
+                                 % (_grid_block(rep, self.v),))
             seen.add(rep)
 
     @property
@@ -192,16 +200,36 @@ class CodewordMatrix:
     def __post_init__(self):
         if len(self.bits) != self.u:
             raise ValueError("expected %d rows, got %d" % (self.u, len(self.bits)))
-        for row in self.bits:
-            if len(row) != self.v:
-                raise ValueError("expected %d columns, got %d" % (self.v, len(row)))
-            for x in row:
-                if x not in (0, 1):
-                    raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
+        try:
+            flat = tuple(chain.from_iterable(self.bits))
+            clean = set(map(len, self.bits)) <= {self.v} and set(flat) <= {0, 1}
+        except TypeError:  # an unsized row or an unhashable entry
+            clean = False
+        if not clean:  # name the first bad row or entry
+            for row in self.bits:
+                if len(row) != self.v:
+                    raise ValueError("expected %d columns, got %d" % (self.v, len(row)))
+                for x in row:
+                    if x not in (0, 1):
+                        raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
+        object.__setattr__(self, "_cells", tuple(compress(range(len(flat)), flat)))
+
+    @property
+    def cells(self) -> tuple:
+        """The ones as sorted grid codes i * v + j."""
+        return self._cells
 
     @property
     def weight(self) -> int:
-        return sum(sum(row) for row in self.bits)
+        return len(self._cells)
+
+
+def _cells_matrix(cells, u: int, v: int) -> CodewordMatrix:
+    """The u x v matrix whose ones are the grid codes in cells."""
+    flat = [0] * (u * v)
+    for e in cells:
+        flat[e] = 1
+    return CodewordMatrix(u=u, v=v, bits=tuple(tuple(flat[i * v:i * v + v]) for i in range(u)))
 
 
 @dataclass(frozen=True)

@@ -5,26 +5,32 @@ columns are rotated left by r.  A code is acceptable when every such
 count stays at or below lambda, excluding the trivial case of a
 codeword against itself at zero shift.
 
-verify_ooc checks a whole code through an inverted index from grid
-cells to (codeword, rotation) keys, so its work follows the point
-pairs that actually meet rather than the n(n+1)/2 codeword pairs: a
-pair that shares no cell at any rotation costs nothing.  The index
-holds k * v entries per codeword.
+verify_ooc checks a whole code on the integer cover-count kernel of
+core.  Codeword a rotated by r is a block of grid codes, its key; two
+keys (a, ra), (b, rb) meet in correlation(A, B, ra - rb) cells, so the
+code is acceptable exactly when no (lambda + 1)-subset of cells lies in
+two keys.  That is a count of v * n * C(k, lambda + 1) subsets for n
+codewords of weight k, and a clean code counts none twice.  A short
+cascade of such counts at other subset sizes gives the worst
+correlation, and only a failing code pays one more pass to name its
+witness.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
-from .core import Block, Code, CodewordMatrix, CyclicPacking, Point, make_packing
+from .core import (Block, Code, CodewordMatrix, CyclicPacking, _cells_matrix, _cover_counts,
+                   _grid_block, _grid_codes, _image, _orbit)
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
     ok: bool
     worst_value: int
-    # ((index_a, index_b), r) of the first violation in scan order,
+    # the least violating ((index_a, index_b), r) with index_a <= index_b,
     # or None when the code is clean
     witness: tuple | None
 
@@ -43,63 +49,68 @@ def correlation(a: CodewordMatrix, b: CodewordMatrix, r: int) -> int:
 
 
 def block_to_matrix(block: Block, u: int, v: int) -> CodewordMatrix:
-    grid = [[0] * v for _ in range(u)]
+    seen = set()
     for p in block:
         if not (0 <= p.row < u and 0 <= p.col < v):
             raise ValueError("point %r outside %dx%d grid" % (p, u, v))
-        if grid[p.row][p.col]:
+        if p in seen:
             raise ValueError("duplicate point %r" % (p,))
-        grid[p.row][p.col] = 1
-    return CodewordMatrix(u=u, v=v, bits=tuple(tuple(row) for row in grid))
+        seen.add(p)
+    return _cells_matrix(_grid_codes(block, v), u, v)
 
 
 def matrix_to_block(m: CodewordMatrix) -> Block:
-    return tuple(Point(i, j) for i in range(m.u) for j in range(m.v) if m.bits[i][j])
+    return _grid_block(m.cells, m.v)
 
 
 def verify_ooc(code: Code) -> CorrelationReport:
-    """Check every codeword pair at every rotation.
+    """Check every codeword pair at every rotation as a cover count.
 
-    Only unordered pairs are scanned: correlation(A, B, r) equals
-    correlation(B, A, v - r), so the ordered half is redundant.  The
-    witness is the first violation in (index_a, index_b, r) order.
+    Every codeword is developed over all v rotations, one key per
+    (codeword, rotation) pair: short periods and repeated codewords are
+    not merged, so they clash like any other pair.  Keys (a, ra) and
+    (b, rb) share an m-subset of cells exactly when correlation(A, B,
+    ra - rb) >= m, so the code is acceptable when no (lambda + 1)-subset
+    is counted twice.  worst_value is the largest m whose m-subsets
+    clash: a failing code walks up from lambda + 1, a clean one down
+    from lambda, stopping at 0.  Each level counts v * n * C(k, m)
+    subsets.
 
-    The scan runs over an inverted index.  Cell i * v + j lists the
-    keys ib * v + r of every codeword ib that, rotated by r, has a
-    point there: (i, (j + r) % v) is in block ib.  Codewords are
-    visited from last to first, each adding its v rotations to the
-    index before it looks up its own k cells, so the index holds the
-    codewords ib >= ia and key ib * v + r is hit correlation(A, B, r)
-    times.  Key ia * v, the codeword against itself at zero shift, is
-    dropped.  The cost is the k * v * n index entries plus one step per
-    hit; keys order as (index_b, r), so the least key over lambda of
-    the last codeword visited that has one is the witness.
+    Only a failing code pays for the witness: one more pass lists the
+    keys holding each (lambda + 1)-subset, and every two keys (a, ra) <
+    (b, rb) of a list name the violation ((a, b), (ra - rb) mod v).  The
+    witness is the least of them.  A codeword clashing with itself at
+    shift r clashes at v - r too, and both appear among its key pairs,
+    so the least r of the pair (a, a) is found without folding r onto
+    v - r.
     """
-    u, v = code.u, code.v
-    lam = code.lam
-    index: list = [[] for _ in range(u * v)]
-    worst = 0
-    witness = None
-    for ia in range(len(code.codewords) - 1, -1, -1):
-        base = ia * v
-        cells = []
-        for i, bits in enumerate(code.codewords[ia].bits):
-            row = i * v
-            for j, bit in enumerate(bits):
-                if bit:
-                    cells.append(row + j)
-                    for col in range(v):
-                        index[row + col].append(base + (j - col) % v)
-        hits = Counter()
-        for cell in cells:
-            hits.update(index[cell])
-        del hits[base]
-        top = max(hits.values(), default=0)
-        worst = max(worst, top)
-        if top > lam:
-            key = min(key for key, value in hits.items() if value > lam)
-            witness = ((ia, key // v), key % v)
-    return CorrelationReport(ok=worst <= lam, worst_value=worst, witness=witness)
+    v, k, lam = code.v, code.k, code.lam
+    keys = [_image(m.cells, r, v) for m in code.codewords for r in range(v)]
+
+    def clash(m: int) -> bool:
+        return len(_cover_counts(keys, m)) < len(keys) * comb(k, m)
+
+    if not clash(lam + 1):
+        worst = lam
+        while worst and not clash(worst):
+            worst -= 1
+        return CorrelationReport(ok=True, worst_value=worst, witness=None)
+    worst = lam + 1
+    while worst < k and clash(worst + 1):
+        worst += 1
+    holders: dict = {}
+    for key, cells in enumerate(keys):
+        for sub in combinations(cells, lam + 1):
+            holders.setdefault(sub, []).append(key)
+    witness = min(_violation(x, y, v) for held in holders.values() if len(held) > 1
+                  for x, y in combinations(held, 2))
+    return CorrelationReport(ok=False, worst_value=worst, witness=witness)
+
+
+def _violation(x: int, y: int, v: int) -> tuple:
+    """((a, b), r) for keys x = a * v + ra < y = b * v + rb."""
+    (a, ra), (b, rb) = divmod(x, v), divmod(y, v)
+    return (a, b), (ra - rb) % v
 
 
 def packing_to_code(p: CyclicPacking) -> Code:
@@ -112,5 +123,8 @@ def packing_to_code(p: CyclicPacking) -> Code:
 
 
 def code_to_packing(c: Code) -> CyclicPacking:
-    blocks = [matrix_to_block(m) for m in c.codewords]
-    return make_packing(c.u, c.v, c.k, c.lam + 1, blocks)
+    """Each codeword's canonical image is a base block; sorting the
+    codes sorts the blocks, since all have k cells."""
+    reps = sorted(_orbit(m.cells, c.v)[0] for m in c.codewords)
+    return CyclicPacking(u=c.u, v=c.v, k=c.k, t=c.lam + 1,
+                         base_blocks=tuple(_grid_block(rep, c.v) for rep in reps))

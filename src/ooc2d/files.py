@@ -64,6 +64,22 @@ def design_to_dict(obj) -> dict:
     raise ValueError("cannot serialize %r" % (type(obj).__name__,))
 
 
+def _field(value, name: str, decode):
+    """decode(value), with a value of the wrong type reported as a
+    ValueError naming its field."""
+    try:
+        return decode(value)
+    except (TypeError, IndexError, OverflowError) as exc:
+        raise ValueError("malformed %r: %s" % (name, exc)) from None
+
+
+def _ints(params: dict, *names) -> list:
+    for name in names:
+        if not isinstance(params[name], int):
+            raise ValueError("parameter %r must be an integer, got %r" % (name, params[name]))
+    return [params[name] for name in names]
+
+
 def design_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError("design file must contain a JSON object")
@@ -71,38 +87,51 @@ def design_from_dict(doc: dict):
         raise ValueError("unsupported schema_version %r" % (doc.get("schema_version"),))
     kind = doc.get("kind")
     params = doc.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ValueError("'parameters' must be an object, got %r" % (params,))
     if kind == "packing":
-        blocks = [as_block(b) for b in doc["base_blocks"]]
-        return make_packing(params["u"], params["v"], params["k"], params["t"], blocks)
+        u, v, k, t = _ints(params, "u", "v", "k", "t")
+        blocks = _field(doc["base_blocks"], "base_blocks",
+                        lambda bs: [as_block(b) for b in bs])
+        return make_packing(u, v, k, t, blocks)
     if kind == "fan":
+        s, h = _ints(params, "s", "h")
         if params.get("shape") == CYCLIC:
             dec = lambda b: tuple(sorted(tuple(int(c) for c in p) for p in b))
-            extra = {"g_list": tuple(params["g_list"])}
+            g_list = params["g_list"]
+            if not (isinstance(g_list, list) and all(isinstance(g, int) for g in g_list)):
+                raise ValueError("parameter 'g_list' must be a list of integers, got %r"
+                                 % (g_list,))
+            extra = {"g_list": tuple(g_list)}
         elif params.get("shape") == REGULAR:
             dec = lambda b: tuple(sorted(Point(int(p[0]), int(p[1])) for p in b))
-            extra = {"u": params["u"], "v": params["v"]}
+            u, v = _ints(params, "u", "v")
+            extra = {"u": u, "v": v}
         else:
             raise ValueError("unknown fan shape %r" % (params.get("shape"),))
-        return FanDesign(s=params["s"], shape=params["shape"], h=params["h"],
-                         layers=tuple(tuple(dec(b) for b in lay)
-                                      for lay in doc.get("layers", [])),
-                         terminal=tuple(dec(b) for b in doc["base_blocks"]),
+        layers = _field(doc.get("layers", []), "layers",
+                        lambda lays: tuple(tuple(dec(b) for b in lay) for lay in lays))
+        return FanDesign(s=s, shape=params["shape"], h=h, layers=layers,
+                         terminal=_field(doc["base_blocks"], "base_blocks",
+                                         lambda bs: tuple(map(dec, bs))),
                          developed=bool(params.get("developed", False)),
                          **extra)
     if kind == "hdesign":
-        blocks = tuple(tuple(sorted(tuple(int(c) for c in p) for p in b))
-                       for b in doc["base_blocks"])
-        return HDesign(n=params["n"], l=params["l"], h=params["h"], t=params["t"],
-                       base_blocks=blocks)
+        n, l, h, t = _ints(params, "n", "l", "h", "t")
+        blocks = _field(doc["base_blocks"], "base_blocks", lambda bs: tuple(
+            tuple(sorted(tuple(int(c) for c in p) for p in b)) for b in bs))
+        return HDesign(n=n, l=l, h=h, t=t, base_blocks=blocks)
     if kind == "rosqs":
-        blocks = tuple(tuple(sorted(int(x) for x in b)) for b in doc["base_blocks"])
-        return RoSQSDesign(n=params["n"], base_blocks=blocks)
+        (n,) = _ints(params, "n")
+        blocks = _field(doc["base_blocks"], "base_blocks",
+                        lambda bs: tuple(tuple(sorted(int(x) for x in b)) for b in bs))
+        return RoSQSDesign(n=n, base_blocks=blocks)
     if kind == "code":
-        u, v = params["u"], params["v"]
-        mats = tuple(CodewordMatrix(u=u, v=v,
-                                    bits=tuple(tuple(int(x) for x in row) for row in m))
-                     for m in doc["codewords"])
-        return Code(u=u, v=v, k=params["k"], lam=params["lambda"], codewords=mats)
+        u, v, k, lam = _ints(params, "u", "v", "k", "lambda")
+        mats = _field(doc["codewords"], "codewords", lambda ms: tuple(
+            CodewordMatrix(u=u, v=v, bits=tuple(tuple(map(int, row)) for row in m))
+            for m in ms))
+        return Code(u=u, v=v, k=k, lam=lam, codewords=mats)
     raise ValueError("unknown design kind %r" % (kind,))
 
 
@@ -114,5 +143,8 @@ def save_design(obj, path: str) -> None:
 
 def load_design(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
     return design_from_dict(doc)

@@ -207,3 +207,38 @@ def test_construct_rejects_each_wrong_kind(argv, capsys):
     assert main(["construct"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+
+
+def test_python_m_ooc2d_runs():
+    proc = subprocess.run([sys.executable, "-m", "ooc2d", "bound", "8", "2", "4", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "jstar=68" in proc.stdout
+
+
+CODE_DOC = {"schema_version": 1, "kind": "code",
+            "parameters": {"u": 2, "v": 3, "k": 4, "lambda": 2},
+            "codewords": [[[1, 1, 0], [1, 1, 0]]]}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(CODE_DOC, codewords=[None]),
+    dict(CODE_DOC, codewords=[[[1, 1, 0], None]]),
+    dict(CODE_DOC, codewords=[[[1, None, 0], [1, 1, 0]]]),
+    dict(CODE_DOC, parameters=None),
+    {"schema_version": 1, "kind": "rosqs", "parameters": None, "base_blocks": []},
+], ids=["null codeword", "null row", "null entry", "null code parameters",
+        "null rosqs parameters"])
+def test_verify_malformed_file_is_usage_error(tmp_path, doc, capsys):
+    """a field of the wrong type is a parse error (exit 2), not a traceback"""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--check", "ooc"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse ")
+
+
+def test_verify_deeply_nested_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["verify", str(path), "--check", "ooc"]) == 2
+    assert "nests too deeply" in capsys.readouterr().err

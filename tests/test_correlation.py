@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ooc2d.catalog import catalog_get
 from ooc2d.constructs import fold
-from ooc2d.core import Code, CodewordMatrix, Point, as_block, make_packing
+from ooc2d.core import Code, CodewordMatrix, Point, as_block, make_packing, shift
 from ooc2d.correlation import (CorrelationReport, block_to_matrix, code_to_packing,
                                correlation, matrix_to_block, packing_to_code, verify_ooc)
 from ooc2d.pipelines import run_pipeline
@@ -141,3 +142,85 @@ def test_packing_to_code_needs_pairs():
     p = make_packing(2, 3, 2, 1, [as_block([(0, 0), (1, 1)])])
     with pytest.raises(ValueError):
         packing_to_code(p)
+
+
+def _rewritten(code: Code, a: int, b: int) -> Code:
+    """code with codeword a replaced by three cells of codeword b moved
+    one column, plus cell (0, 1)."""
+    moved = shift(matrix_to_block(code.codewords[b]), 1, code.v)
+    mats = list(code.codewords)
+    mats[a] = block_to_matrix(as_block(list(moved[:3]) + [Point(0, 1)]), code.u, code.v)
+    return Code(u=code.u, v=code.v, k=code.k, lam=code.lam, codewords=tuple(mats))
+
+
+def test_verify_ooc_reports_with_rotated_witness():
+    """Witnesses at r != 0 on the 8x4 pipeline's code (v = 4, where r and
+    v - r differ) and on its 16x2 fold (v = 2)."""
+    base = packing_to_code(run_pipeline("8x4")[0])
+    code, _ = fold(base, 2)
+    assert (code.u, code.v, code.size) == (16, 2, 616)
+    clean = CorrelationReport(ok=True, worst_value=2, witness=None)
+    assert verify_ooc(base) == verify_ooc(code) == clean
+    for intact, a, b, witness in ((base, 5, 200, ((5, 23), 3)), (code, 7, 300, ((7, 60), 1))):
+        broken = _rewritten(intact, a, b)
+        assert verify_ooc(broken) == CorrelationReport(ok=False, worst_value=3, witness=witness)
+        (ia, ib), r = witness
+        assert correlation(broken.codewords[ia], broken.codewords[ib], r) == 3
+
+
+def _code(u, v, k, lam, *blocks) -> Code:
+    return Code(u=u, v=v, k=k, lam=lam,
+                codewords=tuple(block_to_matrix(as_block(b), u, v) for b in blocks))
+
+
+SHORT = [(0, 0), (0, 2), (1, 1), (1, 3)]  # period 2 on a 2x4 grid
+
+
+@pytest.mark.parametrize("code, report", [
+    # a repeated codeword meets its copy in all k cells at r = 0
+    (_code(2, 4, 4, 2, [(0, 0), (0, 1), (1, 0), (1, 2)], [(0, 0), (0, 1), (1, 0), (1, 2)]),
+     CorrelationReport(ok=False, worst_value=4, witness=((0, 1), 0))),
+    # a codeword of period 2 < v meets itself in all k cells at r = 2
+    (_code(2, 4, 4, 2, SHORT), CorrelationReport(ok=False, worst_value=4, witness=((0, 0), 2))),
+    (_code(2, 4, 4, 3, [(0, 0), (0, 1), (1, 0), (1, 2)], SHORT),
+     CorrelationReport(ok=False, worst_value=4, witness=((1, 1), 2))),
+    # codewords whose rotations never meet
+    (_code(4, 3, 2, 1, [(0, 0), (1, 0)], [(2, 0), (3, 1)]),
+     CorrelationReport(ok=True, worst_value=0, witness=None)),
+    # lambda = 1: the cyclic difference set {0, 1, 3} mod 7, then a second
+    # codeword whose differences repeat one of its own
+    (_code(1, 7, 3, 1, [(0, 0), (0, 1), (0, 3)]),
+     CorrelationReport(ok=True, worst_value=1, witness=None)),
+    (_code(1, 7, 3, 1, [(0, 0), (0, 1), (0, 3)], [(0, 2), (0, 4), (0, 5)]),
+     CorrelationReport(ok=False, worst_value=2, witness=((0, 1), 1))),
+    # lambda = 3: clean with worst 2, then a codeword meeting another's
+    # rotation in 4 cells
+    (_code(2, 5, 4, 3, [(0, 0), (0, 1), (0, 2), (1, 0)]),
+     CorrelationReport(ok=True, worst_value=2, witness=None)),
+    (_code(2, 5, 5, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 4)],
+           [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]),
+     CorrelationReport(ok=False, worst_value=4, witness=((0, 1), 2))),
+])
+def test_verify_ooc_pinned_small_reports(code, report):
+    assert verify_ooc(code) == report == brute_force_report(code)
+
+
+def test_codeword_cells_agree_with_bits():
+    rng = random.Random(6)
+    for _ in range(100):
+        u, v = rng.randint(1, 4), rng.randint(1, 8)
+        m = random_matrix(rng, u, v, rng.randint(0, u * v))
+        assert m.cells == tuple(i * v + j for i in range(u) for j in range(v) if m.bits[i][j])
+        assert m.weight == sum(map(sum, m.bits)) == len(m.cells)
+        assert matrix_to_block(m) == tuple(Point(e // v, e % v) for e in m.cells)
+
+
+@pytest.mark.parametrize("bits, message", [
+    (((0, 1), (1,)), "expected 2 columns, got 1"),
+    (((0, 1), (1, 2)), "matrix entries must be 0 or 1, got 2"),
+    (((0, [1]), (1, 0)), "matrix entries must be 0 or 1, got [1]"),
+    (((0, 1),), "expected 2 rows, got 1"),
+])
+def test_codeword_matrix_rejects_bad_bits(bits, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CodewordMatrix(u=2, v=2, bits=bits)

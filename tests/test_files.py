@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ooc2d.catalog import catalog_get
 from ooc2d.constructs import hartman
@@ -66,3 +69,58 @@ def test_rejects_wrong_schema_version():
 def test_rejects_non_object():
     with pytest.raises(ValueError):
         design_from_dict([1, 2, 3])
+
+
+# one small document of each kind, both fan shapes and a fan with a layer
+MUTATION_SOURCES = [design_to_dict(obj) for obj in (
+    catalog_get("rosqs8").payload,
+    catalog_get("small-(2,3)").payload,
+    packing_to_code(catalog_get("small-(3,3)").payload),
+    catalog_get("h-4-2-4-3").payload,
+    catalog_get("fg-4^2-s2c").payload,
+    catalog_get("fg-(2,2)reg-4^2").payload,
+    catalog_get("fan-plain-3^3").payload,
+)]
+
+
+def _mutate(draw, doc: dict) -> None:
+    """Walk from the root to a random node and drop it, shorten it, or
+    replace it by null, a string, a list, a float or the integer 2."""
+    parent = doc
+    key = draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.integers(0, 3)):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    action = draw(st.sampled_from(["drop", "short", "null", "string", "list", "float", "two"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "short":
+        if isinstance(parent[key], (list, str)):
+            parent[key] = parent[key][:-1]
+    else:
+        parent[key] = {"null": None, "two": 2,
+                       "string": draw(st.sampled_from(["", "1", "x", "cyclic"])),
+                       "list": draw(st.lists(st.integers(-1, 2), max_size=3)),
+                       "float": draw(st.floats()),
+                       }[action]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(MUTATION_SOURCES)))
+    for _ in range(draw(st.integers(1, 3))):
+        if doc:
+            _mutate(draw, doc)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_load_or_raise_value_error(doc):
+    """a malformed document is refused with ValueError or KeyError,
+    which the command line reports as a parse error"""
+    try:
+        design_from_dict(doc)
+    except (ValueError, KeyError):
+        pass
