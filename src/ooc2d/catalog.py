@@ -14,9 +14,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .core import Point, as_block, make_packing
-from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign,
-                      verify_fan, verify_h_cyclic, verify_h_design,
-                      verify_regular, verify_rosqs)
+from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_fan,
+                      verify_h_design, verify_rosqs)
 from .packing import verify_packing
 
 
@@ -136,28 +135,18 @@ def _verify_payload(entry_id: str, kind: str, payload, action: dict) -> None:
             raise ValueError("catalog %s: packing is not strictly cyclic" % entry_id)
         return
     if kind == "fan":
-        cover = verify_fan(payload)
-        if not cover.ok:
-            raise ValueError("catalog %s: %s" % (entry_id, cover.detail))
-        strict = bool(action.get("strict"))
-        if action["form"] == "cyclic":
-            act = verify_h_cyclic(payload, strict=strict)
-        else:
-            act = verify_regular(payload, strict=strict)
-        if not act.ok:
-            raise ValueError("catalog %s: %s" % (entry_id, act.detail))
-        return
-    if kind == "hdesign":
+        if action["form"] != payload.shape:
+            raise ValueError("catalog %s: declared form %s, but the payload uses the %s shape"
+                             % (entry_id, action["form"], payload.shape))
+        report = verify_fan(payload, strict=bool(action.get("strict")))
+    elif kind == "hdesign":
         report = verify_h_design(payload)
-        if not report.ok:
-            raise ValueError("catalog %s: %s" % (entry_id, report.detail))
-        return
-    if kind == "rosqs":
+    elif kind == "rosqs":
         report = verify_rosqs(payload)
-        if not report.ok:
-            raise ValueError("catalog %s: %s" % (entry_id, report.detail))
-        return
-    raise ValueError("unknown catalog kind %r" % (kind,))
+    else:
+        raise ValueError("unknown catalog kind %r" % (kind,))
+    if not report.ok:
+        raise ValueError("catalog %s: %s" % (entry_id, report.detail))
 
 
 @lru_cache(maxsize=None)

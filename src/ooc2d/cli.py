@@ -32,9 +32,7 @@ from .constructs import (
 )
 from .core import Code, CyclicPacking
 from .correlation import code_to_packing, packing_to_code, verify_ooc
-from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign,
-                      verify_fan, verify_h_cyclic, verify_h_design,
-                      verify_regular, verify_rosqs)
+from .designs import FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_design, verify_rosqs
 from .files import design_to_dict, load_design, save_design
 from .packing import is_perfect, verify_packing
 from .pipelines import pipeline_names, run_pipeline
@@ -126,11 +124,7 @@ def _run_check(obj, check: str, strict: bool):
     if check == "fan":
         if not isinstance(obj, FanDesign):
             raise UsageError("check fan needs a fan design")
-        report = verify_fan(obj)
-        if not report.ok:
-            return False, report.detail
-        action = verify_h_cyclic if obj.shape == CYCLIC else verify_regular
-        report = action(obj, strict=strict)
+        report = verify_fan(obj, strict=strict)
         return report.ok, report.detail
     if check == "hdesign":
         if not isinstance(obj, HDesign):

@@ -3,7 +3,7 @@
 Every operation verifies its inputs, builds the output, verifies the
 output, and returns (output, trace).  The trace records labelled block
 count contributions that must sum to the output's base block count,
-which is asserted centrally in _finish.
+which _finish checks centrally, raising AssertionError on a mismatch.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from .core import (Code, CyclicPacking, Point, _cells_matrix, _image, _orbit, ca
                    make_packing, shift)
 from .correlation import verify_ooc
 from .designs import (CYCLIC, INF, REGULAR, DesignReport, FanDesign, HDesign,
-                      RoSQSDesign, develop_family, verify_fan, verify_h_cyclic,
-                      verify_h_design, verify_regular, verify_rosqs)
+                      RoSQSDesign, develop_family, verify_fan, verify_h_design,
+                      verify_rosqs)
 from .packing import is_perfect, verify_packing
 
 
@@ -42,13 +42,6 @@ def _require(cond: bool, message: str) -> None:
 def _require_report(report: DesignReport, label: str) -> None:
     if not report.ok:
         raise ValueError("%s: %s" % (label, report.detail))
-
-
-def _require_fan(d: FanDesign, label: str, strict: bool = True) -> None:
-    """verify_fan, then the action check for the design's shape."""
-    _require_report(verify_fan(d), label)
-    action = verify_h_cyclic if d.shape == CYCLIC else verify_regular
-    _require_report(action(d, strict=strict), label)
 
 
 def _require_packing(p: CyclicPacking, label: str, strict: bool = True) -> None:
@@ -132,7 +125,7 @@ def hartman_part_sizes(r: RoSQSDesign) -> tuple:
 def _master_cyclic_0fg(master: FanDesign, label: str) -> None:
     _require(master.shape == CYCLIC, "%s must use the cyclic shape" % label)
     _require(master.s == 0, "%s must have no layers" % label)
-    _require_fan(master, label)
+    _require_report(verify_fan(master, strict=True), label)
 
 
 def filling_1(master: FanDesign, fillers: dict, input_labels=None):
@@ -185,7 +178,7 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     _require(master.shape == REGULAR, "filling_2 master must use the regular shape")
     _require(master.s == 0, "filling_2 master must have no layers")
     _require(master.u * master.h >= 4, "group size %d is too small" % (master.u * master.h))
-    _require_fan(master, "filling_2 master")
+    _require_report(verify_fan(master, strict=True), "filling_2 master")
     _require((filler.u, filler.v) == (master.u, master.h),
              "filler must live on %dx%d, got %dx%d"
              % (master.u, master.h, filler.u, filler.v))
@@ -214,7 +207,7 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
         _require(fan.shape == CYCLIC, "ingredient fans must use the cyclic shape")
         _require(len(fan.g_list) == size and len(set(fan.g_list)) == 1,
                  "ingredient fan for size %d must have %d equal groups" % (size, size))
-        _require_fan(fan, "ingredient fan for size %d" % size)
+        _require_report(verify_fan(fan, strict=True), "ingredient fan for size %d" % size)
         sig = (fan.g_list[0], fan.h, fan.s)
         _require(shape is None or sig == shape,
                  "ingredient fans disagree on (g2, h2, s): %r vs %r" % (sig, shape))
@@ -232,14 +225,68 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
     return shape
 
 
-def _glue(mblock, iblock, g1: int, h1: int) -> tuple:
+def _glue(mblock, iblock, g1: int, step: int) -> tuple:
     """Ingredient block on the points of a master block: ingredient
-    group a lands on the a-th point (x, y, j) of the master block."""
+    group a lands on the a-th point of the master block, whose last two
+    coordinates (fibre row, column) grow by y2 * g1 and j2 * step.  A
+    point with only those two coordinates is a grid Point."""
     out = []
     for a, y2, j2 in iblock:
-        x, y, j = mblock[a]
-        out.append((x, y + y2 * g1, j + j2 * h1))
+        *x, y, j = mblock[a]
+        q = (*x, y + y2 * g1, j + j2 * step)
+        out.append(q if x else Point(*q))
     return tuple(sorted(out))
+
+
+def _weighting(name: str, shape: str, master: FanDesign, layer_fans: dict, terminal_h: dict,
+               input_labels):
+    """weighting_1 and weighting_2: the shape fixes the master's
+    (g1, h1), the column step of the glue and the output universe."""
+    _require(master.shape == shape, "%s master must use the %s shape" % (name, shape))
+    _require(master.s == 1, "%s master must have exactly one layer" % name)
+    if shape == CYCLIC:
+        _require(len(set(master.g_list)) == 1, "master groups must share one fibre size")
+        g1, step, n = master.g_list[0], master.h, len(master.g_list)
+    else:
+        g1, step, n = master.u, master.v, master.v // master.h
+    _require_report(verify_fan(master, strict=True), "%s master" % name)
+    h1 = master.h
+
+    layer_sizes = {len(b) for b in master.layers[0]}
+    terminal_sizes = {len(b) for b in master.terminal}
+    g2, h2, s2 = _check_weighting_ingredients((layer_sizes, terminal_sizes),
+                                              layer_fans, terminal_h)
+
+    out_layers = [[] for _ in range(s2)]
+    out_terminal = []
+    layer_delta = 0
+    terminal_delta = 0
+    for mb in master.layers[0]:
+        fan = layer_fans[len(mb)]
+        for idx, fam in enumerate(fan.layers):
+            for ib in fam:
+                out_layers[idx].append(_glue(mb, ib, g1, step))
+                layer_delta += 1
+        for ib in fan.terminal:
+            out_terminal.append(_glue(mb, ib, g1, step))
+            layer_delta += 1
+    for mb in master.terminal:
+        hd = terminal_h[len(mb)]
+        for ib in hd.base_blocks:
+            out_terminal.append(_glue(mb, ib, g1, step))
+            terminal_delta += 1
+
+    universe = ({"g_list": (g1 * g2,) * n} if shape == CYCLIC
+                else {"u": g1 * g2, "v": h1 * h2 * n})
+    out = FanDesign(s=s2, shape=shape, h=h1 * h2,
+                    layers=tuple(tuple(lay) for lay in out_layers),
+                    terminal=tuple(out_terminal), **universe)
+    _require_report(verify_fan(out, strict=True), "%s output" % name)
+    labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
+    steps = (("inflated layer blocks", layer_delta),
+             ("inflated terminal blocks", terminal_delta))
+    count = sum(len(fam) for fam in out.families())
+    return _finish(labels, steps, out, count)
 
 
 def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_labels=None):
@@ -247,99 +294,13 @@ def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
     by g2 x h2 new points.  Layer blocks are inflated by ingredient fan
     designs, terminal blocks by H designs; ingredient group a is glued
     onto the a-th point of the block in sorted order."""
-    _require(master.shape == CYCLIC, "weighting_1 master must use the cyclic shape")
-    _require(master.s == 1, "weighting_1 master must have exactly one layer")
-    _require(len(set(master.g_list)) == 1, "master groups must share one fibre size")
-    _require_fan(master, "weighting_1 master")
-    g1, h1 = master.g_list[0], master.h
-    n = len(master.g_list)
-
-    layer_sizes = {len(b) for b in master.layers[0]}
-    terminal_sizes = {len(b) for b in master.terminal}
-    g2, h2, s2 = _check_weighting_ingredients((layer_sizes, terminal_sizes),
-                                              layer_fans, terminal_h)
-
-    out_layers = [[] for _ in range(s2)]
-    out_terminal = []
-    layer_delta = 0
-    terminal_delta = 0
-    for mb in master.layers[0]:
-        fan = layer_fans[len(mb)]
-        for idx, fam in enumerate(fan.layers):
-            for ib in fam:
-                out_layers[idx].append(_glue(mb, ib, g1, h1))
-                layer_delta += 1
-        for ib in fan.terminal:
-            out_terminal.append(_glue(mb, ib, g1, h1))
-            layer_delta += 1
-    for mb in master.terminal:
-        hd = terminal_h[len(mb)]
-        for ib in hd.base_blocks:
-            out_terminal.append(_glue(mb, ib, g1, h1))
-            terminal_delta += 1
-
-    out = FanDesign(s=s2, shape=CYCLIC, h=h1 * h2,
-                    layers=tuple(tuple(lay) for lay in out_layers),
-                    terminal=tuple(out_terminal),
-                    g_list=(g1 * g2,) * n)
-    _require_fan(out, "weighting_1 output")
-    labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
-    steps = (("inflated layer blocks", layer_delta),
-             ("inflated terminal blocks", terminal_delta))
-    count = sum(len(fam) for fam in out.families())
-    return _finish(labels, steps, out, count)
+    return _weighting("weighting_1", CYCLIC, master, layer_fans, terminal_h, input_labels)
 
 
 def weighting_2(master: FanDesign, layer_fans: dict, terminal_h: dict, input_labels=None):
     """The regular-shape analogue of weighting_1.  The master lives on
     I_g1 x Z_{h1 n}; the output lives on I_{g1 g2} x Z_{h1 h2 n}."""
-    _require(master.shape == REGULAR, "weighting_2 master must use the regular shape")
-    _require(master.s == 1, "weighting_2 master must have exactly one layer")
-    _require_fan(master, "weighting_2 master")
-    g1, h1 = master.u, master.h
-    n = master.v // master.h
-
-    layer_sizes = {len(b) for b in master.layers[0]}
-    terminal_sizes = {len(b) for b in master.terminal}
-    g2, h2, s2 = _check_weighting_ingredients((layer_sizes, terminal_sizes),
-                                              layer_fans, terminal_h)
-
-    def glue(mblock, iblock):
-        out = []
-        for a, y2, j2 in iblock:
-            q = mblock[a]
-            out.append(Point(q.row + y2 * g1, q.col + j2 * master.v))
-        return tuple(sorted(out))
-
-    out_layers = [[] for _ in range(s2)]
-    out_terminal = []
-    layer_delta = 0
-    terminal_delta = 0
-    for mb in master.layers[0]:
-        fan = layer_fans[len(mb)]
-        for idx, fam in enumerate(fan.layers):
-            for ib in fam:
-                out_layers[idx].append(glue(mb, ib))
-                layer_delta += 1
-        for ib in fan.terminal:
-            out_terminal.append(glue(mb, ib))
-            layer_delta += 1
-    for mb in master.terminal:
-        hd = terminal_h[len(mb)]
-        for ib in hd.base_blocks:
-            out_terminal.append(glue(mb, ib))
-            terminal_delta += 1
-
-    out = FanDesign(s=s2, shape=REGULAR, h=h1 * h2,
-                    layers=tuple(tuple(lay) for lay in out_layers),
-                    terminal=tuple(out_terminal),
-                    u=g1 * g2, v=h1 * h2 * n)
-    _require_fan(out, "weighting_2 output")
-    labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
-    steps = (("inflated layer blocks", layer_delta),
-             ("inflated terminal blocks", terminal_delta))
-    count = sum(len(fam) for fam in out.families())
-    return _finish(labels, steps, out, count)
+    return _weighting("weighting_2", REGULAR, master, layer_fans, terminal_h, input_labels)
 
 
 def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
@@ -432,7 +393,7 @@ def semicyclic_to_vcyclic(d: FanDesign):
     _require(d.shape == CYCLIC and d.s == 0, "input must be a 0-layer cyclic fan")
     _require(tuple(d.g_list) == (1, 1), "input must have two fibres of size 1")
     _require(d.h % 2 == 0 and (d.h // 2) % 2 == 1, "period must be 2v with v odd")
-    _require_fan(d, "semicyclic_to_vcyclic input", strict=False)
+    _require_report(verify_fan(d, strict=False), "semicyclic_to_vcyclic input")
     v = d.h // 2
 
     full, _, problem = develop_family(d, d.terminal)
@@ -441,13 +402,10 @@ def semicyclic_to_vcyclic(d: FanDesign):
     reps = _orbit_representatives(remapped, 2, v, " under the new action")
 
     out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))
-    _require_fan(out, "semicyclic_to_vcyclic output")
+    _require_report(verify_fan(out, strict=True), "semicyclic_to_vcyclic output")
     steps = (("orbit representatives", len(reps)),)
     count = sum(len(fam) for fam in out.families())
     return _finish(["semicyclic fan"], steps, out, count)
-
-
-fan_shift_regular = shift
 
 
 def regular_to_h1cyclic(d: FanDesign, h1: int):
@@ -457,7 +415,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     fibre row + u * a, cyclic coordinate b."""
     _require(d.shape == REGULAR, "input must use the regular shape")
     _require(h1 >= 1 and d.h % h1 == 0, "h1 must divide h")
-    _require_fan(d, "regular_to_h1cyclic input")
+    _require_report(verify_fan(d, strict=True), "regular_to_h1cyclic input")
     step = d.v // d.h
     ratio = d.h // h1
 
@@ -476,7 +434,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
         new_fam = []
         for blk in fam:
             for delta in range(d.v // h1):
-                new_fam.append(remap(fan_shift_regular(blk, delta, d.v)))
+                new_fam.append(remap(shift(blk, delta, d.v)))
         deltas.append(len(new_fam))
         new_fam = sorted(new_fam)
         if fam is d.terminal:
@@ -487,7 +445,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     out = FanDesign(s=d.s, shape=CYCLIC, h=h1,
                     layers=tuple(new_layers), terminal=tuple(new_terminal),
                     g_list=(d.u * ratio,) * step)
-    _require_fan(out, "regular_to_h1cyclic output")
+    _require_report(verify_fan(out, strict=True), "regular_to_h1cyclic output")
     steps = tuple(("family %d representatives" % i, n) for i, n in enumerate(deltas))
     count = sum(len(fam) for fam in out.families())
     return _finish(["regular fan"], steps, out, count)
@@ -497,13 +455,13 @@ def add_cross_pairs_layer(d: FanDesign):
     """Turn a 0-layer regular fan design into a 1-layer one by adding
     the orbit representatives of all cross-group point pairs."""
     _require(d.shape == REGULAR and d.s == 0, "input must be a 0-layer regular fan")
-    _require_fan(d, "add_cross_pairs_layer input")
+    _require_report(verify_fan(d, strict=True), "add_cross_pairs_layer input")
     step = d.v // d.h
     layer = tuple(sorted({canonicalize(pq, d.v) for pq in combinations(d.points(), 2)
                           if pq[0].col % step != pq[1].col % step}))
     out = FanDesign(s=1, shape=REGULAR, h=d.h, layers=(layer,),
                     terminal=d.terminal, u=d.u, v=d.v)
-    _require_fan(out, "add_cross_pairs_layer output")
+    _require_report(verify_fan(out, strict=True), "add_cross_pairs_layer output")
     steps = (("existing terminal blocks", len(d.terminal)),
              ("cross pair representatives", len(layer)))
     count = sum(len(fam) for fam in out.families())

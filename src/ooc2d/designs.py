@@ -205,15 +205,32 @@ def develop_family(d: FanDesign, blocks) -> tuple:
     return [tuple(points[e] for e in img) for img in images], stabs, problem
 
 
-def verify_fan(d: FanDesign) -> DesignReport:
-    """Check the covering conditions over the developed families."""
+def _short_orbit(d: FanDesign, idx: int, fam, stabs) -> DesignReport | None:
+    """The first block of family idx whose stabilizer is not trivial."""
+    for b, order in zip(fam, stabs):
+        if order != 1:
+            shown = tuple(sorted(b)) if d.developed else b
+            return DesignReport(False, "family %d: block %r has stabilizer of order %d"
+                                % (idx, shown, order))
+    return None
+
+
+def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
+    """Check the covering conditions over the developed families.
+
+    With strict also demand that every block has a trivial stabilizer
+    under the design's action, so every orbit is full.  Each family is
+    developed once; a failed covering check is reported before a short
+    orbit.
+    """
     encode, points, _ = _codec(d)
-    developed = []
+    developed, stabilizers = [], []
     for idx, fam in enumerate(d.families()):
-        full, _, problem = _develop_codes(d, fam, encode, points)
+        full, stabs, problem = _develop_codes(d, fam, encode, points)
         if problem:
             return DesignReport(False, "family %d: %s" % (idx, problem))
         developed.append(full)
+        stabilizers.append(stabs)
 
     group = [d.group_of(p) for p in points]
 
@@ -234,6 +251,9 @@ def verify_fan(d: FanDesign) -> DesignReport:
             sub, got, wanted = bad
             return DesignReport(False, "%s %r covered %d times, expected %d"
                                 % (name, tuple(points[e] for e in sub), got, wanted))
+    for idx, (fam, stabs) in enumerate(zip(d.families(), stabilizers)):
+        if strict and (short := _short_orbit(d, idx, fam, stabs)):
+            return short
     return DesignReport(True)
 
 
@@ -245,12 +265,8 @@ def _verify_action(d: FanDesign, shape: str, strict: bool) -> DesignReport:
         _, stabs, problem = _develop_codes(d, fam, encode, points)
         if problem:
             return DesignReport(False, "family %d: %s" % (idx, problem))
-        if strict:
-            for b, order in zip(fam, stabs):
-                if order != 1:
-                    shown = tuple(sorted(b)) if d.developed else b
-                    return DesignReport(False, "family %d: block %r has stabilizer of order %d"
-                                        % (idx, shown, order))
+        if strict and (short := _short_orbit(d, idx, fam, stabs)):
+            return short
     return DesignReport(True)
 
 
@@ -323,11 +339,6 @@ def verify_h_design(d: HDesign) -> DesignReport:
         if stab != 1:
             raise AssertionError("transversal block %r has a nontrivial stabilizer" % (b,))
     return DesignReport(True)
-
-
-# the H design universe is the cyclic fan one with every fibre of size l
-h_shift = fan_shift
-block_stabilizer_h = block_stabilizer
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ stack, so its depth is not limited by Python's recursion limit.  For
 tree search still proves those optima.
 
 The optional row filter insists that solution blocks introduce new
-rows in ascending order.  It can speed the tree search up, but whether
-it keeps the search complete is checked empirically in the tests,
-never assumed; a witness meeting the counting bound is proof either
-way.
+rows in ascending order.  It prunes nothing measurable: with the
+heuristic off, node counts are identical with and without it on 2x3,
+3x2, 2x4, 4x2, 3x3, 2x5, 5x2, 3x4, 4x3 and 6x2.  Whether it keeps the
+search complete is checked empirically in the tests, never assumed; a
+witness meeting the counting bound is proof either way.
 
 Every witness is checked by verify_packing before it is returned, and
 a proof says why it holds: "bound" when the witness meets the

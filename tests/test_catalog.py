@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from ooc2d import catalog
 from ooc2d.catalog import catalog_get, catalog_ids
 from ooc2d.core import CyclicPacking
 from ooc2d.designs import FanDesign, HDesign, RoSQSDesign
@@ -47,3 +50,17 @@ def test_packing_entries_match_grid_names():
         u, v = map(int, entry_id[len("small-("):-1].split(","))
         p = catalog_get(entry_id).payload
         assert (p.u, p.v) == (u, v)
+
+
+def test_form_mismatch_names_the_entry(monkeypatch):
+    entries = copy.deepcopy(catalog._raw())
+    action = entries["fg-4^2-s2c"]["action"]
+    assert action["form"] == "cyclic"
+    action["form"] = "regular"
+    monkeypatch.setattr(catalog, "_raw", lambda: entries)
+    catalog_get.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="^catalog fg-4\\^2-s2c: declared form regular"):
+            catalog_get("fg-4^2-s2c")
+    finally:
+        catalog_get.cache_clear()

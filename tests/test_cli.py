@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,15 @@ def test_weighting_chain_via_files(tmp_path, capsys):
     assert "ok:" in capsys.readouterr().out
     p = load_design(str(final))
     assert (p.u, p.v, p.num_base_blocks) == (8, 2, 68)
+
+
+def test_verify_fan_strict_reports_short_orbit(capsys):
+    """the semicyclic fixture covers correctly but has a short orbit"""
+    fixture = os.path.join(os.path.dirname(__file__), "data", "semicyclic-6x2.json")
+    assert main(["verify", fixture, "--check", "fan"]) == 0
+    capsys.readouterr()
+    assert main(["verify", fixture, "--check", "fan", "--strict"]) == 1
+    assert "stabilizer of order 2" in capsys.readouterr().out
 
 
 def test_no_arguments_is_usage_error():

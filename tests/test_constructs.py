@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from ooc2d.catalog import catalog_get
@@ -7,10 +9,11 @@ from ooc2d.constructs import (add_cross_pairs_layer, as_semicyclic,
                               complete_pair_fan, filling_1, filling_2, fold,
                               hartman, hartman_part_sizes,
                               perfect_to_regular_1fg, regular_to_h1cyclic,
-                              trivial_packing, weighting_1, weighting_3)
+                              trivial_packing, weighting_1, weighting_2,
+                              weighting_3)
 from ooc2d.core import Point, as_block, canonicalize
 from ooc2d.correlation import packing_to_code, verify_ooc
-from ooc2d.designs import CYCLIC, RoSQSDesign, verify_fan, verify_h_cyclic
+from ooc2d.designs import CYCLIC, FanDesign, RoSQSDesign, verify_fan, verify_h_cyclic
 from ooc2d.packing import is_perfect, verify_packing
 
 
@@ -78,6 +81,24 @@ def _h44_2cyc():
     semi, _ = as_semicyclic(seed)
     h, _ = weighting_3(seed, {4: semi})
     return h
+
+
+@pytest.mark.parametrize("op, entry, message", [
+    (weighting_1, "fg-(2,2)reg-4^2", "weighting_1 master must use the cyclic shape"),
+    (weighting_2, "fan-plain-3^3", "weighting_2 master must use the regular shape"),
+    (weighting_1, "fan-plain-4^2", "weighting_1 master must have exactly one layer"),
+    (weighting_2, "fg-(2,2)reg-4^2", "weighting_2 master must have exactly one layer"),
+])
+def test_weighting_master_messages(op, entry, message):
+    """both weightings share one body and keep their own messages"""
+    with pytest.raises(ValueError, match=r"^%s$" % re.escape(message)):
+        op(_cat(entry), {}, {})
+
+
+def test_weighting_1_unequal_fibres():
+    master = FanDesign(s=1, shape=CYCLIC, h=1, layers=((),), terminal=(), g_list=(1, 2))
+    with pytest.raises(ValueError, match="^master groups must share one fibre size$"):
+        weighting_1(master, {}, {})
 
 
 def test_weighting_3_bootstraps():

@@ -354,6 +354,22 @@ def test_fan_kernel_matches_reference(d, data):
         assert repr(action(m, strict=strict)) == repr(ref_verify_action(m, strict))
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FANS), st.data())
+def test_strict_fan_check_matches_reference_pair(d, data):
+    """verify_fan(strict=True) reports what verify_fan followed by the
+    strict action check reported, from a single development."""
+    fams = _mutate(data, d.families(), d.points(),
+                   lambda b, delta: ref_fan_shift(d, b, delta), lambda p, rest: True, d.group_of)
+    m = FanDesign(s=d.s, shape=d.shape, h=d.h, layers=tuple(map(tuple, fams[:-1])),
+                  terminal=tuple(fams[-1]), g_list=d.g_list, u=d.u, v=d.v,
+                  developed=d.developed)
+    cover = ref_verify_fan(m)
+    assert repr(verify_fan(m, strict=False)) == repr(cover)
+    pair = cover if not cover.ok else ref_verify_action(m, True)
+    assert repr(verify_fan(m, strict=True)) == repr(pair)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(H_DESIGNS), st.data())
 def test_h_design_kernel_matches_reference(d, data):
