@@ -1,9 +1,10 @@
 """Bundled designs transcribed from published listings.
 
-catalog.json stores each design with its original integer labels plus
-a declared relabeling rule.  The loader applies the rule, builds the
-domain object, and verifies it in full before handing it out, so a
-transcription error cannot propagate silently.
+catalog.json stores each entry as a design document in its original
+integer labels plus a declared relabeling rule.  The loader applies the
+rule, decodes the result with files.design_from_dict, the same decoder
+that reads design files, and verifies it in full before handing it
+out, so a transcription error cannot propagate silently.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .core import Point, as_block, make_packing
-from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_fan,
-                      verify_h_design, verify_rosqs)
+from .designs import CYCLIC, REGULAR, verify_fan, verify_h_design, verify_rosqs
+from .files import SCHEMA_VERSION, block_count, design_from_dict
 from .packing import verify_packing
 
 
@@ -62,14 +62,6 @@ def _expand_rows(blocks, u: int):
     return out
 
 
-def _triples(blocks):
-    return tuple(tuple(sorted(tuple(int(c) for c in p) for p in b)) for b in blocks)
-
-
-def _point_blocks(blocks):
-    return tuple(tuple(sorted(Point(int(r), int(c)) for r, c in b)) for b in blocks)
-
-
 @lru_cache(maxsize=1)
 def _raw() -> dict:
     text = resources.files("ooc2d").joinpath("data/catalog.json").read_text()
@@ -84,46 +76,22 @@ def catalog_ids() -> list:
 
 
 def _build_payload(entry: dict):
-    kind = entry["kind"]
-    params = entry["params"]
+    params = dict(entry["params"])
     source = entry["source"]
     rule = source["relabel"]
-    if kind == "packing":
-        blocks = _relabel_blocks(rule, source["blocks"])
-        return make_packing(params["u"], params["v"], params["k"], params["t"],
-                            [as_block(b) for b in blocks])
-    if kind == "fan":
+    doc = {"schema_version": SCHEMA_VERSION, "kind": entry["kind"], "parameters": params}
+    if entry["kind"] == "fan":
         terminal = _relabel_blocks(rule, source["terminal"])
         layers = [_relabel_blocks(rule, lay) for lay in source["layers"]]
         expand = source.get("expand_rows")
         if expand:
             terminal = _expand_rows(terminal, expand)
             layers = [_expand_rows(lay, expand) for lay in layers]
-        if "g_list" in params:
-            return FanDesign(s=params["s"], shape=CYCLIC, h=params["h"],
-                             layers=tuple(_triples(lay) for lay in layers),
-                             terminal=_triples(terminal),
-                             g_list=tuple(params["g_list"]))
-        return FanDesign(s=params["s"], shape=REGULAR, h=params["h"],
-                         layers=tuple(_point_blocks(lay) for lay in layers),
-                         terminal=_point_blocks(terminal),
-                         u=params["u"], v=params["v"])
-    if kind == "hdesign":
-        blocks = _relabel_blocks(rule, source["blocks"])
-        return HDesign(n=params["n"], l=params["l"], h=params["h"], t=params["t"],
-                       base_blocks=_triples(blocks))
-    if kind == "rosqs":
-        blocks = [sorted(int(x) for x in b) for b in source["blocks"]]
-        return RoSQSDesign(n=params["n"], base_blocks=tuple(tuple(b) for b in blocks))
-    raise ValueError("unknown catalog kind %r" % (kind,))
-
-
-def _count_base(kind: str, payload) -> int:
-    if kind == "packing":
-        return payload.num_base_blocks
-    if kind == "fan":
-        return sum(len(fam) for fam in payload.families())
-    return len(payload.base_blocks)
+        params["shape"] = CYCLIC if "g_list" in params else REGULAR
+        doc.update(layers=layers, base_blocks=terminal)
+    else:
+        doc["base_blocks"] = _relabel_blocks(rule, source["blocks"])
+    return design_from_dict(doc)
 
 
 def _verify_payload(entry_id: str, kind: str, payload, action: dict) -> None:
@@ -156,7 +124,7 @@ def catalog_get(entry_id: str) -> CatalogEntry:
         raise KeyError("no catalog entry %r, have: %s" % (entry_id, ", ".join(catalog_ids())))
     raw = entries[entry_id]
     payload = _build_payload(raw)
-    count = _count_base(raw["kind"], payload)
+    count = block_count(payload)
     if count != raw["expected_base_count"]:
         raise ValueError("catalog %s: %d base blocks, expected %d"
                          % (entry_id, count, raw["expected_base_count"]))

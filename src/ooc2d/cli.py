@@ -33,7 +33,7 @@ from .constructs import (
 from .core import Code, CyclicPacking
 from .correlation import code_to_packing, packing_to_code, verify_ooc
 from .designs import FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_design, verify_rosqs
-from .files import design_to_dict, load_design, save_design
+from .files import block_count, design_to_dict, load_design, save_design
 from .packing import is_perfect, verify_packing
 from .pipelines import pipeline_names, run_pipeline
 from .search import max_packing
@@ -70,16 +70,21 @@ def _emit(obj, out, as_json: bool) -> None:
         print(json.dumps(design_to_dict(obj), indent=1, sort_keys=True))
 
 
+def _as_kind(obj, kind, message: str):
+    """obj as a Code or CyclicPacking (kind), converting from the other;
+    anything else is a UsageError(message)."""
+    if kind is Code and isinstance(obj, CyclicPacking):
+        obj = packing_to_code(obj)
+    elif kind is CyclicPacking and isinstance(obj, Code):
+        obj = code_to_packing(obj)
+    if not isinstance(obj, kind):
+        raise UsageError(message)
+    return obj
+
+
 def _object_summary(obj) -> dict:
     doc = design_to_dict(obj)
-    summary = {"kind": doc["kind"], "parameters": doc["parameters"]}
-    if doc["kind"] == "code":
-        summary["count"] = len(doc["codewords"])
-    elif doc["kind"] == "fan":
-        summary["count"] = sum(len(lay) for lay in doc["layers"]) + len(doc["base_blocks"])
-    else:
-        summary["count"] = len(doc["base_blocks"])
-    return summary
+    return {"kind": doc["kind"], "parameters": doc["parameters"], "count": block_count(obj)}
 
 
 def cmd_bound(args) -> int:
@@ -98,18 +103,11 @@ def cmd_bound(args) -> int:
 def _run_check(obj, check: str, strict: bool):
     """Returns (ok, detail) or raises UsageError on a kind mismatch."""
     if check == "ooc":
-        if isinstance(obj, CyclicPacking):
-            obj = packing_to_code(obj)
-        if not isinstance(obj, Code):
-            raise UsageError("check ooc needs a code or packing")
-        report = verify_ooc(obj)
+        report = verify_ooc(_as_kind(obj, Code, "check ooc needs a code or packing"))
         return report.ok, None if report.ok else "correlation %d at %r" % (
             report.worst_value, report.witness)
     if check in ("packing", "perfect"):
-        if isinstance(obj, Code):
-            obj = code_to_packing(obj)
-        if not isinstance(obj, CyclicPacking):
-            raise UsageError("check %s needs a packing or code" % check)
+        obj = _as_kind(obj, CyclicPacking, "check %s needs a packing or code" % check)
         report = verify_packing(obj)
         if not report.valid:
             return False, "covered twice: %r" % (report.violation,)
@@ -204,12 +202,8 @@ def _dispatch_recipe(recipe: str, rest: list):
     if recipe == "fold":
         if len(rest) != 2 or not rest[1].isdigit():
             raise UsageError("construct fold SOURCE V1")
-        obj = _load_source(rest[0])
-        if isinstance(obj, CyclicPacking):
-            obj = packing_to_code(obj)
-        if not isinstance(obj, Code):
-            raise UsageError("fold needs a code or packing")
-        return fold(obj, int(rest[1]), input_label=rest[0])
+        code = _as_kind(_load_source(rest[0]), Code, "fold needs a code or packing")
+        return fold(code, int(rest[1]), input_label=rest[0])
     if recipe == "remap":
         if len(rest) != 2:
             raise UsageError("construct remap MODE SOURCE")
@@ -231,10 +225,11 @@ def _dispatch_recipe(recipe: str, rest: list):
     if recipe == "pairfan":
         if len(rest) != 1 or not rest[0].isdigit():
             raise UsageError("construct pairfan N")
+        if int(rest[0]) < 2:
+            raise UsageError("pairfan needs N >= 2, got %s" % rest[0])
         fan = complete_pair_fan(int(rest[0]))
-        count = sum(len(fam) for fam in fan.families())
         trace = ConstructionTrace(inputs=(), output=fan,
-                                  steps=(("pair and quadruple blocks", count),))
+                                  steps=(("pair and quadruple blocks", block_count(fan)),))
         return fan, trace
     if recipe == "pipeline":
         if len(rest) != 1:
@@ -279,27 +274,17 @@ def cmd_search(args) -> int:
     else:
         tag = "proved" if result.proved_optimal else "not proved (budget exhausted)"
         print("max=%d %s nodes=%d" % (result.max_blocks, tag, result.nodes_explored))
-    if args.out:
-        save_design(result.witness, args.out)
+    _emit(result.witness, args.out, False)
     return 0
 
 
 def cmd_convert(args) -> int:
     obj = _load_source(args.src)
     if args.to == "matrix":
-        if isinstance(obj, CyclicPacking):
-            obj = packing_to_code(obj)
-        if not isinstance(obj, Code):
-            raise UsageError("convert --to matrix needs a packing or code")
+        obj = _as_kind(obj, Code, "convert --to matrix needs a packing or code")
     else:
-        if isinstance(obj, Code):
-            obj = code_to_packing(obj)
-        if not isinstance(obj, CyclicPacking):
-            raise UsageError("convert --to blocks needs a code or packing")
-    if args.out:
-        save_design(obj, args.out)
-    else:
-        print(json.dumps(design_to_dict(obj), indent=1, sort_keys=True))
+        obj = _as_kind(obj, CyclicPacking, "convert --to blocks needs a code or packing")
+    _emit(obj, args.out, True)
     return 0
 
 
@@ -316,10 +301,7 @@ def cmd_catalog(args) -> int:
         entry = catalog_get(args.id)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    if args.out:
-        save_design(entry.payload, args.out)
-    else:
-        print(json.dumps(design_to_dict(entry.payload), indent=1, sort_keys=True))
+    _emit(entry.payload, args.out, True)
     return 0
 
 

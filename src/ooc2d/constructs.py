@@ -2,8 +2,9 @@
 
 Every operation verifies its inputs, builds the output, verifies the
 output, and returns (output, trace).  The trace records labelled block
-count contributions that must sum to the output's base block count,
-which _finish checks centrally, raising AssertionError on a mismatch.
+count contributions that must sum to the output's base block count.
+_finish counts the output itself (files.block_count) and raises
+AssertionError on a mismatch.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .correlation import verify_ooc
 from .designs import (CYCLIC, INF, REGULAR, DesignReport, FanDesign, HDesign,
                       RoSQSDesign, develop_family, verify_fan, verify_h_design,
                       verify_rosqs)
+from .files import block_count
 from .packing import is_perfect, verify_packing
 
 
@@ -27,8 +29,8 @@ class ConstructionTrace:
     output: object
 
 
-def _finish(inputs, steps, output, count: int):
-    total = sum(delta for _, delta in steps)
+def _finish(inputs, steps, output):
+    total, count = sum(delta for _, delta in steps), block_count(output)
     if total != count:
         raise AssertionError("trace steps sum to %d, output has %d" % (total, count))
     return output, ConstructionTrace(tuple(inputs), tuple(steps), output)
@@ -110,7 +112,7 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
         ("mirrored fixed point blocks", len(a2m)),
         ("pair difference blocks", len(a3)),
     )
-    return _finish([input_label], steps, out, out.num_base_blocks)
+    return _finish([input_label], steps, out)
 
 
 def hartman_part_sizes(r: RoSQSDesign) -> tuple:
@@ -167,7 +169,7 @@ def filling_1(master: FanDesign, fillers: dict, input_labels=None):
     _require_packing(out, "filling_1 output")
     labels = input_labels or ["master fan"] + ["filler fibre %d" % g for g in sorted(fillers)]
     steps = (("master blocks", master_count), ("filler blocks", fill_count))
-    return _finish(labels, steps, out, out.num_base_blocks)
+    return _finish(labels, steps, out)
 
 
 def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
@@ -194,7 +196,7 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     labels = input_labels or ["master fan", "filler"]
     steps = (("master blocks", len(master.terminal)),
              ("dilated filler blocks", filler.num_base_blocks))
-    return _finish(labels, steps, out, out.num_base_blocks)
+    return _finish(labels, steps, out)
 
 
 def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
@@ -285,8 +287,7 @@ def _weighting(name: str, shape: str, master: FanDesign, layer_fans: dict, termi
     labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
     steps = (("inflated layer blocks", layer_delta),
              ("inflated terminal blocks", terminal_delta))
-    count = sum(len(fam) for fam in out.families())
-    return _finish(labels, steps, out, count)
+    return _finish(labels, steps, out)
 
 
 def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_labels=None):
@@ -333,7 +334,7 @@ def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
     _require_report(verify_h_design(out), "weighting_3 output")
     labels = input_labels or ["master H design", "ingredients"]
     steps = (("inflated blocks", len(blocks)),)
-    return _finish(labels, steps, out, len(out.base_blocks))
+    return _finish(labels, steps, out)
 
 
 def _orbit_representatives(blocks, fibre: int, h: int, suffix: str) -> tuple:
@@ -361,7 +362,7 @@ def as_semicyclic(d: HDesign):
     out = HDesign(n=d.n, l=1, h=d.l, t=d.t, base_blocks=reps)
     _require_report(verify_h_design(out), "as_semicyclic output")
     steps = (("orbit representatives", len(reps)),)
-    return _finish(["plain H design"], steps, out, len(out.base_blocks))
+    return _finish(["plain H design"], steps, out)
 
 
 def fold(code: Code, v1: int, input_label: str = "code"):
@@ -384,7 +385,7 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     report = verify_ooc(out)
     _require(report.ok, "fold output fails correlation at %r" % (report.witness,))
     steps = (("translated copies", len(mats)),)
-    return _finish([input_label], steps, out, out.size)
+    return _finish([input_label], steps, out)
 
 
 def semicyclic_to_vcyclic(d: FanDesign):
@@ -404,8 +405,7 @@ def semicyclic_to_vcyclic(d: FanDesign):
     out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))
     _require_report(verify_fan(out, strict=True), "semicyclic_to_vcyclic output")
     steps = (("orbit representatives", len(reps)),)
-    count = sum(len(fam) for fam in out.families())
-    return _finish(["semicyclic fan"], steps, out, count)
+    return _finish(["semicyclic fan"], steps, out)
 
 
 def regular_to_h1cyclic(d: FanDesign, h1: int):
@@ -427,28 +427,15 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
             out.append((i, q.row + d.u * a, b))
         return tuple(sorted(out))
 
-    new_layers = []
-    new_terminal = []
-    deltas = []
-    for fam in d.families():
-        new_fam = []
-        for blk in fam:
-            for delta in range(d.v // h1):
-                new_fam.append(remap(shift(blk, delta, d.v)))
-        deltas.append(len(new_fam))
-        new_fam = sorted(new_fam)
-        if fam is d.terminal:
-            new_terminal = new_fam
-        else:
-            new_layers.append(tuple(new_fam))
-
-    out = FanDesign(s=d.s, shape=CYCLIC, h=h1,
-                    layers=tuple(new_layers), terminal=tuple(new_terminal),
+    # by position: an empty layer and an empty terminal are the same ()
+    fams = [tuple(sorted(remap(shift(blk, delta, d.v))
+                         for blk in fam for delta in range(d.v // h1)))
+            for fam in d.families()]
+    out = FanDesign(s=d.s, shape=CYCLIC, h=h1, layers=tuple(fams[:-1]), terminal=fams[-1],
                     g_list=(d.u * ratio,) * step)
     _require_report(verify_fan(out, strict=True), "regular_to_h1cyclic output")
-    steps = tuple(("family %d representatives" % i, n) for i, n in enumerate(deltas))
-    count = sum(len(fam) for fam in out.families())
-    return _finish(["regular fan"], steps, out, count)
+    steps = tuple(("family %d representatives" % i, len(fam)) for i, fam in enumerate(fams))
+    return _finish(["regular fan"], steps, out)
 
 
 def add_cross_pairs_layer(d: FanDesign):
@@ -464,8 +451,7 @@ def add_cross_pairs_layer(d: FanDesign):
     _require_report(verify_fan(out, strict=True), "add_cross_pairs_layer output")
     steps = (("existing terminal blocks", len(d.terminal)),
              ("cross pair representatives", len(layer)))
-    count = sum(len(fam) for fam in out.families())
-    return _finish(["regular fan"], steps, out, count)
+    return _finish(["regular fan"], steps, out)
 
 
 def perfect_to_regular_1fg(p: CyclicPacking):
@@ -483,8 +469,7 @@ def perfect_to_regular_1fg(p: CyclicPacking):
     got_pairs = len(out.layers[0])
     _require(got_pairs == expected_pairs,
              "expected %d pair orbits, got %d" % (expected_pairs, got_pairs))
-    return _finish(["perfect packing"], trace.steps, out,
-                   sum(len(fam) for fam in out.families()))
+    return _finish(["perfect packing"], trace.steps, out)
 
 
 def complete_pair_fan(n: int = 4) -> FanDesign:

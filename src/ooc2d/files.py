@@ -1,16 +1,19 @@
 """JSON design files.
 
 One self-describing format for every object kind so constructions can
-be chained through the command line.  Coordinates are plain lists,
-[row, col] on grids and [x, y, j] for the cyclic shapes; the fixed
-point of a rotational system is written -1.
+be chained through the command line.  Coordinates are plain lists of
+JSON integers, [row, col] on grids and [x, y, j] for the cyclic
+shapes; the fixed point of a rotational system is written -1.  The
+decoder checks types rather than coercing them, so 1.9, "0" or true is
+an error naming its field.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
-from .core import Code, CodewordMatrix, CyclicPacking, Point, as_block, make_packing
+from .core import Code, CodewordMatrix, CyclicPacking, Point, make_packing
 from .designs import CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign
 
 SCHEMA_VERSION = 1
@@ -64,6 +67,16 @@ def design_to_dict(obj) -> dict:
     raise ValueError("cannot serialize %r" % (type(obj).__name__,))
 
 
+def block_count(obj) -> int:
+    """How many base blocks obj lists: a fan counts every layer and its
+    terminal class, a code its codewords."""
+    if isinstance(obj, FanDesign):
+        return sum(map(len, obj.families()))
+    if isinstance(obj, Code):
+        return obj.size
+    return len(obj.base_blocks)
+
+
 def _field(value, name: str, decode):
     """decode(value), with a value of the wrong type reported as a
     ValueError naming its field."""
@@ -73,9 +86,28 @@ def _field(value, name: str, decode):
         raise ValueError("malformed %r: %s" % (name, exc)) from None
 
 
+def _int_rows(rows, name: str):
+    """rows once every entry of every row is a JSON integer: a float,
+    string or boolean is refused, never coerced."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise ValueError("malformed %r: %r is not an integer" % (name, bad))
+    return rows
+
+
+def _coords(bs, name: str):
+    """bs, a list of blocks of points, once every coordinate is a JSON integer."""
+    _int_rows([p for b in bs for p in b], name)
+    return bs
+
+
+def _blocks(bs, name: str, point=tuple) -> tuple:
+    return tuple(tuple(sorted(map(point, b))) for b in _coords(bs, name))
+
+
 def _ints(params: dict, *names) -> list:
     for name in names:
-        if not isinstance(params[name], int):
+        if type(params[name]) is not int:
             raise ValueError("parameter %r must be an integer, got %r" % (name, params[name]))
     return [params[name] for name in names]
 
@@ -91,45 +123,47 @@ def design_from_dict(doc: dict):
         raise ValueError("'parameters' must be an object, got %r" % (params,))
     if kind == "packing":
         u, v, k, t = _ints(params, "u", "v", "k", "t")
-        blocks = _field(doc["base_blocks"], "base_blocks",
-                        lambda bs: [as_block(b) for b in bs])
-        return make_packing(u, v, k, t, blocks)
+        return _field(doc["base_blocks"], "base_blocks", lambda bs: make_packing(
+            u, v, k, t, _coords(bs, "base_blocks")))
     if kind == "fan":
         s, h = _ints(params, "s", "h")
         if params.get("shape") == CYCLIC:
-            dec = lambda b: tuple(sorted(tuple(int(c) for c in p) for p in b))
+            point = tuple
             g_list = params["g_list"]
-            if not (isinstance(g_list, list) and all(isinstance(g, int) for g in g_list)):
+            if not (isinstance(g_list, list) and all(type(g) is int for g in g_list)):
                 raise ValueError("parameter 'g_list' must be a list of integers, got %r"
                                  % (g_list,))
             extra = {"g_list": tuple(g_list)}
         elif params.get("shape") == REGULAR:
-            dec = lambda b: tuple(sorted(Point(int(p[0]), int(p[1])) for p in b))
+            point = Point._make
             u, v = _ints(params, "u", "v")
             extra = {"u": u, "v": v}
         else:
             raise ValueError("unknown fan shape %r" % (params.get("shape"),))
-        layers = _field(doc.get("layers", []), "layers",
-                        lambda lays: tuple(tuple(dec(b) for b in lay) for lay in lays))
+        developed = params.get("developed", False)
+        if type(developed) is not bool:
+            raise ValueError("parameter 'developed' must be true or false, got %r"
+                             % (developed,))
+        layers = _field(doc.get("layers", []), "layers", lambda lays: tuple(
+            _blocks(lay, "layers", point) for lay in lays))
         return FanDesign(s=s, shape=params["shape"], h=h, layers=layers,
                          terminal=_field(doc["base_blocks"], "base_blocks",
-                                         lambda bs: tuple(map(dec, bs))),
-                         developed=bool(params.get("developed", False)),
-                         **extra)
+                                         lambda bs: _blocks(bs, "base_blocks", point)),
+                         developed=developed, **extra)
     if kind == "hdesign":
         n, l, h, t = _ints(params, "n", "l", "h", "t")
-        blocks = _field(doc["base_blocks"], "base_blocks", lambda bs: tuple(
-            tuple(sorted(tuple(int(c) for c in p) for p in b)) for b in bs))
+        blocks = _field(doc["base_blocks"], "base_blocks",
+                        lambda bs: _blocks(bs, "base_blocks"))
         return HDesign(n=n, l=l, h=h, t=t, base_blocks=blocks)
     if kind == "rosqs":
         (n,) = _ints(params, "n")
-        blocks = _field(doc["base_blocks"], "base_blocks",
-                        lambda bs: tuple(tuple(sorted(int(x) for x in b)) for b in bs))
+        blocks = _field(doc["base_blocks"], "base_blocks", lambda bs: tuple(
+            tuple(sorted(b)) for b in _int_rows(bs, "base_blocks")))
         return RoSQSDesign(n=n, base_blocks=blocks)
     if kind == "code":
         u, v, k, lam = _ints(params, "u", "v", "k", "lambda")
         mats = _field(doc["codewords"], "codewords", lambda ms: tuple(
-            CodewordMatrix(u=u, v=v, bits=tuple(tuple(map(int, row)) for row in m))
+            CodewordMatrix(u=u, v=v, bits=_int_rows(tuple(map(tuple, m)), "codewords"))
             for m in ms))
         return Code(u=u, v=v, k=k, lam=lam, codewords=mats)
     raise ValueError("unknown design kind %r" % (kind,))

@@ -64,3 +64,16 @@ def test_form_mismatch_names_the_entry(monkeypatch):
             catalog_get("fg-4^2-s2c")
     finally:
         catalog_get.cache_clear()
+
+
+def test_float_coordinate_is_refused(monkeypatch):
+    """catalog entries decode through the file format, so they get its type checks"""
+    entries = copy.deepcopy(catalog._raw())
+    entries["small-(2,3)"]["source"]["blocks"][0][0][1] = 0.5
+    monkeypatch.setattr(catalog, "_raw", lambda: entries)
+    catalog_get.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="'base_blocks'"):
+            catalog_get("small-(2,3)")
+    finally:
+        catalog_get.cache_clear()

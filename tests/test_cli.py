@@ -252,3 +252,9 @@ def test_verify_deeply_nested_file_is_usage_error(tmp_path, capsys):
     path.write_text("[" * 100000 + "]" * 100000)
     assert main(["verify", str(path), "--check", "ooc"]) == 2
     assert "nests too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_pairfan_below_two_is_usage_error(n, capsys):
+    assert main(["construct", "pairfan", n]) == 2
+    assert capsys.readouterr().err.startswith("error: pairfan needs N >= 2")

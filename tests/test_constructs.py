@@ -188,3 +188,12 @@ def test_trivial_packing_is_empty():
     p = trivial_packing(2, 2)
     assert p.num_base_blocks == 0
     assert verify_packing(p).valid
+
+
+def test_regular_to_h1cyclic_keeps_an_empty_layer():
+    """an empty layer is the same () as an empty terminal class"""
+    d = FanDesign(s=1, shape="regular", h=2, layers=((),), terminal=(), u=1, v=2)
+    assert verify_fan(d, strict=True).ok
+    out, _ = regular_to_h1cyclic(d, 1)
+    assert (out.s, out.layers, out.terminal) == (1, ((),), ())
+    assert verify_fan(out, strict=True).ok

@@ -124,3 +124,29 @@ def test_mutated_documents_load_or_raise_value_error(doc):
         design_from_dict(doc)
     except (ValueError, KeyError):
         pass
+
+
+
+@pytest.mark.parametrize("source,path,change,field", [
+    (1, ("base_blocks", 0, 0, 1), lambda x: x + 0.9, "'base_blocks'"),
+    (4, ("base_blocks", 0, 0, 0), str, "'base_blocks'"),
+    (6, ("layers", 0, 0, 0, 0), str, "'layers'"),
+    (5, ("base_blocks", 0, 0, 0), bool, "'base_blocks'"),
+    (3, ("base_blocks", 0, 0, 2), lambda x: x + 0.5, "'base_blocks'"),
+    (0, ("base_blocks", 0, 0), str, "'base_blocks'"),
+    (2, ("codewords", 0, 0, 0), lambda x: x + 0.5, "'codewords'"),
+    (3, ("parameters", "h"), bool, "'h'"),
+    (4, ("parameters", "developed"), lambda x: "no", "'developed'"),
+], ids=["packing float", "cyclic fan string", "layer string", "regular fan bool",
+        "hdesign float", "rosqs string", "code float", "bool parameter",
+        "string developed"])
+def test_wrong_typed_value_is_refused_not_coerced(source, path, change, field):
+    """int() would read each changed value as the one it replaced (and
+    bool() reads "no" as true); the decoder names the field instead"""
+    doc = copy.deepcopy(MUTATION_SOURCES[source])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = change(node[path[-1]])
+    with pytest.raises(ValueError, match=field):
+        design_from_dict(doc)
