@@ -123,7 +123,10 @@ def catalog_get(entry_id: str) -> CatalogEntry:
     if entry_id not in entries:
         raise KeyError("no catalog entry %r, have: %s" % (entry_id, ", ".join(catalog_ids())))
     raw = entries[entry_id]
-    payload = _build_payload(raw)
+    try:
+        payload = _build_payload(raw)
+    except ValueError as exc:
+        raise ValueError("catalog %s: %s" % (entry_id, exc)) from exc
     count = block_count(payload)
     if count != raw["expected_base_count"]:
         raise ValueError("catalog %s: %d base blocks, expected %d"

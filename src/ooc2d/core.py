@@ -18,10 +18,13 @@ counted twice, none wanting 0 is counted, and as many are counted as
 the closed form says want 1; only a failure walks all C(N, t) subsets
 in order to name the first miscounted one.
 
-A u x v codeword matrix hands out its ones as the sorted grid codes
-i * v + j (CodewordMatrix.cells), so codes reach the same kernel: a
-codeword rotated by r is its cells' image under Z_v, and a code's
-correlation is a cover count of its developed codewords.
+A u x v codeword matrix is kept as the sorted grid codes i * v + j of
+its ones (CodewordMatrix.cells) and rebuilds its rows only when asked,
+so codes reach the same kernel: a codeword rotated by r is its cells'
+image under Z_v, and a code's correlation is a cover count of its
+developed codewords.  A CyclicPacking keeps the codes and stabilizer
+orders its constructor computed to check its base blocks, and packing
+develops them without encoding a Point again.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _orbit(codes: tuple, period: int) -> tuple:
     """(least image, stabilizer order) of sorted codes.  The candidates move
     a least-row point to 0: the least image is one of them, and the shifts
     fixing the block are the differences of candidates with equal images."""
-    if not codes:
+    if not codes or period == 1:
         return codes, period
     row = codes[0] - codes[0] % period
     images = [_image(codes, row - e, period) for e in codes if e - row < period]
@@ -109,7 +112,7 @@ def _grid_codes(block, v: int) -> tuple:
 
 
 def _grid_block(codes, v: int) -> Block:
-    return tuple(Point(e // v, e % v) for e in codes)
+    return tuple([Point._make(divmod(e, v)) for e in codes])
 
 
 def shift(block: Block, delta: int, v: int) -> Block:
@@ -159,77 +162,110 @@ class CyclicPacking:
             raise ValueError("grid dimensions must be positive")
         if not (1 <= self.t <= self.k):
             raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (self.t, self.k))
-        seen = set()
+        u, v, k = self.u, self.v, self.k
+        reps, stabs = {}, []  # reps: the canonical codes in block order
         for b in self.base_blocks:
-            if len(b) != self.k:
-                raise ValueError("block %r has size %d, expected %d" % (b, len(b), self.k))
-            check_block_range(b, self.u, self.v)
-            codes = tuple(p[0] * self.v + p[1] for p in b)
-            rep = _orbit(tuple(sorted(codes)), self.v)[0]
+            if len(b) != k:
+                raise ValueError("block %r has size %d, expected %d" % (b, len(b), k))
+            try:
+                codes = tuple([p.row * v + p.col for p in b if 0 <= p.row < u and 0 <= p.col < v])
+            except (AttributeError, TypeError):  # not every point a Point of integers
+                codes = ()
+            if len(codes) != k:  # the point by point walk names the first bad point
+                check_block_range(b, u, v)
+                codes = tuple(p[0] * v + p[1] for p in b)
+            rep, stab = _orbit(tuple(sorted(codes)), v)
             if codes != rep:
                 raise ValueError("block %r is not the canonical representative %r"
-                                 % (b, _grid_block(rep, self.v)))
-            if rep in seen:
-                raise ValueError("two base blocks share the orbit of %r"
-                                 % (_grid_block(rep, self.v),))
-            seen.add(rep)
+                                 % (b, _grid_block(rep, v)))
+            if rep in reps:
+                raise ValueError("two base blocks share the orbit of %r" % (_grid_block(rep, v),))
+            reps[rep] = None
+            stabs.append(stab)
+        # the codes and stabilizer orders just checked, for packing's
+        # development; not fields, so ==, repr and hash ignore them
+        object.__setattr__(self, "_codes", tuple(reps))
+        object.__setattr__(self, "_stabs", tuple(stabs))
 
     @property
     def num_base_blocks(self) -> int:
         return len(self.base_blocks)
 
 
+def _block_codes(points, v: int) -> tuple:
+    """Sorted grid codes of a block of (row, col) pairs, refused as
+    as_block and canonicalize refuse it: a duplicate point, no point, or
+    a point out of range for period v."""
+    pts = [(int(r), int(c)) for r, c in points]
+    codes = sorted([r * v + c for r, c in pts if r >= 0 and 0 <= c < v])
+    if not codes or len(codes) != len(pts) or len(set(codes)) != len(codes):
+        canonicalize(as_block(pts), v)
+        raise AssertionError("block %r passed the checks it failed" % (pts,))
+    return tuple(codes)
+
+
 def make_packing(u: int, v: int, k: int, t: int, blocks: Iterable) -> CyclicPacking:
     """Build a CyclicPacking from arbitrary orbit representatives.
 
     Blocks are canonicalized and sorted so equal packings compare equal
-    regardless of which orbit representatives the caller picked.
+    regardless of which orbit representatives the caller picked.  Both
+    run on codes, which sort as their points do.
     """
-    reps = sorted(canonicalize(as_block(b), v) for b in blocks)
-    return CyclicPacking(u=u, v=v, k=k, t=t, base_blocks=tuple(reps))
+    reps = sorted(_orbit(_block_codes(b, v), v)[0] for b in blocks)
+    return CyclicPacking(u=u, v=v, k=k, t=t, base_blocks=tuple(_grid_block(r, v) for r in reps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CodewordMatrix:
-    """A u x v matrix over {0,1}."""
+    """A u x v matrix over {0,1}, kept as the sorted grid codes
+    i * v + j of its ones; bits rebuilds its u rows of v ints."""
 
     u: int
     v: int
-    bits: tuple  # u rows, each a tuple of v ints
+    cells: tuple
 
-    def __post_init__(self):
-        if len(self.bits) != self.u:
-            raise ValueError("expected %d rows, got %d" % (self.u, len(self.bits)))
+    def __init__(self, u: int, v: int, bits: tuple):
+        if len(bits) != u:
+            raise ValueError("expected %d rows, got %d" % (u, len(bits)))
         try:
-            flat = tuple(chain.from_iterable(self.bits))
-            clean = set(map(len, self.bits)) <= {self.v} and set(flat) <= {0, 1}
+            flat = tuple(chain.from_iterable(bits))
+            clean = set(map(len, bits)) <= {v} and set(flat) <= {0, 1}
         except TypeError:  # an unsized row or an unhashable entry
             clean = False
         if not clean:  # name the first bad row or entry
-            for row in self.bits:
-                if len(row) != self.v:
-                    raise ValueError("expected %d columns, got %d" % (self.v, len(row)))
+            for row in bits:
+                if len(row) != v:
+                    raise ValueError("expected %d columns, got %d" % (v, len(row)))
                 for x in row:
                     if x not in (0, 1):
                         raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
-        object.__setattr__(self, "_cells", tuple(compress(range(len(flat)), flat)))
+        _set_matrix(self, u, v, tuple(compress(range(len(flat)), flat)))
 
     @property
-    def cells(self) -> tuple:
-        """The ones as sorted grid codes i * v + j."""
-        return self._cells
+    def bits(self) -> tuple:
+        u, v = self.u, self.v
+        flat = [0] * (u * v)
+        for e in self.cells:
+            flat[e] = 1
+        return tuple(tuple(flat[i * v:i * v + v]) for i in range(u))
 
     @property
     def weight(self) -> int:
-        return len(self._cells)
+        return len(self.cells)
+
+    def __repr__(self) -> str:
+        return "CodewordMatrix(u=%r, v=%r, bits=%r)" % (self.u, self.v, self.bits)
+
+
+def _set_matrix(m: CodewordMatrix, u: int, v: int, cells: tuple) -> CodewordMatrix:
+    for name, value in (("u", u), ("v", v), ("cells", cells)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def _cells_matrix(cells, u: int, v: int) -> CodewordMatrix:
-    """The u x v matrix whose ones are the grid codes in cells."""
-    flat = [0] * (u * v)
-    for e in cells:
-        flat[e] = 1
-    return CodewordMatrix(u=u, v=v, bits=tuple(tuple(flat[i * v:i * v + v]) for i in range(u)))
+    """The u x v matrix whose ones are the distinct grid codes in cells."""
+    return _set_matrix(object.__new__(CodewordMatrix), u, v, tuple(sorted(cells)))
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,7 @@ def correlation(a: CodewordMatrix, b: CodewordMatrix, r: int) -> int:
         raise ValueError("matrices have different shapes")
     v = a.v
     total = 0
-    for i in range(a.u):
-        ra, rb = a.bits[i], b.bits[i]
+    for ra, rb in zip(a.bits, b.bits):
         for j in range(v):
             total += ra[j] * rb[(j + r) % v]
     return total

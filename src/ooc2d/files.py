@@ -11,9 +11,9 @@ an error naming its field.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 
-from .core import Code, CodewordMatrix, CyclicPacking, Point, make_packing
+from .core import Code, CodewordMatrix, CyclicPacking, Point, _cells_matrix, make_packing
 from .designs import CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign
 
 SCHEMA_VERSION = 1
@@ -105,6 +105,37 @@ def _blocks(bs, name: str, point=tuple) -> tuple:
     return tuple(tuple(sorted(map(point, b))) for b in _coords(bs, name))
 
 
+def _clean_bits(ms, u: int, v: int):
+    """Every entry of the codewords ms in order, or None unless each
+    codeword is u rows of v JSON integers 0 or 1.  Each codeword's and
+    row's length is taken before it is iterated."""
+    if not set(map(len, ms)) <= {u}:
+        return None
+    rows = tuple(chain.from_iterable(ms))
+    if not set(map(len, rows)) <= {v}:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    return flat if set(map(type, flat)) <= {int} and set(flat) <= {0, 1} else None
+
+
+def _codewords(ms, u: int, v: int) -> tuple:
+    """Codeword matrices of the codewords ms, each compressed straight to
+    its cells in one pass over all entries.  Only a document that fails
+    the pass is decoded codeword by codeword, to name the first bad
+    entry as the matrix check would."""
+    ms = tuple(ms)
+    try:
+        flat = _clean_bits(ms, u, v)
+    except TypeError:  # an unsized codeword or row
+        flat = None
+    if flat is None:
+        return tuple(CodewordMatrix(u=u, v=v, bits=_int_rows(tuple(map(tuple, m)), "codewords"))
+                     for m in ms)
+    n = u * v
+    return tuple(_cells_matrix(compress(range(n), flat[i * n:i * n + n]), u, v)
+                 for i in range(len(ms)))
+
+
 def _ints(params: dict, *names) -> list:
     for name in names:
         if type(params[name]) is not int:
@@ -162,9 +193,7 @@ def design_from_dict(doc: dict):
         return RoSQSDesign(n=n, base_blocks=blocks)
     if kind == "code":
         u, v, k, lam = _ints(params, "u", "v", "k", "lambda")
-        mats = _field(doc["codewords"], "codewords", lambda ms: tuple(
-            CodewordMatrix(u=u, v=v, bits=_int_rows(tuple(map(tuple, m)), "codewords"))
-            for m in ms))
+        mats = _field(doc["codewords"], "codewords", lambda ms: _codewords(ms, u, v))
         return Code(u=u, v=v, k=k, lam=lam, codewords=mats)
     raise ValueError("unknown design kind %r" % (kind,))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import CyclicPacking, _cover_counts, _develop, _grid_block, _grid_codes
+from .core import CyclicPacking, _cover_counts, _grid_block, _image
 
 
 @dataclass(frozen=True)
@@ -25,28 +25,30 @@ class PackingReport:
     violation: tuple | None
 
 
-def _developed(p: CyclicPacking) -> tuple:
-    """(images as codes, stabilizer orders, None): base blocks are
-    distinct canonical representatives, so no orbits clash."""
-    return _develop([_grid_codes(b, p.v) for b in p.base_blocks], p.v)
+def _developed(p: CyclicPacking) -> list:
+    """Every developed block as codes, each orbit in shift order for its
+    own length, from the codes and stabilizer orders CyclicPacking
+    checked.  Base blocks are distinct canonical representatives, so no
+    orbits clash."""
+    return [_image(codes, d, p.v) for codes, s in zip(p._codes, p._stabs)
+            for d in range(p.v // s)]
 
 
 def develop(p: CyclicPacking) -> list:
     """All distinct developed blocks, orbit by orbit in base order."""
-    return [_grid_block(img, p.v) for img in _developed(p)[0]]
+    return [_grid_block(img, p.v) for img in _developed(p)]
 
 
 def verify_packing(p: CyclicPacking) -> PackingReport:
-    images, stabs, _ = _developed(p)
-    counts = _cover_counts(images, p.t)
+    counts = _cover_counts(_developed(p), p.t)
     violation = None
     if sum(counts.values()) != len(counts):
         sub = min(sub for sub, c in counts.items() if c > 1)
         violation = (_grid_block(sub, p.v), counts[sub])
     return PackingReport(
         valid=violation is None,
-        strictly_cyclic=all(s == 1 for s in stabs),
-        orbit_lengths=tuple(p.v // s for s in stabs),
+        strictly_cyclic=all(s == 1 for s in p._stabs),
+        orbit_lengths=tuple(p.v // s for s in p._stabs),
         leave_size=comb(p.u * p.v, p.t) - len(counts),
         violation=violation,
     )
@@ -58,7 +60,7 @@ def leave(p: CyclicPacking) -> list:
     if not report.valid:
         raise ValueError("leave is only defined for valid packings, found %r"
                          % (report.violation,))
-    images, _, _ = _developed(p)
+    images = _developed(p)
     covered = _cover_counts(images, p.t)
     missing = [_grid_block(sub, p.v) for sub in combinations(range(p.u * p.v), p.t)
                if sub not in covered]

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ooc2d.bounds import (CASE_A, CASE_B, CLASS1, CLASS3, EXCLUDED_COR5_5, JOHNSON,
                           JSTAR_CASES, MOD6_GENERAL, MOD12_4_8_VEVEN,
@@ -70,6 +72,23 @@ def test_jstar_never_above_johnson():
             value, case = jstar(u, v)
             assert case in JSTAR_CASES
             assert value <= johnson_bound(u, v, 4, 2)
+
+
+# sides near the residues mod 12 that pick a jstar case, and plain wide ones
+SIDES = st.one_of(st.integers(1, 10_000),
+                  st.builds(lambda a, r: 12 * a + r, st.integers(0, 800), st.integers(1, 12)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(SIDES, SIDES)
+def test_jstar_never_above_johnson_wide(u, v):
+    """jstar raises when two cases claim a grid, so a return is also
+    the exclusivity check"""
+    value, case = jstar(u, v)
+    assert case in JSTAR_CASES
+    assert 0 <= value <= johnson_bound(u, v, 4, 2)
+    if case == JOHNSON:
+        assert value == johnson_bound(u, v, 4, 2)
 
 
 def test_perfect_classes():

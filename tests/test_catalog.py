@@ -77,3 +77,18 @@ def test_float_coordinate_is_refused(monkeypatch):
             catalog_get("small-(2,3)")
     finally:
         catalog_get.cache_clear()
+
+
+def test_decode_failure_names_the_entry(monkeypatch):
+    """a transcription error reads like a verification failure: entry id first"""
+    entries = copy.deepcopy(catalog._raw())
+    entries["small-(2,3)"]["source"]["blocks"][0][0][1] = 0.5
+    monkeypatch.setattr(catalog, "_raw", lambda: entries)
+    catalog_get.cache_clear()
+    try:
+        with pytest.raises(ValueError) as info:
+            catalog_get("small-(2,3)")
+        assert str(info.value) == \
+            "catalog small-(2,3): malformed 'base_blocks': 0.5 is not an integer"
+    finally:
+        catalog_get.cache_clear()

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ooc2d.catalog import catalog_get
-from ooc2d.constructs import hartman
+from ooc2d.constructs import fold, hartman
+from ooc2d.core import Code, CodewordMatrix
 from ooc2d.correlation import packing_to_code
 from ooc2d.designs import verify_fan, verify_h_cyclic
 from ooc2d.files import (SCHEMA_VERSION, design_from_dict, design_to_dict,
                          load_design, save_design)
+from ooc2d.pipelines import run_pipeline
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "semicyclic-6x2.json")
 
@@ -150,3 +152,49 @@ def test_wrong_typed_value_is_refused_not_coerced(source, path, change, field):
     node[path[-1]] = change(node[path[-1]])
     with pytest.raises(ValueError, match=field):
         design_from_dict(doc)
+
+
+def _codes_through_bits():
+    """codes whose matrices were built row by row through CodewordMatrix(bits=...)"""
+    folded, _ = fold(packing_to_code(run_pipeline("4x3")[0]), 3)
+    for code in (packing_to_code(catalog_get("small-(3,3)").payload), folded):
+        mats = tuple(CodewordMatrix(u=m.u, v=m.v, bits=m.bits) for m in code.codewords)
+        yield Code(u=code.u, v=code.v, k=code.k, lam=code.lam, codewords=mats)
+
+
+@pytest.mark.parametrize("code", _codes_through_bits(), ids=["3x3", "12x1 fold"])
+def test_decoded_code_equals_code_built_from_bits(code, tmp_path):
+    """the decoder compresses each codeword straight to its cells; the
+    matrices it gives equal, hash as, print as and save as those built
+    from rows"""
+    doc = design_to_dict(code)
+    decoded = design_from_dict(doc)
+    assert decoded == code and hash(decoded) == hash(code)
+    for m, rows, built in zip(decoded.codewords, doc["codewords"], code.codewords):
+        assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
+        assert m.bits == tuple(map(tuple, rows))
+        assert m.cells == built.cells and m.weight == code.k
+    save_design(code, str(tmp_path / "built.json"))
+    save_design(decoded, str(tmp_path / "decoded.json"))
+    assert (tmp_path / "built.json").read_text() == (tmp_path / "decoded.json").read_text()
+
+
+@pytest.mark.parametrize("path,change,message", [
+    (("codewords", 1), lambda rows: rows[:-1], "expected 3 rows, got 2"),
+    (("codewords", 1, 2), lambda row: row[:-1], "expected 3 columns, got 2"),
+    (("codewords", 1, 2, 0), lambda x: 2, "matrix entries must be 0 or 1, got 2"),
+    (("codewords", 1, 2, 0), float, "malformed 'codewords': 1.0 is not an integer"),
+    (("codewords", 1, 2, 0), lambda x: None, "malformed 'codewords': None is not an integer"),
+], ids=["row count", "column count", "entry 2", "float entry", "null entry"])
+def test_bad_codeword_message_is_unchanged(path, change, message):
+    """a codeword that fails the one-pass check is decoded again entry by
+    entry, so the message names the first bad entry as before"""
+    doc = copy.deepcopy(MUTATION_SOURCES[2])
+    assert doc["codewords"][1][2][0] == 1
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = change(node[path[-1]])
+    with pytest.raises(ValueError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == message

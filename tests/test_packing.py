@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ooc2d.catalog import catalog_get
-from ooc2d.core import as_block, make_packing
+from ooc2d.core import CyclicPacking, Point, as_block, canonicalize, make_packing, shift, \
+    stabilizer_order
 from ooc2d.packing import develop, is_perfect, leave, verify_packing
 
 
@@ -67,3 +72,37 @@ def test_is_perfect():
     assert is_perfect(p)
     assert verify_packing(p).leave_size == 0
     assert not is_perfect(catalog_get("small-(2,3)").payload)
+
+
+@st.composite
+def direct_packings(draw):
+    """a CyclicPacking built by its constructor from distinct canonical
+    representatives in drawn order, short orbits and clashes included"""
+    u, v = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(4, u * v)))
+    t = draw(st.integers(1, k))
+    cells = [Point(i, j) for i in range(u) for j in range(v)]
+    reps = {}
+    for b in draw(st.lists(st.lists(st.sampled_from(cells), min_size=k, max_size=k, unique=True),
+                           max_size=6)):
+        reps.setdefault(canonicalize(as_block(b), v))
+    return CyclicPacking(u=u, v=v, k=k, t=t, base_blocks=tuple(reps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(direct_packings())
+def test_stored_stabilizers_match_a_fresh_development(p):
+    """verify_packing develops from the codes and stabilizer orders the
+    constructor stored; a development by shift over all of Z_v, with
+    stabilizer_order, must give the same report"""
+    stabs = [stabilizer_order(b, p.v) for b in p.base_blocks]
+    images = [sorted({shift(b, d, p.v) for d in range(p.v)}) for b in p.base_blocks]
+    counts = Counter(sub for orbit in images for img in orbit for sub in combinations(img, p.t))
+    over = sorted((sub, c) for sub, c in counts.items() if c > 1)
+    report = verify_packing(p)
+    assert report.orbit_lengths == tuple(p.v // s for s in stabs) == tuple(map(len, images))
+    assert report.strictly_cyclic == all(s == 1 for s in stabs)
+    assert report.leave_size == comb(p.u * p.v, p.t) - len(counts)
+    assert report.violation == (over[0] if over else None)
+    assert report.valid == (not over)
+    assert sorted(develop(p)) == sorted(img for orbit in images for img in orbit)
