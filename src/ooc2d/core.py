@@ -174,6 +174,8 @@ class CyclicPacking:
             if len(codes) != k:  # the point by point walk names the first bad point
                 check_block_range(b, u, v)
                 codes = tuple(p[0] * v + p[1] for p in b)
+            if len(set(codes)) != k:
+                raise ValueError("duplicate point in block: %r" % (b,))
             rep, stab = _orbit(tuple(sorted(codes)), v)
             if codes != rep:
                 raise ValueError("block %r is not the canonical representative %r"

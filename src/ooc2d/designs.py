@@ -51,14 +51,6 @@ class GroupType:
         if sizes != sorted(sizes, reverse=True) or len(set(sizes)) != len(sizes):
             raise ValueError("parts must be sorted descending with distinct sizes")
 
-    @property
-    def num_points(self) -> int:
-        return sum(size * count for size, count in self.parts)
-
-    @property
-    def num_groups(self) -> int:
-        return sum(count for _, count in self.parts)
-
     def __str__(self) -> str:
         return " ".join("%d^%d" % (size, count) for size, count in self.parts)
 
@@ -168,11 +160,6 @@ def fan_shift(d: FanDesign, block, delta: int = 1):
     return tuple(points[e] for e in _image(encode(block), delta, period))
 
 
-def block_stabilizer(d: FanDesign, block) -> int:
-    encode, _, period = _codec(d)
-    return _orbit(encode(block), period)[1]
-
-
 def _develop_codes(d: FanDesign, blocks, encode, points) -> tuple:
     """develop_family on codes: (images, stabilizer orders, problem)."""
     if d.developed:
@@ -215,6 +202,22 @@ def _short_orbit(d: FanDesign, idx: int, fam, stabs) -> DesignReport | None:
     return None
 
 
+def _develop_families(d: FanDesign, encode, points, strict: bool) -> tuple:
+    """(developed families, their stabilizer orders, first failure or
+    None), family by family: a family that does not develop fails, and
+    with strict so does its first block with a short orbit."""
+    developed, stabilizers = [], []
+    for idx, fam in enumerate(d.families()):
+        full, stabs, problem = _develop_codes(d, fam, encode, points)
+        if problem:
+            return developed, stabilizers, DesignReport(False, "family %d: %s" % (idx, problem))
+        if strict and (short := _short_orbit(d, idx, fam, stabs)):
+            return developed, stabilizers, short
+        developed.append(full)
+        stabilizers.append(stabs)
+    return developed, stabilizers, None
+
+
 def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
     """Check the covering conditions over the developed families.
 
@@ -224,13 +227,9 @@ def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
     orbit.
     """
     encode, points, _ = _codec(d)
-    developed, stabilizers = [], []
-    for idx, fam in enumerate(d.families()):
-        full, stabs, problem = _develop_codes(d, fam, encode, points)
-        if problem:
-            return DesignReport(False, "family %d: %s" % (idx, problem))
-        developed.append(full)
-        stabilizers.append(stabs)
+    developed, stabilizers, failure = _develop_families(d, encode, points, False)
+    if failure:
+        return failure
 
     group = [d.group_of(p) for p in points]
 
@@ -261,13 +260,7 @@ def _verify_action(d: FanDesign, shape: str, strict: bool) -> DesignReport:
     if d.shape != shape:
         raise ValueError("expected %s shape, got %s" % (shape, d.shape))
     encode, points, _ = _codec(d)
-    for idx, fam in enumerate(d.families()):
-        _, stabs, problem = _develop_codes(d, fam, encode, points)
-        if problem:
-            return DesignReport(False, "family %d: %s" % (idx, problem))
-        if strict and (short := _short_orbit(d, idx, fam, stabs)):
-            return short
-    return DesignReport(True)
+    return _develop_families(d, encode, points, strict)[2] or DesignReport(True)
 
 
 def verify_h_cyclic(d: FanDesign, strict: bool = True) -> DesignReport:
@@ -306,9 +299,6 @@ class HDesign:
     @property
     def g(self) -> int:
         return self.l * self.h
-
-    def block_sizes(self) -> tuple:
-        return tuple(sorted({len(b) for b in self.base_blocks}))
 
     def points(self) -> list:
         return [(x, y, j) for x in range(self.n)

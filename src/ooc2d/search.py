@@ -22,13 +22,6 @@ stack, so its depth is not limited by Python's recursion limit.  For
 (k, t) != (4, 3) the Johnson bound only stops the heuristic early; the
 tree search still proves those optima.
 
-The optional row filter insists that solution blocks introduce new
-rows in ascending order.  It prunes nothing measurable: with the
-heuristic off, node counts are identical with and without it on 2x3,
-3x2, 2x4, 4x2, 3x3, 2x5, 5x2, 3x4, 4x3 and 6x2.  Whether it keeps the
-search complete is checked empirically in the tests, never assumed; a
-witness meeting the counting bound is proof either way.
-
 Every witness is checked by verify_packing before it is returned, and
 a proof says why it holds: "bound" when the witness meets the
 sharpened counting bound (k=4, t=3 only), "exhausted" when the tree
@@ -43,7 +36,7 @@ from itertools import combinations
 from math import comb
 
 from .bounds import johnson_bound, jstar
-from .core import CyclicPacking, Point, _image, _orbit, make_packing
+from .core import CyclicPacking, _grid_block, _image, _orbit, make_packing
 from .packing import verify_packing
 
 
@@ -117,16 +110,12 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
     return best
 
 
-def _candidates(u: int, v: int, t: int, orbits: list, index: dict) -> list:
-    """Per t-subset index, the (mask, row mask, rep) of every orbit
-    covering it, ordered by the other points of the image that holds
-    the t-subset."""
+def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
+    """Per t-subset index, the (mask, rep) of every orbit covering it,
+    ordered by the other points of the image that holds the t-subset."""
     keyed: list = [[] for _ in range(len(index))]
     for rep, mask in orbits:
-        rows = 0
-        for p in rep:
-            rows |= 1 << (p // v)
-        entry = (mask, rows, rep)
+        entry = (mask, rep)
         for d in range(v):
             img = _image(rep, d, v)
             for sub in combinations(img, t):
@@ -135,54 +124,47 @@ def _candidates(u: int, v: int, t: int, orbits: list, index: dict) -> list:
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 
-def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, index: dict,
-                      incumbent: list, cap, node_budget: int, row_filter: bool):
+def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
+                      incumbent: list, cap, node_budget: int):
     """Exhaustive search from the incumbent.  Returns (best reps,
     nodes visited, whether the node budget ran out)."""
     total_t = len(index)
     per_block = v * comb(k, t)
     full = (1 << total_t) - 1
-    options_of = _candidates(u, v, t, orbits, index)
+    options_of = _candidates(v, t, orbits, index)
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
     path: list = []  # reps of the blocks chosen on the way to the current node
     # one frame per node with options left: [depth, used, n_used,
-    # rows_used, target bit, options, next option position], where
-    # used = covered | forbidden and n_used counts its bits.  The
-    # leave branch is the node's last child, so it replaces the frame.
+    # target bit, options, next option position], where used =
+    # covered | forbidden and n_used counts its bits.  The leave
+    # branch is the node's last child, so it replaces the frame.
     stack: list = []
-    call = (0, 0, 0, 0)
+    call = (0, 0, 0)
     while call is not None or stack:
         if call is None:
             frame = stack[-1]
-            depth, used, n_used, rows_used, target, options, pos = frame
+            depth, used, n_used, target, options, pos = frame
             while pos < len(options):
-                mask, rows, rep = options[pos]
+                mask, rep = options[pos]
                 pos += 1
                 if mask & used:
                     continue
-                grown = rows_used
-                if row_filter:
-                    # new rows must be the lowest unused ones, so
-                    # rows_used always stays a prefix 0..m-1
-                    grown |= rows
-                    if grown & (grown + 1):
-                        continue
-                frame[6] = pos
+                frame[5] = pos
                 del path[depth:]
                 path.append(rep)
-                call = (depth + 1, used | mask, n_used + per_block, grown)
+                call = (depth + 1, used | mask, n_used + per_block)
                 break
             else:
                 stack.pop()
                 forbidden = n_used - depth * per_block
                 if forbidden + 1 <= total_t - (best + 1) * per_block:
                     del path[depth:]
-                    call = (depth, used | target, n_used + 1, rows_used)
+                    call = (depth, used | target, n_used + 1)
             continue
 
-        depth, used, n_used, rows_used = call
+        depth, used, n_used = call
         call = None
         nodes += 1
         if nodes > node_budget:
@@ -197,14 +179,12 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, index: dict,
             break
         elif depth + (total_t - n_used) // per_block > best:
             target = free & -free
-            stack.append([depth, used, n_used, rows_used, target,
-                          options_of[target.bit_length() - 1], 0])
+            stack.append([depth, used, n_used, target, options_of[target.bit_length() - 1], 0])
     return best_blocks, nodes, False
 
 
 def max_packing(u: int, v: int, k: int, t: int,
                 node_budget: int = 100_000_000,
-                row_filter: bool = False,
                 heuristic_iterations: int = 30_000) -> SearchResult:
     if u < 1 or v < 1:
         raise ValueError("grid dimensions must be positive")
@@ -228,10 +208,9 @@ def max_packing(u: int, v: int, k: int, t: int,
     reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
     if not incumbent or cap is None or len(incumbent) < cap:
         reps, nodes, exhausted = _branch_and_bound(
-            u, v, k, t, orbits, index, incumbent, cap, node_budget, row_filter)
+            v, k, t, orbits, index, incumbent, cap, node_budget)
 
-    witness = make_packing(u, v, k, t,
-                           [tuple(Point(p // v, p % v) for p in b) for b in reps])
+    witness = make_packing(u, v, k, t, [_grid_block(b, v) for b in reps])
     report = verify_packing(witness)
     if not report.valid:
         raise ValueError("search witness covers t-subset %r %d times" % report.violation)

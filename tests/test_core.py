@@ -73,6 +73,14 @@ def test_packing_rejects_wrong_block_size():
                       base_blocks=(as_block([(0, 0), (0, 1), (1, 0)]),))
 
 
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_packing_rejects_repeated_point(v):
+    # codes (0, 0) would pass the canonical check, and verify_packing
+    # would count the "pair" they form
+    with pytest.raises(ValueError, match="duplicate point in block"):
+        CyclicPacking(u=1, v=v, k=2, t=2, base_blocks=((Point(0, 0), Point(0, 0)),))
+
+
 def test_packing_rejects_out_of_range():
     with pytest.raises(ValueError):
         make_packing(2, 3, 4, 3, [as_block([(0, 0), (0, 1), (1, 0), (2, 0)])])

@@ -46,13 +46,6 @@ def test_budget_exhaustion_is_reported():
     assert result.max_blocks <= jstar(3, 4)[0]
 
 
-def test_row_filter_agrees():
-    for u, v in [(2, 4), (3, 3)]:
-        plain = max_packing(u, v, 4, 3, heuristic_iterations=0)
-        filtered = max_packing(u, v, 4, 3, heuristic_iterations=0, row_filter=True)
-        assert plain.max_blocks == filtered.max_blocks
-
-
 def test_pair_packing_path():
     # k=4 blocks over v=3 cover more pairs than the grid holds
     result = max_packing(2, 3, 4, 2)
@@ -90,7 +83,8 @@ def test_heuristic_witnesses_pinned(u, v, digest):
 
 @pytest.mark.parametrize("u, v, nodes, digest", [
     (4, 3, 47_493, "41210ef277b459e1"), (9, 1, 152_875, "54493c71be697e66"),
-    (2, 7, 2_343, "4534c107055ba340"),
+    (2, 7, 2_343, "4534c107055ba340"), (2, 4, 12, "096db74a5019c7bf"),
+    (3, 3, 19, "096affacdee76913"),
 ])
 def test_tree_witnesses_pinned(u, v, nodes, digest):
     result = max_packing(u, v, 4, 3, heuristic_iterations=0)

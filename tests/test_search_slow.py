@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from ooc2d.bounds import jstar
 from ooc2d.packing import verify_packing
 from ooc2d.search import max_packing
 
@@ -24,11 +23,3 @@ def test_exhaustive_sweep_without_heuristic():
         assert not result.budget_exhausted, (u, v)
         report = verify_packing(result.witness)
         assert report.valid and report.strictly_cyclic, (u, v)
-
-
-def test_row_filter_agreement_without_heuristic():
-    for u, v in [(2, 6), (4, 3)]:
-        plain = max_packing(u, v, 4, 3, heuristic_iterations=0)
-        filtered = max_packing(u, v, 4, 3, heuristic_iterations=0,
-                               row_filter=True)
-        assert plain.max_blocks == filtered.max_blocks == jstar(u, v)[0]
