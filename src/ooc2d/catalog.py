@@ -3,8 +3,9 @@
 catalog.json stores each entry as a design document in its original
 integer labels plus a declared relabeling rule.  The loader applies the
 rule, decodes the result with files.design_from_dict, the same decoder
-that reads design files, and verifies it in full before handing it
-out, so a transcription error cannot propagate silently.
+that reads design files, and verifies it in full with files.verdict
+before handing it out, so a transcription error cannot propagate
+silently.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .designs import CYCLIC, REGULAR, verify_fan, verify_h_design, verify_rosqs
-from .files import SCHEMA_VERSION, block_count, design_from_dict
-from .packing import verify_packing
+from .designs import CYCLIC, REGULAR, FanDesign
+from .files import SCHEMA_VERSION, block_count, design_from_dict, verdict
 
 
 @dataclass(frozen=True)
@@ -94,27 +94,13 @@ def _build_payload(entry: dict):
     return design_from_dict(doc)
 
 
-def _verify_payload(entry_id: str, kind: str, payload, action: dict) -> None:
-    if kind == "packing":
-        report = verify_packing(payload)
-        if not report.valid:
-            raise ValueError("catalog %s: invalid packing, %r" % (entry_id, report.violation))
-        if action.get("strict") and not report.strictly_cyclic:
-            raise ValueError("catalog %s: packing is not strictly cyclic" % entry_id)
-        return
-    if kind == "fan":
-        if action["form"] != payload.shape:
-            raise ValueError("catalog %s: declared form %s, but the payload uses the %s shape"
-                             % (entry_id, action["form"], payload.shape))
-        report = verify_fan(payload, strict=bool(action.get("strict")))
-    elif kind == "hdesign":
-        report = verify_h_design(payload)
-    elif kind == "rosqs":
-        report = verify_rosqs(payload)
-    else:
-        raise ValueError("unknown catalog kind %r" % (kind,))
-    if not report.ok:
-        raise ValueError("catalog %s: %s" % (entry_id, report.detail))
+def _verify_payload(entry_id: str, payload, action: dict) -> None:
+    if isinstance(payload, FanDesign) and action["form"] != payload.shape:
+        raise ValueError("catalog %s: declared form %s, but the payload uses the %s shape"
+                         % (entry_id, action["form"], payload.shape))
+    detail = verdict(payload, action.get("strict"))
+    if detail is not None:
+        raise ValueError("catalog %s: %s" % (entry_id, detail))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +117,7 @@ def catalog_get(entry_id: str) -> CatalogEntry:
     if count != raw["expected_base_count"]:
         raise ValueError("catalog %s: %d base blocks, expected %d"
                          % (entry_id, count, raw["expected_base_count"]))
-    _verify_payload(entry_id, raw["kind"], payload, raw["action"])
+    _verify_payload(entry_id, payload, raw["action"])
     return CatalogEntry(
         id=entry_id,
         kind=raw["kind"],

@@ -31,11 +31,11 @@ from .constructs import (
     weighting_3,
 )
 from .core import Code, CyclicPacking
-from .correlation import code_to_packing, packing_to_code, verify_ooc
-from .designs import FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_design, verify_rosqs
-from .files import block_count, design_to_dict, load_design, save_design
+from .correlation import code_to_packing, packing_to_code
+from .designs import FanDesign, HDesign, RoSQSDesign
+from .files import block_count, design_to_dict, load_design, save_design, verdict
 from .packing import is_perfect, verify_packing
-from .pipelines import pipeline_names, run_pipeline
+from .pipelines import run_pipeline
 from .search import max_packing
 
 
@@ -71,8 +71,8 @@ def _emit(obj, out, as_json: bool) -> None:
 
 
 def _as_kind(obj, kind, message: str):
-    """obj as a Code or CyclicPacking (kind), converting from the other;
-    anything else is a UsageError(message)."""
+    """obj as an instance of kind, a code and a packing converting into
+    each other; anything else is a UsageError(message)."""
     if kind is Code and isinstance(obj, CyclicPacking):
         obj = packing_to_code(obj)
     elif kind is CyclicPacking and isinstance(obj, Code):
@@ -88,7 +88,10 @@ def _object_summary(obj) -> dict:
 
 
 def cmd_bound(args) -> int:
-    report = bound_report(args.u, args.v, args.k, args.lam)
+    try:
+        report = bound_report(args.u, args.v, args.k, args.lam)
+    except ValueError as exc:  # bad parameters: nothing was verified
+        raise UsageError(str(exc)) from None
     if args.json:
         print(json.dumps(report.__dict__, sort_keys=True))
         return 0
@@ -100,59 +103,40 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# the kind each check needs, and how a refusal names it
+_CHECK_KINDS = {"ooc": (Code, "a code or packing"),
+                "packing": (CyclicPacking, "a packing or code"),
+                "perfect": (CyclicPacking, "a packing or code"),
+                "fan": (FanDesign, "a fan design"), "hdesign": (HDesign, "an H design"),
+                "rosqs": (RoSQSDesign, "a rotational system")}
+
+
 def _run_check(obj, check: str, strict: bool):
-    """Returns (ok, detail) or raises UsageError on a kind mismatch."""
-    if check == "ooc":
-        report = verify_ooc(_as_kind(obj, Code, "check ooc needs a code or packing"))
-        return report.ok, None if report.ok else "correlation %d at %r" % (
-            report.worst_value, report.witness)
-    if check in ("packing", "perfect"):
-        obj = _as_kind(obj, CyclicPacking, "check %s needs a packing or code" % check)
-        report = verify_packing(obj)
-        if not report.valid:
-            return False, "covered twice: %r" % (report.violation,)
-        if strict and not report.strictly_cyclic:
-            return False, "not strictly cyclic"
-        if check == "perfect":
-            if not report.strictly_cyclic:
-                return False, "not strictly cyclic"
-            if not is_perfect(obj):
-                return False, "leave is nonempty (%d t-subsets)" % report.leave_size
-        return True, None
-    if check == "fan":
-        if not isinstance(obj, FanDesign):
-            raise UsageError("check fan needs a fan design")
-        report = verify_fan(obj, strict=strict)
-        return report.ok, report.detail
-    if check == "hdesign":
-        if not isinstance(obj, HDesign):
-            raise UsageError("check hdesign needs an H design")
-        report = verify_h_design(obj)
-        return report.ok, report.detail
-    if check == "rosqs":
-        if not isinstance(obj, RoSQSDesign):
-            raise UsageError("check rosqs needs a rotational system")
-        report = verify_rosqs(obj)
-        return report.ok, report.detail
-    raise UsageError("unknown check %r" % check)
+    """None when obj passes, else the failure detail; a kind mismatch
+    raises UsageError."""
+    kind, needs = _CHECK_KINDS[check]
+    obj = _as_kind(obj, kind, "check %s needs %s" % (check, needs))
+    detail = verdict(obj, strict or check == "perfect")
+    if detail is None and check == "perfect" and not is_perfect(obj):
+        detail = "leave is nonempty (%d t-subsets)" % verify_packing(obj).leave_size
+    return detail
 
 
 def cmd_verify(args) -> int:
-    obj = _load_source(args.target)
-    ok, detail = _run_check(obj, args.check, args.strict)
+    detail = _run_check(_load_source(args.target), args.check, args.strict)
     if args.json:
         print(json.dumps({"target": args.target, "check": args.check,
-                          "ok": ok, "detail": detail}, sort_keys=True))
-    elif ok:
+                          "ok": detail is None, "detail": detail}, sort_keys=True))
+    elif detail is None:
         print("ok: %s passes %s" % (args.target, args.check))
     else:
         print("FAIL: %s fails %s: %s" % (args.target, args.check, detail))
-    return 0 if ok else 1
+    return 0 if detail is None else 1
 
 
 def _parse_sized(token: str, label: str, kind):
     size, eq, src = token.partition("=")
-    if not eq or not size.isdigit():
+    if not eq or not size.isdecimal():
         raise UsageError("%s wants SIZE=SOURCE, got %r" % (label, token))
     return int(size), _load_source(src, kind)
 
@@ -200,7 +184,7 @@ def _dispatch_recipe(recipe: str, rest: list):
         ingredients = dict(_parse_sized(tok, "ingredient", HDesign) for tok in rest[1:])
         return weighting_3(_load_source(rest[0], HDesign), ingredients)
     if recipe == "fold":
-        if len(rest) != 2 or not rest[1].isdigit():
+        if len(rest) != 2 or not rest[1].isdecimal():
             raise UsageError("construct fold SOURCE V1")
         code = _as_kind(_load_source(rest[0]), Code, "fold needs a code or packing")
         return fold(code, int(rest[1]), input_label=rest[0])
@@ -214,7 +198,7 @@ def _dispatch_recipe(recipe: str, rest: list):
             return as_semicyclic(_load_source(source, HDesign))
         if mode.startswith("h1cyclic:"):
             h1 = mode[len("h1cyclic:"):]
-            if not h1.isdigit():
+            if not h1.isdecimal():
                 raise UsageError("remap h1cyclic:<h1> SOURCE")
             return regular_to_h1cyclic(_load_source(source, FanDesign), int(h1))
         if mode == "pairs":
@@ -223,14 +207,13 @@ def _dispatch_recipe(recipe: str, rest: list):
             return perfect_to_regular_1fg(_load_source(source, CyclicPacking))
         raise UsageError("unknown remap mode %r" % mode)
     if recipe == "pairfan":
-        if len(rest) != 1 or not rest[0].isdigit():
+        if len(rest) != 1 or not rest[0].isdecimal():
             raise UsageError("construct pairfan N")
         if int(rest[0]) < 2:
             raise UsageError("pairfan needs N >= 2, got %s" % rest[0])
         fan = complete_pair_fan(int(rest[0]))
-        trace = ConstructionTrace(inputs=(), output=fan,
-                                  steps=(("pair and quadruple blocks", block_count(fan)),))
-        return fan, trace
+        return fan, ConstructionTrace(inputs=(),
+                                      steps=(("pair and quadruple blocks", block_count(fan)),))
     if recipe == "pipeline":
         if len(rest) != 1:
             raise UsageError("construct pipeline NAME")
@@ -297,11 +280,7 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.id:
         raise UsageError("catalog emit needs an id")
-    try:
-        entry = catalog_get(args.id)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0]))
-    _emit(entry.payload, args.out, True)
+    _emit(_load_source("catalog:" + args.id), args.out, True)
     return 0
 
 

@@ -1,10 +1,12 @@
 """Recursive constructions.
 
 Every operation verifies its inputs, builds the output, verifies the
-output, and returns (output, trace).  The trace records labelled block
-count contributions that must sum to the output's base block count.
-_finish counts the output itself (files.block_count) and raises
-AssertionError on a mismatch.
+output, and returns (output, trace).  Each verification asks
+files.verdict, the one verifier of every design kind, so a failure
+reads "<label>: <detail>" with the detail the command line prints.
+The trace records labelled block count contributions that must sum to
+the output's base block count.  _finish counts the output itself
+(files.block_count) and raises AssertionError on a mismatch.
 """
 
 from __future__ import annotations
@@ -14,26 +16,22 @@ from itertools import accumulate, combinations
 
 from .core import (Code, CyclicPacking, Point, _cells_matrix, _image, _orbit, canonicalize,
                    make_packing, shift)
-from .correlation import verify_ooc
-from .designs import (CYCLIC, INF, REGULAR, DesignReport, FanDesign, HDesign,
-                      RoSQSDesign, develop_family, verify_fan, verify_h_design,
-                      verify_rosqs)
-from .files import block_count
-from .packing import is_perfect, verify_packing
+from .designs import CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, develop_family
+from .files import block_count, verdict
+from .packing import is_perfect
 
 
 @dataclass(frozen=True)
 class ConstructionTrace:
     inputs: tuple
     steps: tuple  # ((label, count), ...)
-    output: object
 
 
 def _finish(inputs, steps, output):
     total, count = sum(delta for _, delta in steps), block_count(output)
     if total != count:
         raise AssertionError("trace steps sum to %d, output has %d" % (total, count))
-    return output, ConstructionTrace(tuple(inputs), tuple(steps), output)
+    return output, ConstructionTrace(tuple(inputs), tuple(steps))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -41,16 +39,10 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_report(report: DesignReport, label: str) -> None:
-    if not report.ok:
-        raise ValueError("%s: %s" % (label, report.detail))
-
-
-def _require_packing(p: CyclicPacking, label: str, strict: bool = True) -> None:
-    report = verify_packing(p)
-    _require(report.valid, "%s: packing invalid at %r" % (label, report.violation))
-    if strict:
-        _require(report.strictly_cyclic, "%s: packing not strictly cyclic" % label)
+def _require_valid(obj, label: str, strict: bool = True) -> None:
+    detail = verdict(obj, strict)
+    if detail is not None:
+        raise ValueError("%s: %s" % (label, detail))
 
 
 def _is_prime(n: int) -> bool:
@@ -78,7 +70,7 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
     row 1 spaced by the pair difference.  Finally everything is
     mirrored through (i, x) -> (1 - i, -x).
     """
-    _require_report(verify_rosqs(r), "hartman input")
+    _require_valid(r, "hartman input")
     p = r.n - 1
     _require(_is_prime(p) and p % 6 == 1, "need n - 1 = %d to be a prime 1 mod 6" % p)
 
@@ -103,7 +95,7 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
     a2m = [mirror(b) for b in a2]
 
     out = make_packing(2, p, 4, 3, a1 + a1m + a2 + a2m + a3)
-    _require_packing(out, "hartman output")
+    _require_valid(out, "hartman output")
     _require(is_perfect(out), "hartman output has a nonempty leave")
     steps = (
         ("row 0 quadruples", len(a1)),
@@ -124,12 +116,6 @@ def hartman_part_sizes(r: RoSQSDesign) -> tuple:
     return (2 * len(r.b2()), 2 * len(r.b1()), n_pairs * (p - 1) // 2)
 
 
-def _master_cyclic_0fg(master: FanDesign, label: str) -> None:
-    _require(master.shape == CYCLIC, "%s must use the cyclic shape" % label)
-    _require(master.s == 0, "%s must have no layers" % label)
-    _require_report(verify_fan(master, strict=True), label)
-
-
 def filling_1(master: FanDesign, fillers: dict, input_labels=None):
     """Fill each group of a strictly h-cyclic 0-layer fan design with a
     strictly h-cyclic packing on fibre x h, giving a packing on the
@@ -138,37 +124,31 @@ def filling_1(master: FanDesign, fillers: dict, input_labels=None):
     fillers maps fibre size to the packing used for every group of
     that size.  A missing filler is only allowed when the group is too
     small to hold any block."""
-    _master_cyclic_0fg(master, "filling_1 master")
+    _require(master.shape == CYCLIC, "filling_1 master must use the cyclic shape")
+    _require(master.s == 0, "filling_1 master must have no layers")
+    _require_valid(master, "filling_1 master")
     k = 4
     for g, filler in fillers.items():
         _require((filler.u, filler.v) == (g, master.h),
                  "filler for fibre %d must live on %dx%d, got %dx%d"
                  % (g, g, master.h, filler.u, filler.v))
         _require((filler.k, filler.t) == (k, 3), "filler must have k=4, t=3")
-        _require_packing(filler, "filling_1 filler for fibre %d" % g)
+        _require_valid(filler, "filling_1 filler for fibre %d" % g)
     for g in set(master.g_list):
         if g not in fillers:
             _require(g * master.h < k,
                      "no filler for fibre size %d and the group can hold blocks" % g)
 
-    blocks = []
     offsets = list(accumulate(master.g_list, initial=0))
-    for b in master.terminal:
-        blocks.append(tuple(sorted(Point(offsets[x] + y, j) for x, y, j in b)))
-    master_count = len(blocks)
-    fill_count = 0
-    for x, g in enumerate(master.g_list):
-        filler = fillers.get(g)
-        if filler is None:
-            continue
-        for fb in filler.base_blocks:
-            blocks.append(tuple(sorted(Point(offsets[x] + q.row, q.col) for q in fb)))
-            fill_count += 1
+    blocks = [tuple(sorted(Point(offsets[x] + y, j) for x, y, j in b)) for b in master.terminal]
+    filled = [tuple(sorted(Point(offsets[x] + q.row, q.col) for q in fb))
+              for x, g in enumerate(master.g_list) if g in fillers
+              for fb in fillers[g].base_blocks]
 
-    out = make_packing(sum(master.g_list), master.h, k, 3, blocks)
-    _require_packing(out, "filling_1 output")
+    out = make_packing(sum(master.g_list), master.h, k, 3, blocks + filled)
+    _require_valid(out, "filling_1 output")
     labels = input_labels or ["master fan"] + ["filler fibre %d" % g for g in sorted(fillers)]
-    steps = (("master blocks", master_count), ("filler blocks", fill_count))
+    steps = (("master blocks", len(blocks)), ("filler blocks", len(filled)))
     return _finish(labels, steps, out)
 
 
@@ -180,27 +160,28 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     _require(master.shape == REGULAR, "filling_2 master must use the regular shape")
     _require(master.s == 0, "filling_2 master must have no layers")
     _require(master.u * master.h >= 4, "group size %d is too small" % (master.u * master.h))
-    _require_report(verify_fan(master, strict=True), "filling_2 master")
+    _require_valid(master, "filling_2 master")
     _require((filler.u, filler.v) == (master.u, master.h),
              "filler must live on %dx%d, got %dx%d"
              % (master.u, master.h, filler.u, filler.v))
     _require((filler.k, filler.t) == (4, 3), "filler must have k=4, t=3")
-    _require_packing(filler, "filling_2 filler")
+    _require_valid(filler, "filling_2 filler")
 
     step = master.v // master.h
     blocks = list(master.terminal)
     for fb in filler.base_blocks:
         blocks.append(tuple(sorted(Point(q.row, q.col * step) for q in fb)))
     out = make_packing(master.u, master.v, 4, 3, blocks)
-    _require_packing(out, "filling_2 output")
+    _require_valid(out, "filling_2 output")
     labels = input_labels or ["master fan", "filler"]
     steps = (("master blocks", len(master.terminal)),
              ("dilated filler blocks", filler.num_base_blocks))
     return _finish(labels, steps, out)
 
 
-def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
-    """Common validation; returns (g2, h2, s2) shared by the ingredients."""
+def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict, t: int):
+    """Common validation, H ingredients of strength t; returns (g2, h2,
+    s2) shared by the ingredients."""
     layer_sizes, terminal_sizes = sizes
     shape = None
     for size in sorted(layer_sizes):
@@ -209,7 +190,7 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
         _require(fan.shape == CYCLIC, "ingredient fans must use the cyclic shape")
         _require(len(fan.g_list) == size and len(set(fan.g_list)) == 1,
                  "ingredient fan for size %d must have %d equal groups" % (size, size))
-        _require_report(verify_fan(fan, strict=True), "ingredient fan for size %d" % size)
+        _require_valid(fan, "ingredient fan for size %d" % size)
         sig = (fan.g_list[0], fan.h, fan.s)
         _require(shape is None or sig == shape,
                  "ingredient fans disagree on (g2, h2, s): %r vs %r" % (sig, shape))
@@ -217,13 +198,12 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict):
     for size in sorted(terminal_sizes):
         _require(size in terminal_h, "no ingredient H design for size %d" % size)
         hd = terminal_h[size]
-        _require(hd.n == size and hd.t == 3, "H ingredient for size %d has n=%d" % (size, hd.n))
-        _require_report(verify_h_design(hd), "H ingredient for size %d" % size)
-        sig = (hd.l, hd.h)
-        _require(shape is None or sig == (shape[0], shape[1]),
-                 "H ingredient (g2, h2) %r disagrees with fans %r" % (sig, shape))
-        if shape is None:
-            shape = (hd.l, hd.h, 0)
+        _require(hd.n == size and hd.t == t,
+                 "H ingredient for size %d has n=%d, t=%d" % (size, hd.n, hd.t))
+        _require_valid(hd, "H ingredient for size %d" % size)
+        shape = shape or (hd.l, hd.h, 0)
+        _require((hd.l, hd.h) == shape[:2], "H ingredient (g2, h2) %r disagrees with %r"
+                 % ((hd.l, hd.h), shape[:2]))
     return shape
 
 
@@ -251,42 +231,33 @@ def _weighting(name: str, shape: str, master: FanDesign, layer_fans: dict, termi
         g1, step, n = master.g_list[0], master.h, len(master.g_list)
     else:
         g1, step, n = master.u, master.v, master.v // master.h
-    _require_report(verify_fan(master, strict=True), "%s master" % name)
+    _require_valid(master, "%s master" % name)
     h1 = master.h
 
     layer_sizes = {len(b) for b in master.layers[0]}
     terminal_sizes = {len(b) for b in master.terminal}
     g2, h2, s2 = _check_weighting_ingredients((layer_sizes, terminal_sizes),
-                                              layer_fans, terminal_h)
+                                              layer_fans, terminal_h, 3)
 
     out_layers = [[] for _ in range(s2)]
-    out_terminal = []
-    layer_delta = 0
-    terminal_delta = 0
+    inflated = []  # terminal blocks of the layer ingredients
     for mb in master.layers[0]:
         fan = layer_fans[len(mb)]
-        for idx, fam in enumerate(fan.layers):
-            for ib in fam:
-                out_layers[idx].append(_glue(mb, ib, g1, step))
-                layer_delta += 1
-        for ib in fan.terminal:
-            out_terminal.append(_glue(mb, ib, g1, step))
-            layer_delta += 1
-    for mb in master.terminal:
-        hd = terminal_h[len(mb)]
-        for ib in hd.base_blocks:
-            out_terminal.append(_glue(mb, ib, g1, step))
-            terminal_delta += 1
+        for lay, fam in zip(out_layers, fan.layers):
+            lay += [_glue(mb, ib, g1, step) for ib in fam]
+        inflated += [_glue(mb, ib, g1, step) for ib in fan.terminal]
+    from_h = [_glue(mb, ib, g1, step) for mb in master.terminal
+              for ib in terminal_h[len(mb)].base_blocks]
 
     universe = ({"g_list": (g1 * g2,) * n} if shape == CYCLIC
                 else {"u": g1 * g2, "v": h1 * h2 * n})
     out = FanDesign(s=s2, shape=shape, h=h1 * h2,
                     layers=tuple(tuple(lay) for lay in out_layers),
-                    terminal=tuple(out_terminal), **universe)
-    _require_report(verify_fan(out, strict=True), "%s output" % name)
+                    terminal=tuple(inflated + from_h), **universe)
+    _require_valid(out, "%s output" % name)
     labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
-    steps = (("inflated layer blocks", layer_delta),
-             ("inflated terminal blocks", terminal_delta))
+    steps = (("inflated layer blocks", sum(map(len, out_layers)) + len(inflated)),
+             ("inflated terminal blocks", len(from_h)))
     return _finish(labels, steps, out)
 
 
@@ -307,31 +278,16 @@ def weighting_2(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
 def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
     """Inflate every point of an h1-cyclic H design by g2 x h2 points,
     replacing each block by an h2-cyclic H design on its point set."""
-    _require_report(verify_h_design(master), "weighting_3 master")
+    _require_valid(master, "weighting_3 master")
     g1, h1 = master.l, master.h
-    sizes = {len(b) for b in master.base_blocks}
-    shape = None
-    for size in sorted(sizes):
-        _require(size in ingredients, "no ingredient for blocks of size %d" % size)
-        hd = ingredients[size]
-        _require(hd.n == size and hd.t == master.t,
-                 "ingredient for size %d has n=%d, t=%d" % (size, hd.n, hd.t))
-        _require_report(verify_h_design(hd), "ingredient for size %d" % size)
-        sig = (hd.l, hd.h)
-        _require(shape is None or sig == shape,
-                 "ingredients disagree on (g2, h2): %r vs %r" % (sig, shape))
-        shape = sig
-    g2, h2 = shape
-
-    blocks = []
-    for mb in master.base_blocks:
-        hd = ingredients[len(mb)]
-        for ib in hd.base_blocks:
-            blocks.append(_glue(mb, ib, g1, h1))
+    g2, h2, _ = _check_weighting_ingredients(((), {len(b) for b in master.base_blocks}),
+                                             {}, ingredients, master.t)
+    blocks = [_glue(mb, ib, g1, h1) for mb in master.base_blocks
+              for ib in ingredients[len(mb)].base_blocks]
 
     out = HDesign(n=master.n, l=g1 * g2, h=h1 * h2, t=master.t,
                   base_blocks=tuple(blocks))
-    _require_report(verify_h_design(out), "weighting_3 output")
+    _require_valid(out, "weighting_3 output")
     labels = input_labels or ["master H design", "ingredients"]
     steps = (("inflated blocks", len(blocks)),)
     return _finish(labels, steps, out)
@@ -360,7 +316,7 @@ def as_semicyclic(d: HDesign):
     remapped = [tuple(sorted((x, 0, y) for x, y, _ in b)) for b in d.base_blocks]
     reps = _orbit_representatives(remapped, 1, d.l, "")
     out = HDesign(n=d.n, l=1, h=d.l, t=d.t, base_blocks=reps)
-    _require_report(verify_h_design(out), "as_semicyclic output")
+    _require_valid(out, "as_semicyclic output")
     steps = (("orbit representatives", len(reps)),)
     return _finish(["plain H design"], steps, out)
 
@@ -370,8 +326,7 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     copies read on the (u * v1) x (v / v1) grid, sending (i, x) to
     (i + u * (x mod v1), x div v1)."""
     _require(v1 >= 1 and code.v % v1 == 0, "v1 must divide v")
-    report = verify_ooc(code)
-    _require(report.ok, "fold input fails correlation at %r" % (report.witness,))
+    _require_valid(code, "fold input")
     u, v = code.u, code.v
     u2, v2 = u * v1, v // v1
 
@@ -382,8 +337,7 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     mats = [_cells_matrix(map(remap, _image(m.cells, d, v)), u2, v2)
             for m in code.codewords for d in range(v1)]
     out = Code(u=u2, v=v2, k=code.k, lam=code.lam, codewords=tuple(mats))
-    report = verify_ooc(out)
-    _require(report.ok, "fold output fails correlation at %r" % (report.witness,))
+    _require_valid(out, "fold output")
     steps = (("translated copies", len(mats)),)
     return _finish([input_label], steps, out)
 
@@ -394,7 +348,7 @@ def semicyclic_to_vcyclic(d: FanDesign):
     _require(d.shape == CYCLIC and d.s == 0, "input must be a 0-layer cyclic fan")
     _require(tuple(d.g_list) == (1, 1), "input must have two fibres of size 1")
     _require(d.h % 2 == 0 and (d.h // 2) % 2 == 1, "period must be 2v with v odd")
-    _require_report(verify_fan(d, strict=False), "semicyclic_to_vcyclic input")
+    _require_valid(d, "semicyclic_to_vcyclic input", strict=False)
     v = d.h // 2
 
     full, _, problem = develop_family(d, d.terminal)
@@ -403,7 +357,7 @@ def semicyclic_to_vcyclic(d: FanDesign):
     reps = _orbit_representatives(remapped, 2, v, " under the new action")
 
     out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))
-    _require_report(verify_fan(out, strict=True), "semicyclic_to_vcyclic output")
+    _require_valid(out, "semicyclic_to_vcyclic output")
     steps = (("orbit representatives", len(reps)),)
     return _finish(["semicyclic fan"], steps, out)
 
@@ -415,7 +369,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     fibre row + u * a, cyclic coordinate b."""
     _require(d.shape == REGULAR, "input must use the regular shape")
     _require(h1 >= 1 and d.h % h1 == 0, "h1 must divide h")
-    _require_report(verify_fan(d, strict=True), "regular_to_h1cyclic input")
+    _require_valid(d, "regular_to_h1cyclic input")
     step = d.v // d.h
     ratio = d.h // h1
 
@@ -433,7 +387,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
             for fam in d.families()]
     out = FanDesign(s=d.s, shape=CYCLIC, h=h1, layers=tuple(fams[:-1]), terminal=fams[-1],
                     g_list=(d.u * ratio,) * step)
-    _require_report(verify_fan(out, strict=True), "regular_to_h1cyclic output")
+    _require_valid(out, "regular_to_h1cyclic output")
     steps = tuple(("family %d representatives" % i, len(fam)) for i, fam in enumerate(fams))
     return _finish(["regular fan"], steps, out)
 
@@ -442,13 +396,13 @@ def add_cross_pairs_layer(d: FanDesign):
     """Turn a 0-layer regular fan design into a 1-layer one by adding
     the orbit representatives of all cross-group point pairs."""
     _require(d.shape == REGULAR and d.s == 0, "input must be a 0-layer regular fan")
-    _require_report(verify_fan(d, strict=True), "add_cross_pairs_layer input")
+    _require_valid(d, "add_cross_pairs_layer input")
     step = d.v // d.h
     layer = tuple(sorted({canonicalize(pq, d.v) for pq in combinations(d.points(), 2)
                           if pq[0].col % step != pq[1].col % step}))
     out = FanDesign(s=1, shape=REGULAR, h=d.h, layers=(layer,),
                     terminal=d.terminal, u=d.u, v=d.v)
-    _require_report(verify_fan(out, strict=True), "add_cross_pairs_layer output")
+    _require_valid(out, "add_cross_pairs_layer output")
     steps = (("existing terminal blocks", len(d.terminal)),
              ("cross pair representatives", len(layer)))
     return _finish(["regular fan"], steps, out)

@@ -24,7 +24,6 @@ covered exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, chain, combinations
 from math import comb, gcd
 
@@ -385,18 +384,14 @@ def verify_rosqs(d: RoSQSDesign) -> DesignReport:
     return DesignReport(True)
 
 
-def _gcd_over(values) -> int:
-    return reduce(gcd, values)
-
-
 def admissible_0fg(g: int, n: int, terminal_sizes=(4,)) -> bool:
     """Divisibility conditions necessary for a 0-layer fan design of
     type g^n whose terminal blocks have sizes in terminal_sizes."""
     if g < 1 or n < 3:
         raise ValueError("need g >= 1 and n >= 3")
-    alpha = _gcd_over([k * (k - 1) * (k - 2) for k in terminal_sizes])
-    beta = _gcd_over([(k - 1) * (k - 2) for k in terminal_sizes])
-    gamma = _gcd_over([k - 2 for k in terminal_sizes])
+    alpha = gcd(*[k * (k - 1) * (k - 2) for k in terminal_sizes])
+    beta = gcd(*[(k - 1) * (k - 2) for k in terminal_sizes])
+    gamma = gcd(*[k - 2 for k in terminal_sizes])
     if g * g * n * (n - 1) * (g * n + g - 3) % alpha:
         return False
     if g * (n - 1) * (g * n + g - 3) % beta:

@@ -1,11 +1,13 @@
-"""JSON design files.
+"""JSON design files, and the one verdict on every design kind.
 
 One self-describing format for every object kind so constructions can
-be chained through the command line.  Coordinates are plain lists of
-JSON integers, [row, col] on grids and [x, y, j] for the cyclic
-shapes; the fixed point of a rotational system is written -1.  The
-decoder checks types rather than coercing them, so 1.9, "0" or true is
-an error naming its field.
+be chained through the command line.  One reader, one writer, one
+block count and one verdict serve every kind, and the command line, the
+catalog and the constructions all go through them.  Coordinates are
+plain lists of JSON integers, [row, col] on grids and [x, y, j] for the
+cyclic shapes; the fixed point of a rotational system is written -1.
+The decoder checks types rather than coercing them, so 1.9, "0" or true
+is an error naming its field.
 """
 
 from __future__ import annotations
@@ -14,57 +16,38 @@ import json
 from itertools import chain, compress
 
 from .core import Code, CodewordMatrix, CyclicPacking, Point, _cells_matrix, make_packing
-from .designs import CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign
+from .correlation import verify_ooc
+from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_fan,
+                      verify_h_design, verify_rosqs)
+from .packing import verify_packing
 
 SCHEMA_VERSION = 1
 
 
 def design_to_dict(obj) -> dict:
+    points = lambda bs: [[list(p) for p in b] for b in bs]  # a Point lists as [row, col]
     if isinstance(obj, CyclicPacking):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "packing",
-            "parameters": {"u": obj.u, "v": obj.v, "k": obj.k, "t": obj.t},
-            "base_blocks": [[[q.row, q.col] for q in b] for b in obj.base_blocks],
-        }
-    if isinstance(obj, FanDesign):
-        if obj.shape == CYCLIC:
-            params = {"s": obj.s, "shape": obj.shape, "h": obj.h,
-                      "g_list": list(obj.g_list), "developed": obj.developed}
-            enc = lambda b: [list(p) for p in b]
-        else:
-            params = {"s": obj.s, "shape": obj.shape, "h": obj.h,
-                      "u": obj.u, "v": obj.v, "developed": obj.developed}
-            enc = lambda b: [[q.row, q.col] for q in b]
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fan",
-            "parameters": params,
-            "layers": [[enc(b) for b in lay] for lay in obj.layers],
-            "base_blocks": [enc(b) for b in obj.terminal],
-        }
-    if isinstance(obj, HDesign):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hdesign",
-            "parameters": {"n": obj.n, "l": obj.l, "h": obj.h, "t": obj.t},
-            "base_blocks": [[list(p) for p in b] for b in obj.base_blocks],
-        }
-    if isinstance(obj, RoSQSDesign):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "rosqs",
-            "parameters": {"n": obj.n},
-            "base_blocks": [list(b) for b in obj.base_blocks],
-        }
-    if isinstance(obj, Code):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "code",
-            "parameters": {"u": obj.u, "v": obj.v, "k": obj.k, "lambda": obj.lam},
-            "codewords": [[list(row) for row in m.bits] for m in obj.codewords],
-        }
-    raise ValueError("cannot serialize %r" % (type(obj).__name__,))
+        kind, params = "packing", {"u": obj.u, "v": obj.v, "k": obj.k, "t": obj.t}
+        body = {"base_blocks": points(obj.base_blocks)}
+    elif isinstance(obj, FanDesign):
+        universe = ({"g_list": list(obj.g_list)} if obj.shape == CYCLIC
+                    else {"u": obj.u, "v": obj.v})
+        kind, params = "fan", {"s": obj.s, "shape": obj.shape, "h": obj.h, **universe,
+                               "developed": obj.developed}
+        body = {"layers": [points(lay) for lay in obj.layers],
+                "base_blocks": points(obj.terminal)}
+    elif isinstance(obj, HDesign):
+        kind, params = "hdesign", {"n": obj.n, "l": obj.l, "h": obj.h, "t": obj.t}
+        body = {"base_blocks": points(obj.base_blocks)}
+    elif isinstance(obj, RoSQSDesign):
+        kind, params = "rosqs", {"n": obj.n}
+        body = {"base_blocks": [list(b) for b in obj.base_blocks]}
+    elif isinstance(obj, Code):
+        kind, params = "code", {"u": obj.u, "v": obj.v, "k": obj.k, "lambda": obj.lam}
+        body = {"codewords": [[list(row) for row in m.bits] for m in obj.codewords]}
+    else:
+        raise ValueError("cannot serialize %r" % (type(obj).__name__,))
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "parameters": params, **body}
 
 
 def block_count(obj) -> int:
@@ -75,6 +58,29 @@ def block_count(obj) -> int:
     if isinstance(obj, Code):
         return obj.size
     return len(obj.base_blocks)
+
+
+def verdict(obj, strict: bool = False) -> str | None:
+    """None when obj passes the verifier of its kind, else what fails.
+    strict also demands full orbits of a packing's or a fan's blocks."""
+    if isinstance(obj, CyclicPacking):
+        report = verify_packing(obj)
+        if not report.valid:
+            return "covered twice: %r" % (report.violation,)
+        return "not strictly cyclic" if strict and not report.strictly_cyclic else None
+    if isinstance(obj, Code):
+        report = verify_ooc(obj)
+        return None if report.ok else "correlation %d at %r" % (report.worst_value,
+                                                                 report.witness)
+    if isinstance(obj, FanDesign):
+        report = verify_fan(obj, strict)
+    elif isinstance(obj, HDesign):
+        report = verify_h_design(obj)
+    elif isinstance(obj, RoSQSDesign):
+        report = verify_rosqs(obj)
+    else:
+        raise ValueError("cannot verify %r" % (type(obj).__name__,))
+    return None if report.ok else report.detail
 
 
 def _field(value, name: str, decode):

@@ -258,3 +258,20 @@ def test_verify_deeply_nested_file_is_usage_error(tmp_path, capsys):
 def test_pairfan_below_two_is_usage_error(n, capsys):
     assert main(["construct", "pairfan", n]) == 2
     assert capsys.readouterr().err.startswith("error: pairfan needs N >= 2")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "pairfan", "\u00b2"], "error: construct pairfan N"),
+    (["construct", "fold", "catalog:small-(2,3)", "\u00b3"], "error: construct fold SOURCE V1"),
+    (["construct", "remap", "h1cyclic:\u00b2", "catalog:fg-(2,2)reg-4^2"],
+     "error: remap h1cyclic:<h1> SOURCE"),
+    (["construct", "filling1", "catalog:fg-6^2-s3c", "\u00b2=catalog:small-(2,3)"],
+     "error: filler wants SIZE=SOURCE"),
+    (["bound", "0", "3", "4", "2"], "error: grid dimensions must be positive"),
+], ids=["pairfan superscript", "fold superscript", "h1cyclic superscript",
+        "size superscript", "bound zero rows"])
+def test_malformed_argument_is_usage_error(argv, message, capsys):
+    """a superscript digit is not a number and a zero grid is bad usage:
+    exit 2 with the usage text, never a failed verification"""
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)

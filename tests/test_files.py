@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ooc2d import catalog
 from ooc2d.catalog import catalog_get
-from ooc2d.constructs import fold, hartman
-from ooc2d.core import Code, CodewordMatrix
-from ooc2d.correlation import packing_to_code
-from ooc2d.designs import verify_fan, verify_h_cyclic
+from ooc2d.cli import main
+from ooc2d.constructs import filling_2, fold, hartman
+from ooc2d.core import Code, CodewordMatrix, CyclicPacking, make_packing
+from ooc2d.correlation import packing_to_code, verify_ooc
+from ooc2d.designs import (FanDesign, HDesign, verify_fan, verify_h_cyclic, verify_h_design,
+                           verify_rosqs)
 from ooc2d.files import (SCHEMA_VERSION, design_from_dict, design_to_dict,
-                         load_design, save_design)
+                         load_design, save_design, verdict)
+from ooc2d.packing import verify_packing
 from ooc2d.pipelines import run_pipeline
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "semicyclic-6x2.json")
@@ -198,3 +203,96 @@ def test_bad_codeword_message_is_unchanged(path, change, message):
     with pytest.raises(ValueError) as info:
         design_from_dict(doc)
     assert str(info.value) == message
+
+
+# a 2 x 3 packing whose two base blocks both cover the triple (0,0), (0,1), (1,0)
+DOUBLE_BLOCKS = [[[0, 0], [0, 1], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 0], [1, 2]]]
+
+
+def _double_covered():
+    return make_packing(2, 3, 4, 3, DOUBLE_BLOCKS)
+
+
+def _missing_block(entry_id: str):
+    obj = catalog_get(entry_id).payload
+    if isinstance(obj, FanDesign):
+        return dataclasses.replace(obj, terminal=obj.terminal[1:])
+    return dataclasses.replace(obj, base_blocks=obj.base_blocks[1:])
+
+
+# name: (object, fails without strict, fails with strict)
+VERDICT_CASES = {
+    "packing": (lambda: catalog_get("small-(2,3)").payload, False, False),
+    "packing with a short orbit":
+        (lambda: make_packing(1, 4, 4, 3, [[[0, 0], [0, 1], [0, 2], [0, 3]]]), False, True),
+    "packing covered twice": (_double_covered, True, True),
+    "code": (lambda: packing_to_code(catalog_get("small-(2,3)").payload), False, False),
+    "code correlated": (lambda: packing_to_code(_double_covered()), True, True),
+    "fan": (lambda: catalog_get("fg-4^2-s2c").payload, False, False),
+    "fan with a short orbit": (lambda: load_design(FIXTURE), False, True),
+    "fan missing a block": (lambda: _missing_block("fg-4^2-s2c"), True, True),
+    "hdesign": (lambda: catalog_get("h-4-2-4-3").payload, False, False),
+    "hdesign missing a block": (lambda: _missing_block("h-4-2-4-3"), True, True),
+    "rosqs": (lambda: catalog_get("rosqs8").payload, False, False),
+    "rosqs missing a block": (lambda: _missing_block("rosqs8"), True, True),
+}
+
+
+def _report_detail(obj, strict: bool):
+    """What the verifier of obj's kind reports, in verdict's wording."""
+    if isinstance(obj, CyclicPacking):
+        report = verify_packing(obj)
+        if not report.valid:
+            return "covered twice: %r" % (report.violation,)
+        return "not strictly cyclic" if strict and not report.strictly_cyclic else None
+    if isinstance(obj, Code):
+        report = verify_ooc(obj)
+        return None if report.ok else "correlation %d at %r" % (report.worst_value,
+                                                                 report.witness)
+    report = (verify_fan(obj, strict) if isinstance(obj, FanDesign) else
+              verify_h_design(obj) if isinstance(obj, HDesign) else verify_rosqs(obj))
+    return None if report.ok else report.detail
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("name", VERDICT_CASES)
+def test_verdict_matches_the_verifier_of_each_kind(name, strict):
+    build, fails, fails_strict = VERDICT_CASES[name]
+    obj = build()
+    detail = verdict(obj, strict)
+    assert (detail is not None) == (fails_strict if strict else fails)
+    assert detail == _report_detail(obj, strict)
+
+
+def test_verdict_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="cannot verify 'tuple'"):
+        verdict(())
+
+
+def test_double_coverage_reads_the_same_everywhere(tmp_path, capsys, monkeypatch):
+    """the command line, a construction and the catalog phrase one
+    failure with verdict's own detail"""
+    detail = verdict(_double_covered())
+    assert detail.startswith("covered twice: ")
+
+    path = tmp_path / "double.json"
+    save_design(_double_covered(), str(path))
+    assert main(["verify", str(path), "--check", "packing"]) == 1
+    assert capsys.readouterr().out == "FAIL: %s fails packing: %s\n" % (path, detail)
+
+    master = catalog_get("fg-(2,3)reg-6^5").payload
+    with pytest.raises(ValueError) as info:
+        filling_2(master, _double_covered())
+    assert str(info.value) == "filling_2 filler: " + detail
+
+    entries = copy.deepcopy(catalog._raw())
+    entries["small-(2,3)"]["source"]["blocks"] = DOUBLE_BLOCKS
+    entries["small-(2,3)"]["expected_base_count"] = 2
+    monkeypatch.setattr(catalog, "_raw", lambda: entries)
+    catalog_get.cache_clear()
+    try:
+        with pytest.raises(ValueError) as info:
+            catalog_get("small-(2,3)")
+        assert str(info.value) == "catalog small-(2,3): " + detail
+    finally:
+        catalog_get.cache_clear()
