@@ -36,7 +36,7 @@ from .designs import FanDesign, HDesign, RoSQSDesign
 from .files import block_count, design_to_dict, load_design, save_design, verdict
 from .packing import is_perfect, verify_packing
 from .pipelines import run_pipeline
-from .search import max_packing
+from .search import check_parameters, max_packing
 
 
 class UsageError(Exception):
@@ -245,6 +245,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    try:
+        check_parameters(args.u, args.v, args.k, args.t, args.budget)
+    except ValueError as exc:  # bad parameters: nothing was searched
+        raise UsageError(str(exc)) from None
     result = max_packing(args.u, args.v, args.k, args.t, node_budget=args.budget)
     if args.json:
         print(json.dumps({"max": result.max_blocks,

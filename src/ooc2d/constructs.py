@@ -187,6 +187,8 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict, t: i
     for size in sorted(layer_sizes):
         _require(size in layer_fans, "no ingredient fan for layer blocks of size %d" % size)
         fan = layer_fans[size]
+        _require(isinstance(fan, FanDesign), "ingredient for layer blocks of size %d is a %s, "
+                 "not a fan design" % (size, type(fan).__name__))
         _require(fan.shape == CYCLIC, "ingredient fans must use the cyclic shape")
         _require(len(fan.g_list) == size and len(set(fan.g_list)) == 1,
                  "ingredient fan for size %d must have %d equal groups" % (size, size))
@@ -198,6 +200,8 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict, t: i
     for size in sorted(terminal_sizes):
         _require(size in terminal_h, "no ingredient H design for size %d" % size)
         hd = terminal_h[size]
+        _require(isinstance(hd, HDesign), "H ingredient for size %d is a %s, not an H design"
+                 % (size, type(hd).__name__))
         _require(hd.n == size and hd.t == t,
                  "H ingredient for size %d has n=%d, t=%d" % (size, hd.n, hd.t))
         _require_valid(hd, "H ingredient for size %d" % size)

@@ -7,20 +7,33 @@ order is lexicographic order.  A candidate orbit is kept as
 v*C(k, t) t-subsets its images cover.  Only strictly cyclic orbits
 whose images repeat no t-subset are candidates.
 
-Two stages.  A seeded ruin-and-recreate heuristic first tries to grow
-a packing to the sharpened counting bound; reaching it is already a
-proof of optimality, no tree search needed.  Otherwise the heuristic's
-best packing becomes the incumbent for an exhaustive branch and bound,
-Knuth's Algorithm X with the leave as optional cover ("Dancing Links",
-arXiv cs/0011047).  It branches on the lowest t-subset bit that is
-neither covered nor written off (free & -free), either covering it
-with one of the orbits that hold it, in the order of the other points
-of the image that holds it, or pushing it permanently into the leave.
-All pruning is against strictly-better-than-incumbent, so a finished
-run proves the incumbent maximal.  The tree is walked with an explicit
-stack, so its depth is not limited by Python's recursion limit.  For
-(k, t) != (4, 3) the Johnson bound only stops the heuristic early; the
-tree search still proves those optima.
+Two stages.  A seeded ruin-and-recreate heuristic (Schrimpf et al.,
+J. Comput. Phys. 159, 2000) first tries to grow a packing to the
+sharpened counting bound; reaching it is already a proof of
+optimality, no tree search needed.  The heuristic refers to an orbit
+by its index in the orbit list and gives each orbit a conflict bitset
+over those indices: bit j is set when orbit j shares a t-subset with
+it, its own bit included.  The orbits still free beside a partial
+packing are all orbits less the OR of its blocks' conflicts, taken in
+ascending index.  Its draws are defined as follows: a draw below n
+repeats rng.getrandbits(n.bit_length()) until the value is below n,
+and a shuffle is Fisher-Yates from the last position down, each swap
+partner such a draw.  These are the draws rng.randrange and
+rng.shuffle make on CPython 3.10 to 3.13, so a seed picks the same
+witness on each of them.
+
+Otherwise the heuristic's best packing becomes the incumbent for an
+exhaustive branch and bound, Knuth's Algorithm X with the leave as
+optional cover ("Dancing Links", arXiv cs/0011047).  It branches on
+the lowest t-subset bit that is neither covered nor written off
+(free & -free), either covering it with one of the orbits that hold
+it, in the order of the other points of the image that holds it, or
+pushing it permanently into the leave.  All pruning is against
+strictly-better-than-incumbent, so a finished run proves the incumbent
+maximal.  The tree is walked with an explicit stack, so its depth is
+not limited by Python's recursion limit.  For (k, t) != (4, 3) the
+Johnson bound only stops the heuristic early; the tree search still
+proves those optima.
 
 Every witness is checked by verify_packing before it is returned, and
 a proof says why it holds: "bound" when the witness meets the
@@ -32,8 +45,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .bounds import johnson_bound, jstar
 from .core import CyclicPacking, _grid_block, _image, _orbit, make_packing
@@ -82,19 +97,57 @@ def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     return orbits
 
 
+def _conflicts(orbits: list) -> list:
+    """Per orbit, the int bitset over orbit indices whose bit j is set
+    when orbit j's mask shares a t-subset with its own; its own bit is
+    set too."""
+    holders: dict = {}  # t-subset bit position -> bitset of the orbits covering it
+    positions = []
+    for i, (_, mask) in enumerate(orbits):
+        # str.find over bin(mask) reads off the set bits faster than
+        # mask & -mask on the wide masks of large grids
+        digits = bin(mask)
+        top = len(digits) - 1
+        mine = []
+        c = digits.find("1", 2)
+        while c > 0:
+            mine.append(top - c)
+            c = digits.find("1", c + 1)
+        bit = 1 << i
+        for p in mine:
+            holders[p] = holders.get(p, 0) | bit
+        positions.append(mine)
+    return [reduce(or_, map(holders.__getitem__, mine), 0) for mine in positions]
+
+
 def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> list:
-    """Grow a packing greedily, then repeatedly drop a few random
-    blocks and regrow, keeping the best.  Stops early at cap."""
+    """Grow a packing greedily, then repeatedly drop 2 to 6 random
+    blocks and regrow, keeping the best.  Stops early at cap.  Blocks
+    are orbit indices and the draws those of the module docstring."""
+    conflicts = _conflicts(orbits)
+    everything = (1 << len(orbits)) - 1
+    getrandbits = rng.getrandbits
 
     def grow(blocks: list) -> list:
-        covered = 0
-        for _, mask in blocks:
-            covered |= mask
-        avail = [o for o in orbits if not o[1] & covered]
-        while avail:
-            pick = avail[rng.randrange(len(avail))]
+        blocked = 0
+        for i in blocks:
+            blocked |= conflicts[i]
+        free = everything ^ blocked
+        while free:
+            avail = []
+            rest = free
+            while rest:
+                low = rest & -rest
+                avail.append(low.bit_length() - 1)
+                rest ^= low
+            n = len(avail)  # pick = avail[rng.randrange(n)]
+            width = n.bit_length()
+            r = getrandbits(width)
+            while r >= n:
+                r = getrandbits(width)
+            pick = avail[r]
             blocks.append(pick)
-            avail = [o for o in avail if not o[1] & pick[1]]
+            free &= ~conflicts[pick]
         return blocks
 
     cur = grow([])
@@ -102,12 +155,21 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
     for _ in range(iterations):
         if cap is not None and len(best) >= cap:
             break
-        keep = max(0, len(cur) - rng.randrange(2, 7))
-        rng.shuffle(cur)
+        r = getrandbits(3)  # 2 + r is rng.randrange(2, 7)
+        while r >= 5:
+            r = getrandbits(3)
+        keep = max(0, len(cur) - 2 - r)
+        for i in range(len(cur) - 1, 0, -1):  # rng.shuffle(cur)
+            n = i + 1
+            width = n.bit_length()
+            j = getrandbits(width)
+            while j >= n:
+                j = getrandbits(width)
+            cur[i], cur[j] = cur[j], cur[i]
         cur = grow(cur[:keep])
         if len(cur) > len(best):
             best = list(cur)
-    return best
+    return [orbits[i] for i in best]
 
 
 def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
@@ -183,9 +245,8 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
     return best_blocks, nodes, False
 
 
-def max_packing(u: int, v: int, k: int, t: int,
-                node_budget: int = 100_000_000,
-                heuristic_iterations: int = 30_000) -> SearchResult:
+def check_parameters(u: int, v: int, k: int, t: int, node_budget: int) -> None:
+    """Raise ValueError unless max_packing can search these parameters."""
     if u < 1 or v < 1:
         raise ValueError("grid dimensions must be positive")
     if not (1 <= t <= k):
@@ -195,6 +256,11 @@ def max_packing(u: int, v: int, k: int, t: int,
     if node_budget < 1:
         raise ValueError("node budget must be positive")
 
+
+def max_packing(u: int, v: int, k: int, t: int,
+                node_budget: int = 100_000_000,
+                heuristic_iterations: int = 30_000) -> SearchResult:
+    check_parameters(u, v, k, t, node_budget)
     index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
     # The heuristic keeps strict improvements only, so stopping it at

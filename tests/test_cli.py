@@ -193,6 +193,17 @@ def test_search_refuses_bad_witness(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_search_bad_parameters_exit_before_any_work(monkeypatch, capsys):
+    """bad parameters exit 2 before orbits are built; a witness that
+    fails its check exits 1 (test_search_refuses_bad_witness)"""
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched with bad parameters")
+
+    monkeypatch.setattr(search, "_build_orbits", refuse)
+    assert main(["search", "0", "3", "4", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["hartman", "catalog:fg-4^2-s2c"],
     ["filling1", "catalog:rosqs8", "2=catalog:small-(2,3)"],
@@ -268,8 +279,13 @@ def test_pairfan_below_two_is_usage_error(n, capsys):
     (["construct", "filling1", "catalog:fg-6^2-s3c", "\u00b2=catalog:small-(2,3)"],
      "error: filler wants SIZE=SOURCE"),
     (["bound", "0", "3", "4", "2"], "error: grid dimensions must be positive"),
+    (["search", "0", "3", "4", "3"], "error: grid dimensions must be positive"),
+    (["search", "2", "3", "4", "9"], "error: need 1 <= t <= k"),
+    (["search", "1", "3", "4", "3"], "error: grid has fewer than k points"),
+    (["search", "2", "3", "4", "3", "--budget", "0"], "error: node budget must be positive"),
 ], ids=["pairfan superscript", "fold superscript", "h1cyclic superscript",
-        "size superscript", "bound zero rows"])
+        "size superscript", "bound zero rows", "search zero rows", "search t above k",
+        "search too few points", "search zero budget"])
 def test_malformed_argument_is_usage_error(argv, message, capsys):
     """a superscript digit is not a number and a zero grid is bad usage:
     exit 2 with the usage text, never a failed verification"""

@@ -101,6 +101,24 @@ def test_weighting_1_unequal_fibres():
         weighting_1(master, {}, {})
 
 
+@pytest.mark.parametrize("op, args, message", [
+    (weighting_1, ("pairfan", {2: "h-4-2-4-3"}, {4: "h-4-2-4-3"}),
+     "ingredient for layer blocks of size 2 is a HDesign, not a fan design"),
+    (weighting_1, ("pairfan", {2: "fg-4^2-s2c"}, {4: "rosqs8"}),
+     "H ingredient for size 4 is a RoSQSDesign, not an H design"),
+    (weighting_3, ("h-4-2-4-3", {4: "rosqs8"}),
+     "H ingredient for size 4 is a RoSQSDesign, not an H design"),
+])
+def test_weighting_wrong_kind_ingredient(op, args, message):
+    """a library caller passing the wrong kind of ingredient gets a
+    ValueError naming the size, not an AttributeError"""
+    master, *slots = args
+    master = complete_pair_fan(4) if master == "pairfan" else _cat(master)
+    slots = [{size: _cat(entry) for size, entry in slot.items()} for slot in slots]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        op(master, *slots)
+
+
 def test_weighting_3_bootstraps():
     seed = _cat("h-4-2-4-3")
     plain, _ = weighting_3(seed, {4: seed})

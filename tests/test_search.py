@@ -2,18 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import time
 from itertools import combinations
 
 import pytest
 
-from ooc2d.bounds import jstar
+from ooc2d.bounds import johnson_bound, jstar
 from ooc2d.constructs import fold
 from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
-from ooc2d.search import _build_orbits, max_packing
+from ooc2d.search import _build_orbits, _ruin_recreate, max_packing
 
 
 def test_small_grids_proved():
@@ -149,3 +150,47 @@ def test_orbit_list_pinned(u, v, count, digest):
     orbits = _build_orbits(u, v, 4, 3, index)
     assert len(orbits) == count
     assert hashlib.sha256(repr(orbits).encode()).hexdigest()[:16] == digest
+
+
+def _reference_ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> list:
+    """The heuristic written with list filters, rng.randrange and
+    rng.shuffle: the bitset version must make exactly these draws."""
+
+    def grow(blocks: list) -> list:
+        covered = 0
+        for _, mask in blocks:
+            covered |= mask
+        avail = [o for o in orbits if not o[1] & covered]
+        while avail:
+            pick = avail[rng.randrange(len(avail))]
+            blocks.append(pick)
+            avail = [o for o in avail if not o[1] & pick[1]]
+        return blocks
+
+    cur = grow([])
+    best = list(cur)
+    for _ in range(iterations):
+        if cap is not None and len(best) >= cap:
+            break
+        keep = max(0, len(cur) - rng.randrange(2, 7))
+        rng.shuffle(cur)
+        cur = grow(cur[:keep])
+        if len(cur) > len(best):
+            best = list(cur)
+    return best
+
+
+@pytest.mark.parametrize("u, v, k, t", [
+    (2, 6, 4, 3), (6, 2, 4, 3), (12, 1, 4, 3), (3, 5, 4, 3), (4, 2, 4, 4), (3, 5, 4, 2),
+])
+def test_ruin_recreate_matches_reference(u, v, k, t):
+    # 300 iterations stop short of the cap everywhere but 2x6 and
+    # (4, 2) on 3x5, which meet it within them
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    cap = jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1)
+    orbits = _build_orbits(u, v, k, t, index)
+    for seed in (1, 2, 3, 20210 + 31 * u + v):
+        ours, reference = random.Random(seed), random.Random(seed)
+        best = _ruin_recreate(orbits, cap, 300, ours)
+        assert best == _reference_ruin_recreate(orbits, cap, 300, reference)
+        assert ours.getstate() == reference.getstate()
