@@ -62,12 +62,16 @@ def block_count(obj) -> int:
 
 def verdict(obj, strict: bool = False) -> str | None:
     """None when obj passes the verifier of its kind, else what fails.
-    strict also demands full orbits of a packing's or a fan's blocks."""
+    strict also demands full orbits of a packing's or a fan's blocks,
+    and names the first block whose orbit is short."""
     if isinstance(obj, CyclicPacking):
         report = verify_packing(obj)
         if not report.valid:
             return "covered twice: %r" % (report.violation,)
-        return "not strictly cyclic" if strict and not report.strictly_cyclic else None
+        if strict and not report.strictly_cyclic:
+            block = next(b for b, n in zip(obj.base_blocks, report.orbit_lengths) if n != obj.v)
+            return "block %r has a short orbit" % (block,)
+        return None
     if isinstance(obj, Code):
         report = verify_ooc(obj)
         return None if report.ok else "correlation %d at %r" % (report.worst_value,

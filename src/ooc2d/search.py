@@ -25,20 +25,28 @@ witness on each of them.
 Otherwise the heuristic's best packing becomes the incumbent for an
 exhaustive branch and bound, Knuth's Algorithm X with the leave as
 optional cover ("Dancing Links", arXiv cs/0011047).  It branches on
-the lowest t-subset bit that is neither covered nor written off
+the lowest t-subset T that is neither covered nor written off
 (free & -free), either covering it with one of the orbits that hold
 it, in the order of the other points of the image that holds it, or
-pushing it permanently into the leave.  All pruning is against
+writing off T's whole shift orbit into the leave.  The leave is
+closed under column shifts: an orbit that covers a shift of T covers
+T itself, so once T is left no shift of T can be covered.  A tree
+that wrote off T alone would meet each shift of T later as a node
+whose only child is its forced leave, and its counting bound would
+see the loss one t-subset at a time.  Writing off the orbit at once
+removes just those nodes and the subtrees the sharper count proves
+cannot beat the incumbent, so both trees meet the same incumbents in
+the same order and return the same witness.  All pruning is against
 strictly-better-than-incumbent, so a finished run proves the incumbent
 maximal.  The tree is walked with an explicit stack, so its depth is
 not limited by Python's recursion limit.  For (k, t) != (4, 3) the
 Johnson bound only stops the heuristic early; the tree search still
 proves those optima.
 
-Every witness is checked by verify_packing before it is returned, and
-a proof says why it holds: "bound" when the witness meets the
-sharpened counting bound (k=4, t=3 only), "exhausted" when the tree
-search finished within its node budget.
+Every witness must pass files.verdict with strict before it is
+returned, and a proof says why it holds: "bound" when the witness
+meets the sharpened counting bound (k=4, t=3 only), "exhausted" when
+the tree search finished within its node budget.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from operator import or_
 
 from .bounds import johnson_bound, jstar
 from .core import CyclicPacking, _grid_block, _image, _orbit, make_packing
-from .packing import verify_packing
+from .files import verdict
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,19 @@ def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 
+def _leave_orbits(v: int, t: int, index: dict) -> list:
+    """Per t-subset index, the (mask, size) of its orbit under column
+    shifts; all members of an orbit share one entry."""
+    table: list = [None] * len(index)
+    for sub, i in index.items():
+        if table[i] is None:
+            bits = {index[_image(sub, d, v)] for d in range(v)}
+            entry = (sum(1 << b for b in bits), len(bits))
+            for b in bits:
+                table[b] = entry
+    return table
+
+
 def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
                       incumbent: list, cap, node_budget: int):
     """Exhaustive search from the incumbent.  Returns (best reps,
@@ -194,20 +215,22 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
     per_block = v * comb(k, t)
     full = (1 << total_t) - 1
     options_of = _candidates(v, t, orbits, index)
+    leave_of = _leave_orbits(v, t, index)
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
     path: list = []  # reps of the blocks chosen on the way to the current node
     # one frame per node with options left: [depth, used, n_used,
-    # target bit, options, next option position], where used =
-    # covered | forbidden and n_used counts its bits.  The leave
-    # branch is the node's last child, so it replaces the frame.
+    # (mask, size) of the target's shift orbit, options, next option
+    # position], where used = covered | forbidden and n_used counts
+    # its bits.  The leave branch is the node's last child, so it
+    # replaces the frame.
     stack: list = []
     call = (0, 0, 0)
     while call is not None or stack:
         if call is None:
             frame = stack[-1]
-            depth, used, n_used, target, options, pos = frame
+            depth, used, n_used, leave, options, pos = frame
             while pos < len(options):
                 mask, rep = options[pos]
                 pos += 1
@@ -220,10 +243,11 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
                 break
             else:
                 stack.pop()
+                orbit, size = leave
                 forbidden = n_used - depth * per_block
-                if forbidden + 1 <= total_t - (best + 1) * per_block:
+                if forbidden + size <= total_t - (best + 1) * per_block:
                     del path[depth:]
-                    call = (depth, used | target, n_used + 1)
+                    call = (depth, used | orbit, n_used + size)
             continue
 
         depth, used, n_used = call
@@ -240,8 +264,8 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
         elif cap is not None and best >= cap:
             break
         elif depth + (total_t - n_used) // per_block > best:
-            target = free & -free
-            stack.append([depth, used, n_used, target, options_of[target.bit_length() - 1], 0])
+            target = (free & -free).bit_length() - 1
+            stack.append([depth, used, n_used, leave_of[target], options_of[target], 0])
     return best_blocks, nodes, False
 
 
@@ -277,12 +301,9 @@ def max_packing(u: int, v: int, k: int, t: int,
             v, k, t, orbits, index, incumbent, cap, node_budget)
 
     witness = make_packing(u, v, k, t, [_grid_block(b, v) for b in reps])
-    report = verify_packing(witness)
-    if not report.valid:
-        raise ValueError("search witness covers t-subset %r %d times" % report.violation)
-    for block, length in zip(witness.base_blocks, report.orbit_lengths):
-        if length != v:
-            raise ValueError("search witness block %r has a short orbit" % (block,))
+    detail = verdict(witness, strict=True)
+    if detail is not None:
+        raise ValueError("search witness: " + detail)
 
     if cap is not None and len(reps) >= cap:
         proof = "bound"

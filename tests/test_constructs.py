@@ -9,8 +9,8 @@ from ooc2d.constructs import (add_cross_pairs_layer, as_semicyclic,
                               complete_pair_fan, filling_1, filling_2, fold,
                               hartman, hartman_part_sizes,
                               perfect_to_regular_1fg, regular_to_h1cyclic,
-                              trivial_packing, weighting_1, weighting_2,
-                              weighting_3)
+                              semicyclic_to_vcyclic, trivial_packing, weighting_1,
+                              weighting_2, weighting_3)
 from ooc2d.core import Point, as_block, canonicalize
 from ooc2d.correlation import packing_to_code, verify_ooc
 from ooc2d.designs import CYCLIC, FanDesign, RoSQSDesign, verify_fan, verify_h_cyclic
@@ -117,6 +117,37 @@ def test_weighting_wrong_kind_ingredient(op, args, message):
     slots = [{size: _cat(entry) for size, entry in slot.items()} for slot in slots]
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         op(master, *slots)
+
+
+@pytest.mark.parametrize("op, args, message", [
+    (hartman, ("fg-4^2-s2c",), "hartman input is a FanDesign, not a rotational system"),
+    (filling_1, ("rosqs8", {}), "filling_1 master is a RoSQSDesign, not a fan design"),
+    (filling_1, ("fg-6^2-s3c", {2: "h-4-2-4-3"}),
+     "filling_1 filler for fibre 2 is a HDesign, not a packing"),
+    (filling_2, ("small-(2,3)", "small-(2,3)"),
+     "filling_2 master is a CyclicPacking, not a fan design"),
+    (filling_2, ("fg-(2,2)reg-4^2", "fg-4^2-s2c"), "filling_2 filler is a FanDesign, not a packing"),
+    (as_semicyclic, ("fg-4^2-s2c",), "as_semicyclic input is a FanDesign, not an H design"),
+    (semicyclic_to_vcyclic, ("h-4-2-4-3",),
+     "semicyclic_to_vcyclic input is a HDesign, not a fan design"),
+    (regular_to_h1cyclic, ("rosqs8", 1), "regular_to_h1cyclic input is a RoSQSDesign, not a fan design"),
+    (add_cross_pairs_layer, ("small-(2,3)",),
+     "add_cross_pairs_layer input is a CyclicPacking, not a fan design"),
+    (perfect_to_regular_1fg, ("fg-(2,2)reg-4^2",),
+     "perfect_to_regular_1fg input is a FanDesign, not a packing"),
+    (fold, ("small-(2,3)", 1), "fold input is a CyclicPacking, not a code"),
+    (weighting_1, ("h-4-2-4-3", {}, {}), "weighting_1 master is a HDesign, not a fan design"),
+    (weighting_2, ("small-(2,3)", {}, {}), "weighting_2 master is a CyclicPacking, not a fan design"),
+    (weighting_3, ("fg-4^2-s2c", {}), "weighting_3 master is a FanDesign, not an H design"),
+])
+def test_construction_wrong_kind_input(op, args, message):
+    """a library caller passing a catalog object of the wrong kind gets
+    a ValueError naming the expected kind, not an AttributeError"""
+    first, *rest = args
+    rest = [{size: _cat(entry) for size, entry in arg.items()} if isinstance(arg, dict)
+            else _cat(arg) if isinstance(arg, str) else arg for arg in rest]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        op(_cat(first), *rest)
 
 
 def test_weighting_3_bootstraps():

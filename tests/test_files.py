@@ -244,7 +244,10 @@ def _report_detail(obj, strict: bool):
         report = verify_packing(obj)
         if not report.valid:
             return "covered twice: %r" % (report.violation,)
-        return "not strictly cyclic" if strict and not report.strictly_cyclic else None
+        if strict and not report.strictly_cyclic:
+            block = next(b for b, n in zip(obj.base_blocks, report.orbit_lengths) if n != obj.v)
+            return "block %r has a short orbit" % (block,)
+        return None
     if isinstance(obj, Code):
         report = verify_ooc(obj)
         return None if report.ok else "correlation %d at %r" % (report.worst_value,
@@ -262,6 +265,14 @@ def test_verdict_matches_the_verifier_of_each_kind(name, strict):
     detail = verdict(obj, strict)
     assert (detail is not None) == (fails_strict if strict else fails)
     assert detail == _report_detail(obj, strict)
+
+
+def test_strict_verdict_names_the_first_short_orbit():
+    # the first base block has a full orbit, the second a short one
+    p = make_packing(2, 4, 4, 3, [[[0, 0], [0, 1], [0, 2], [1, 0]],
+                                  [[1, 0], [1, 1], [1, 2], [1, 3]]])
+    assert verdict(p) is None
+    assert verdict(p, strict=True) == "block %r has a short orbit" % (p.base_blocks[1],)
 
 
 def test_verdict_refuses_an_unknown_kind():

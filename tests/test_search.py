@@ -6,15 +6,18 @@ import random
 import sys
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import ooc2d.search as search
 from ooc2d.bounds import johnson_bound, jstar
 from ooc2d.constructs import fold
 from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
-from ooc2d.search import _build_orbits, _ruin_recreate, max_packing
+from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _ruin_recreate,
+                          max_packing)
 
 
 def test_small_grids_proved():
@@ -83,9 +86,10 @@ def test_heuristic_witnesses_pinned(u, v, digest):
 
 
 @pytest.mark.parametrize("u, v, nodes, digest", [
-    (4, 3, 47_493, "41210ef277b459e1"), (9, 1, 152_875, "54493c71be697e66"),
-    (2, 7, 2_343, "4534c107055ba340"), (2, 4, 12, "096db74a5019c7bf"),
-    (3, 3, 19, "096affacdee76913"),
+    (4, 3, 6_731, "41210ef277b459e1"), (9, 1, 152_875, "54493c71be697e66"),
+    (2, 7, 102, "4534c107055ba340"), (2, 4, 6, "096db74a5019c7bf"),
+    (3, 3, 13, "096affacdee76913"), (3, 4, 35_644, "9b425edfd80e8fb8"),
+    (1, 16, 475, "22555a938b70bcd7"),
 ])
 def test_tree_witnesses_pinned(u, v, nodes, digest):
     result = max_packing(u, v, 4, 3, heuristic_iterations=0)
@@ -103,6 +107,21 @@ def test_proof_reasons():
     result = max_packing(3, 4, 4, 3, node_budget=50, heuristic_iterations=0)
     assert (result.proof, result.upper_bound) == (None, 12)
     assert not result.proved_optimal
+
+
+def test_witness_failures_read_as_verdict(monkeypatch):
+    """a witness that fails its check raises verdict's strict detail"""
+    def overlapping(orbits, cap, iterations, rng):
+        first = orbits[0]
+        return [first, next(o for o in orbits[1:] if o[1] & first[1])]
+
+    monkeypatch.setattr(search, "_ruin_recreate", overlapping)
+    with pytest.raises(ValueError, match=r"^search witness: covered twice: "):
+        max_packing(2, 3, 4, 3)
+    # row 0 of 2x4 is fixed by every column shift
+    monkeypatch.setattr(search, "_branch_and_bound", lambda *args: ([(0, 1, 2, 3)], 1, False))
+    with pytest.raises(ValueError, match=r"^search witness: block .* has a short orbit$"):
+        max_packing(2, 4, 4, 3, heuristic_iterations=0)
 
 
 def _stack_depth() -> int:
@@ -194,3 +213,78 @@ def test_ruin_recreate_matches_reference(u, v, k, t):
         best = _ruin_recreate(orbits, cap, 300, ours)
         assert best == _reference_ruin_recreate(orbits, cap, 300, reference)
         assert ours.getstate() == reference.getstate()
+
+
+def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
+                                incumbent: list, cap, node_budget: int):
+    """The tree whose leave branch writes off the target bit alone:
+    writing off its whole shift orbit must find exactly these reps."""
+    total_t = len(index)
+    per_block = v * comb(k, t)
+    full = (1 << total_t) - 1
+    options_of = _candidates(v, t, orbits, index)
+    best = len(incumbent)
+    best_blocks = [rep for rep, _ in incumbent]
+    nodes = 0
+    path: list = []
+    stack: list = []
+    call = (0, 0, 0)
+    while call is not None or stack:
+        if call is None:
+            frame = stack[-1]
+            depth, used, n_used, target, options, pos = frame
+            while pos < len(options):
+                mask, rep = options[pos]
+                pos += 1
+                if mask & used:
+                    continue
+                frame[5] = pos
+                del path[depth:]
+                path.append(rep)
+                call = (depth + 1, used | mask, n_used + per_block)
+                break
+            else:
+                stack.pop()
+                forbidden = n_used - depth * per_block
+                if forbidden + 1 <= total_t - (best + 1) * per_block:
+                    del path[depth:]
+                    call = (depth, used | target, n_used + 1)
+            continue
+
+        depth, used, n_used = call
+        call = None
+        nodes += 1
+        if nodes > node_budget:
+            return best_blocks, nodes, True
+        free = full ^ used
+        if not free:
+            if depth > best:
+                best, best_blocks = depth, path[:depth]
+                if cap is not None and best >= cap:
+                    break
+        elif cap is not None and best >= cap:
+            break
+        elif depth + (total_t - n_used) // per_block > best:
+            target = free & -free
+            stack.append([depth, used, n_used, target, options_of[target.bit_length() - 1], 0])
+    return best_blocks, nodes, False
+
+
+@pytest.mark.parametrize("u, v, k, t", [
+    (2, 4, 4, 3), (3, 3, 4, 3), (4, 3, 4, 3), (2, 7, 4, 3), (5, 2, 4, 3), (1, 13, 4, 3),
+    (4, 2, 4, 4), (3, 4, 3, 2), (3, 5, 4, 2), (2, 6, 3, 2),
+])
+def test_orbit_leave_matches_reference(u, v, k, t):
+    # the heuristic incumbent is one greedy grow; on the t = 3 grids
+    # but 1x13 it falls short of the optimum, so both trees improve on it
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
+    orbits = _build_orbits(u, v, k, t, index)
+    grown = _ruin_recreate(orbits, cap, 0, random.Random(20210 + 31 * u + v))
+    for incumbent in ([], grown):
+        reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent,
+                                                   cap, 10**7)
+        ref_reps, ref_nodes, _ = _reference_branch_and_bound(v, k, t, orbits, index,
+                                                             incumbent, cap, 10**7)
+        assert reps == ref_reps
+        assert not exhausted and nodes <= ref_nodes

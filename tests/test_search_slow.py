@@ -13,8 +13,9 @@ SWEEP = [(2, 3, 1), (3, 2, 1), (2, 4, 3), (4, 2, 6), (3, 3, 6),
 
 def test_exhaustive_sweep_without_heuristic():
     """the tree search alone, with no heuristic incumbent, still
-    proves every settled value; the two largest grids take about 17 s
-    (6x2, 6.27M nodes) and 4 s (3x4, 1.72M nodes) on a 2-core machine."""
+    proves every settled value; 6x2 takes most of the time, about 4 s
+    and 1.93M nodes on a 2-core machine, and 3x4 (35,644 nodes) is no
+    longer slow: tier-1 pins it in test_search.py."""
     for u, v, best in SWEEP:
         result = max_packing(u, v, 4, 3, heuristic_iterations=0,
                              node_budget=50_000_000)
