@@ -38,15 +38,18 @@ removes just those nodes and the subtrees the sharper count proves
 cannot beat the incumbent, so both trees meet the same incumbents in
 the same order and return the same witness.  All pruning is against
 strictly-better-than-incumbent, so a finished run proves the incumbent
-maximal.  The tree is walked with an explicit stack, so its depth is
-not limited by Python's recursion limit.  For (k, t) != (4, 3) the
-Johnson bound only stops the heuristic early; the tree search still
-proves those optima.
+maximal.  For (k, t) != (4, 3) the Johnson bound only stops the
+heuristic early; the tree search still proves those optima.
 
-Every witness must pass files.verdict with strict before it is
-returned, and a proof says why it holds: "bound" when the witness
-meets the sharpened counting bound (k=4, t=3 only), "exhausted" when
-the tree search finished within its node budget.
+The tree is walked from one stack of pending children, so its depth
+is not limited by Python's recursion limit.  Expanding a node pushes
+its leave child, then each orbit that still fits, last first: children
+pop in branching order, each subtree done before the next sibling
+pops.  A cover child carries its blocks as a parent-linked tuple,
+unwound only when a leaf beats the incumbent.  The leave child pops
+after all its siblings' subtrees, and its bound check runs then, so
+it sees the same incumbent as a walk that decides the leave after
+the last cover; a leave that fails the check is not a node.
 """
 
 from __future__ import annotations
@@ -70,11 +73,8 @@ class SearchResult:
     proved_optimal: bool
     nodes_explored: int
     budget_exhausted: bool
-    # "bound" when max_blocks meets upper_bound, "exhausted" when the
-    # tree search finished, None when optimality is not proved
-    proof: str | None
-    # jstar(u, v) for k=4, t=3; None for other parameters
-    upper_bound: int | None
+    proof: str | None  # "bound", "exhausted" or None, as max_packing says
+    upper_bound: int | None  # jstar(u, v) for k=4, t=3, else None
 
 
 def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
@@ -182,15 +182,15 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
 
 def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
     """Per t-subset index, the (mask, rep) of every orbit covering it,
-    ordered by the other points of the image that holds the t-subset."""
+    ordered by the other points of the image that holds the t-subset:
+    all images in one list hold it, so they sort as those points do."""
     keyed: list = [[] for _ in range(len(index))]
     for rep, mask in orbits:
         entry = (mask, rep)
         for d in range(v):
             img = _image(rep, d, v)
             for sub in combinations(img, t):
-                extra = tuple(p for p in img if p not in sub)
-                keyed[index[sub]].append((extra, entry))
+                keyed[index[sub]].append((img, entry))
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 
@@ -219,53 +219,41 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
-    path: list = []  # reps of the blocks chosen on the way to the current node
-    # one frame per node with options left: [depth, used, n_used,
-    # (mask, size) of the target's shift orbit, options, next option
-    # position], where used = covered | forbidden and n_used counts
-    # its bits.  The leave branch is the node's last child, so it
-    # replaces the frame.
-    stack: list = []
-    call = (0, 0, 0)
-    while call is not None or stack:
-        if call is None:
-            frame = stack[-1]
-            depth, used, n_used, leave, options, pos = frame
-            while pos < len(options):
-                mask, rep = options[pos]
-                pos += 1
-                if mask & used:
-                    continue
-                frame[5] = pos
-                del path[depth:]
-                path.append(rep)
-                call = (depth + 1, used | mask, n_used + per_block)
-                break
-            else:
-                stack.pop()
-                orbit, size = leave
-                forbidden = n_used - depth * per_block
-                if forbidden + size <= total_t - (best + 1) * per_block:
-                    del path[depth:]
-                    call = (depth, used | orbit, n_used + size)
-            continue
-
-        depth, used, n_used = call
-        call = None
+    # pending children (depth, used, n_used, chosen, leave), where used
+    # = covered | forbidden, n_used counts its bits, chosen is the
+    # parent-linked tuple (rep, chosen) of the blocks on the way down
+    # and leave is the (mask, size) a leave child still has to write off
+    stack: list = [(0, 0, 0, None, None)]
+    while stack:
+        depth, used, n_used, chosen, leave = stack.pop()
+        if leave is not None:
+            orbit, size = leave
+            forbidden = n_used - depth * per_block
+            if forbidden + size > total_t - (best + 1) * per_block:
+                continue
+            used |= orbit
+            n_used += size
         nodes += 1
         if nodes > node_budget:
             return best_blocks, nodes, True
         free = full ^ used
         if not free:
             if depth > best:
-                best, best_blocks = depth, path[:depth]
+                best, best_blocks = depth, []
+                while chosen is not None:
+                    rep, chosen = chosen
+                    best_blocks.append(rep)
+                best_blocks.reverse()
                 if cap is not None and best >= cap:
                     break
         elif cap is not None and best >= cap:
             break
         elif depth + (total_t - n_used) // per_block > best:
             target = (free & -free).bit_length() - 1
-            stack.append([depth, used, n_used, leave_of[target], options_of[target], 0])
+            stack.append((depth, used, n_used, chosen, leave_of[target]))
+            for mask, rep in reversed(options_of[target]):
+                if not mask & used:
+                    stack.append((depth + 1, used | mask, n_used + per_block, (rep, chosen), None))
     return best_blocks, nodes, False
 
 
@@ -284,6 +272,16 @@ def check_parameters(u: int, v: int, k: int, t: int, node_budget: int) -> None:
 def max_packing(u: int, v: int, k: int, t: int,
                 node_budget: int = 100_000_000,
                 heuristic_iterations: int = 30_000) -> SearchResult:
+    """The largest strictly cyclic packing of k-subsets of the u x v
+    grid that covers no t-subset twice.
+
+    heuristic_iterations bounds the ruin-and-recreate rounds, seeded
+    from (u, v); 0 starts the tree search from no incumbent.  When
+    node_budget tree nodes run out, the best packing found is returned
+    with budget_exhausted set.  upper_bound is jstar(u, v) for (k, t) =
+    (4, 3), else None; proof is "bound" when the witness meets it,
+    "exhausted" when the tree search finished, else None.  The witness
+    passes files.verdict with strict, or ValueError is raised."""
     check_parameters(u, v, k, t, node_budget)
     index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None

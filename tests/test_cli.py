@@ -62,6 +62,11 @@ def test_construct_hartman_roundtrip(tmp_path, capsys):
     assert main(["verify", str(out), "--check", "perfect"]) == 0
 
 
+def test_verify_perfect_names_the_leave(capsys):
+    assert main(["verify", "catalog:small-(2,3)", "--check", "perfect"]) == 1
+    assert capsys.readouterr().out.endswith("leave is nonempty (8 t-subsets)\n")
+
+
 def test_construct_pipeline_json(capsys):
     assert main(["construct", "pipeline", "2x12", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from ooc2d.constructs import (add_cross_pairs_layer, as_semicyclic,
                               weighting_2, weighting_3)
 from ooc2d.core import Point, as_block, canonicalize
 from ooc2d.correlation import packing_to_code, verify_ooc
-from ooc2d.designs import CYCLIC, FanDesign, RoSQSDesign, verify_fan, verify_h_cyclic
+from ooc2d.designs import CYCLIC, FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_cyclic
 from ooc2d.packing import is_perfect, verify_packing
 
 
@@ -74,6 +75,19 @@ def test_weighting_glue_on_pairs():
     assert len(fan.terminal) == 68
     assert verify_fan(fan).ok
     assert verify_h_cyclic(fan, strict=True).ok
+
+
+def test_weighting_layered_ingredient():
+    """an ingredient fan with a layer glues it onto every master layer
+    block, so the output keeps the master's layer"""
+    quadruple = HDesign(n=4, l=1, h=1, t=3,
+                        base_blocks=(tuple((x, 0, 0) for x in range(4)),))
+    fan, trace = weighting_1(complete_pair_fan(4), {2: complete_pair_fan(2)}, {4: quadruple})
+    pairs = tuple(combinations([(x, 0, 0) for x in range(4)], 2))
+    assert (fan.s, fan.layers) == (1, (pairs,))
+    assert sorted(fan.terminal) == sorted(pairs + quadruple.base_blocks)
+    assert tuple(delta for _, delta in trace.steps) == (12, 1)
+    assert verify_fan(fan, strict=True).ok
 
 
 def _h44_2cyc():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -84,6 +85,17 @@ def test_packing_rejects_repeated_point(v):
 def test_packing_rejects_out_of_range():
     with pytest.raises(ValueError):
         make_packing(2, 3, 4, 3, [as_block([(0, 0), (0, 1), (1, 0), (2, 0)])])
+
+
+@pytest.mark.parametrize("block, message", [
+    ([(0, 0), (0, 0), (0, 1), (1, 0)], "duplicate point in block: "),
+    ([(0, 0), (0, 1), (0, 5), (1, 0)], "point Point(row=0, col=5) out of range for period 3"),
+    ([(-1, 0), (0, 1), (1, 0), (1, 1)], "point Point(row=-1, col=0) out of range for period 3"),
+    ([], "cannot canonicalize an empty block"),
+])
+def test_make_packing_refusals(block, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        make_packing(2, 3, 4, 3, [block])
 
 
 def test_packing_rejects_bad_t():

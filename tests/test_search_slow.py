@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from test_search import _digest
 
 from ooc2d.packing import verify_packing
 from ooc2d.search import max_packing
@@ -13,9 +14,10 @@ SWEEP = [(2, 3, 1), (3, 2, 1), (2, 4, 3), (4, 2, 6), (3, 3, 6),
 
 def test_exhaustive_sweep_without_heuristic():
     """the tree search alone, with no heuristic incumbent, still
-    proves every settled value; 6x2 takes most of the time, about 4 s
-    and 1.93M nodes on a 2-core machine, and 3x4 (35,644 nodes) is no
-    longer slow: tier-1 pins it in test_search.py."""
+    proves every settled value; 6x2 takes most of the time, about
+    3.3 s and 1.93M nodes on a 2-core machine, and its tree and
+    witness are pinned.  3x4 (35,644 nodes) is no longer slow: tier-1
+    pins it in test_search.py."""
     for u, v, best in SWEEP:
         result = max_packing(u, v, 4, 3, heuristic_iterations=0,
                              node_budget=50_000_000)
@@ -24,3 +26,6 @@ def test_exhaustive_sweep_without_heuristic():
         assert not result.budget_exhausted, (u, v)
         report = verify_packing(result.witness)
         assert report.valid and report.strictly_cyclic, (u, v)
+        if (u, v) == (6, 2):  # the biggest tree
+            pin = (result.nodes_explored, result.proof, _digest(result))
+            assert pin == (1_934_392, "bound", "9f5a8f1be2297dc4")
