@@ -281,6 +281,8 @@ class Code:
     codewords: tuple  # tuple[CodewordMatrix, ...]
 
     def __post_init__(self):
+        if self.u < 1 or self.v < 1:
+            raise ValueError("grid dimensions must be positive")
         if self.lam < 1 or self.k <= self.lam:
             raise ValueError("need k > lambda >= 1")
         for m in self.codewords:

@@ -87,9 +87,17 @@ def verdict(obj, strict: bool = False) -> str | None:
     return None if report.ok else report.detail
 
 
-def _field(value, name: str, decode):
-    """decode(value), with a value of the wrong type reported as a
-    ValueError naming its field."""
+def _field(doc: dict, name: str, decode, default=None):
+    """decode(doc[name]), where doc[name] must be a JSON list; default
+    stands in for a missing optional field.  A missing required field,
+    or a value of the wrong type, is a ValueError naming the field."""
+    if name not in doc:
+        if default is None:
+            raise ValueError("missing %r" % (name,))
+        return decode(default)
+    value = doc[name]
+    if not isinstance(value, list):
+        raise ValueError("malformed %r: expected a list, got %s" % (name, type(value).__name__))
     try:
         return decode(value)
     except (TypeError, IndexError, OverflowError) as exc:
@@ -164,7 +172,7 @@ def design_from_dict(doc: dict):
         raise ValueError("'parameters' must be an object, got %r" % (params,))
     if kind == "packing":
         u, v, k, t = _ints(params, "u", "v", "k", "t")
-        return _field(doc["base_blocks"], "base_blocks", lambda bs: make_packing(
+        return _field(doc, "base_blocks", lambda bs: make_packing(
             u, v, k, t, _coords(bs, "base_blocks")))
     if kind == "fan":
         s, h = _ints(params, "s", "h")
@@ -185,25 +193,24 @@ def design_from_dict(doc: dict):
         if type(developed) is not bool:
             raise ValueError("parameter 'developed' must be true or false, got %r"
                              % (developed,))
-        layers = _field(doc.get("layers", []), "layers", lambda lays: tuple(
-            _blocks(lay, "layers", point) for lay in lays))
+        layers = _field(doc, "layers", lambda lays: tuple(
+            _blocks(lay, "layers", point) for lay in lays), [])
         return FanDesign(s=s, shape=params["shape"], h=h, layers=layers,
-                         terminal=_field(doc["base_blocks"], "base_blocks",
+                         terminal=_field(doc, "base_blocks",
                                          lambda bs: _blocks(bs, "base_blocks", point)),
                          developed=developed, **extra)
     if kind == "hdesign":
         n, l, h, t = _ints(params, "n", "l", "h", "t")
-        blocks = _field(doc["base_blocks"], "base_blocks",
-                        lambda bs: _blocks(bs, "base_blocks"))
+        blocks = _field(doc, "base_blocks", lambda bs: _blocks(bs, "base_blocks"))
         return HDesign(n=n, l=l, h=h, t=t, base_blocks=blocks)
     if kind == "rosqs":
         (n,) = _ints(params, "n")
-        blocks = _field(doc["base_blocks"], "base_blocks", lambda bs: tuple(
+        blocks = _field(doc, "base_blocks", lambda bs: tuple(
             tuple(sorted(b)) for b in _int_rows(bs, "base_blocks")))
         return RoSQSDesign(n=n, base_blocks=blocks)
     if kind == "code":
         u, v, k, lam = _ints(params, "u", "v", "k", "lambda")
-        mats = _field(doc["codewords"], "codewords", lambda ms: _codewords(ms, u, v))
+        mats = _field(doc, "codewords", lambda ms: _codewords(ms, u, v))
         return Code(u=u, v=v, k=k, lam=lam, codewords=mats)
     raise ValueError("unknown design kind %r" % (kind,))
 

@@ -30,16 +30,38 @@ the lowest t-subset T that is neither covered nor written off
 it, in the order of the other points of the image that holds it, or
 writing off T's whole shift orbit into the leave.  The leave is
 closed under column shifts: an orbit that covers a shift of T covers
-T itself, so once T is left no shift of T can be covered.  A tree
-that wrote off T alone would meet each shift of T later as a node
-whose only child is its forced leave, and its counting bound would
-see the loss one t-subset at a time.  Writing off the orbit at once
-removes just those nodes and the subtrees the sharper count proves
-cannot beat the incumbent, so both trees meet the same incumbents in
-the same order and return the same witness.  All pruning is against
-strictly-better-than-incumbent, so a finished run proves the incumbent
-maximal.  For (k, t) != (4, 3) the Johnson bound only stops the
-heuristic early; the tree search still proves those optima.
+T itself, so once T is left no shift of T can be covered.  Writing
+off the orbit at once, rather than T alone, saves the nodes whose
+only child would be a forced leave of each shift of T.
+
+A node is expanded only while depth + slots // k beats the
+incumbent: the per-point counting behind Johnson's bound (IRE Trans.
+Inf. Theory 8, 1962).  The t-subsets used (covered or written off)
+are closed under column shifts, so every point of row i lies on the
+same number f_i of free t-subsets.  A block through a point covers
+C(k-1, t-1) t-subsets through it, so at most f_i // C(k-1, t-1)
+further blocks pass through point (i, 0): these are row i's slots,
+and slots is their sum over the rows.  An orbit has one block
+through (i, 0) for each of its rep's r_i points in row i, so it
+fills k slots, and at most slots // k further orbits fit.  A cover
+child has exactly slots - k: its orbit repeats no t-subset, so its
+r_i blocks through (i, 0) take exactly r_i * C(k-1, t-1) free
+t-subsets off that point.  A leave child touches only the rows of
+T's points, and its entry holds, per row, the mask of t-subsets
+through (i, 0) and how many members of T's orbit pass through it:
+one popcount per row finds f_i before and after.  The bound implies
+the plain counting bound depth + free // (v*C(k, t)), since
+t * free = v * sum f_i and C(k, t) = k * C(k-1, t-1) / t.
+
+All pruning is against strictly-better-than-incumbent, so a finished
+run proves the incumbent maximal.  A sound bound, however sharp,
+prunes only subtrees that hold no packing larger than the incumbent
+of the moment, where a walk that pruned less would change nothing:
+both walks meet the same incumbents in the same order and return the
+same witness, the sharper one in fewer nodes.  Only under an
+exhausted node budget may the best-so-far differ.  For
+(k, t) != (4, 3) the Johnson bound only stops the heuristic early;
+the tree search still proves those optima.
 
 The tree is walked from one stack of pending children, so its depth
 is not limited by Python's recursion limit.  Expanding a node pushes
@@ -195,15 +217,29 @@ def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
 
 
 def _leave_orbits(v: int, t: int, index: dict) -> list:
-    """Per t-subset index, the (mask, size) of its orbit under column
-    shifts; all members of an orbit share one entry."""
+    """Per t-subset index, the (mask, rows) of its orbit under column
+    shifts; all members of an orbit share one entry.  rows holds, for
+    each row i that the orbit's members meet, the mask of all
+    t-subsets through point (i, 0) and how many members pass through
+    that point."""
+    through: dict = {}  # row -> mask of the t-subsets through (row, 0)
+    for sub, i in index.items():
+        for p in sub:
+            if p % v == 0:
+                through[p // v] = through.get(p // v, 0) | 1 << i
     table: list = [None] * len(index)
     for sub, i in index.items():
         if table[i] is None:
-            bits = {index[_image(sub, d, v)] for d in range(v)}
-            entry = (sum(1 << b for b in bits), len(bits))
-            for b in bits:
-                table[b] = entry
+            images = {_image(sub, d, v) for d in range(v)}
+            lost: dict = {}
+            for img in images:
+                for p in img:
+                    if p % v == 0:
+                        lost[p // v] = lost.get(p // v, 0) + 1
+            entry = (sum(1 << index[img] for img in images),
+                     tuple((through[row], n) for row, n in sorted(lost.items())))
+            for img in images:
+                table[index[img]] = entry
     return table
 
 
@@ -211,28 +247,32 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
                       incumbent: list, cap, node_budget: int):
     """Exhaustive search from the incumbent.  Returns (best reps,
     nodes visited, whether the node budget ran out)."""
-    total_t = len(index)
-    per_block = v * comb(k, t)
-    full = (1 << total_t) - 1
+    n = next(reversed(index))[-1] + 1  # the last t-subset ends at point uv - 1
+    per_point = comb(k - 1, t - 1)  # t-subsets through one point of a block
+    through_point = comb(n - 1, t - 1)  # t-subsets through one grid point
+    full = (1 << len(index)) - 1
     options_of = _candidates(v, t, orbits, index)
     leave_of = _leave_orbits(v, t, index)
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
-    # pending children (depth, used, n_used, chosen, leave), where used
-    # = covered | forbidden, n_used counts its bits, chosen is the
-    # parent-linked tuple (rep, chosen) of the blocks on the way down
-    # and leave is the (mask, size) a leave child still has to write off
-    stack: list = [(0, 0, 0, None, None)]
+    # pending children (depth, used, slots, chosen, leave), where used
+    # = covered | forbidden, slots is the slot bound of the module
+    # docstring, chosen is the parent-linked tuple (rep, chosen) of the
+    # blocks on the way down and leave is the (mask, rows) a leave
+    # child still has to write off; at the root each of the n // v
+    # rows has through_point // per_point slots
+    stack: list = [(0, 0, n // v * (through_point // per_point), None, None)]
     while stack:
-        depth, used, n_used, chosen, leave = stack.pop()
+        depth, used, slots, chosen, leave = stack.pop()
         if leave is not None:
-            orbit, size = leave
-            forbidden = n_used - depth * per_block
-            if forbidden + size > total_t - (best + 1) * per_block:
+            orbit, rows = leave
+            for row_mask, lost in rows:
+                free_here = through_point - (row_mask & used).bit_count()
+                slots += (free_here - lost) // per_point - free_here // per_point
+            if depth + slots // k <= best:
                 continue
             used |= orbit
-            n_used += size
         nodes += 1
         if nodes > node_budget:
             return best_blocks, nodes, True
@@ -248,12 +288,12 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
                     break
         elif cap is not None and best >= cap:
             break
-        elif depth + (total_t - n_used) // per_block > best:
+        elif depth + slots // k > best:
             target = (free & -free).bit_length() - 1
-            stack.append((depth, used, n_used, chosen, leave_of[target]))
+            stack.append((depth, used, slots, chosen, leave_of[target]))
             for mask, rep in reversed(options_of[target]):
                 if not mask & used:
-                    stack.append((depth + 1, used | mask, n_used + per_block, (rep, chosen), None))
+                    stack.append((depth + 1, used | mask, slots - k, (rep, chosen), None))
     return best_blocks, nodes, False
 
 

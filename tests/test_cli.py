@@ -296,3 +296,36 @@ def test_malformed_argument_is_usage_error(argv, message, capsys):
     exit 2 with the usage text, never a failed verification"""
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("u", [0, -2])
+def test_code_without_rows_is_usage_error(tmp_path, u, capsys):
+    """a code file on a grid without rows passed --check ooc and folded
+    to a 0-row code; now every command refuses to parse it"""
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(dict(CODE_DOC, parameters=dict(CODE_DOC["parameters"], u=u),
+                                    codewords=[])))
+    out = tmp_path / "folded.json"
+    for argv in (["verify", str(path), "--check", "ooc"],
+                 ["verify", str(path), "--check", "packing"],
+                 ["construct", "fold", str(path), "1", "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot parse %s: grid dimensions must be positive" % path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, check, message", [
+    ({"schema_version": 1, "kind": "packing", "parameters": {"u": 2, "v": 3, "k": 4, "t": 3},
+      "base_blocks": {}}, "packing", "malformed 'base_blocks': expected a list, got dict"),
+    (dict(CODE_DOC, codewords={}), "ooc", "malformed 'codewords': expected a list, got dict"),
+    ({"schema_version": 1, "kind": "packing", "parameters": {"u": 2, "v": 3, "k": 4, "t": 3}},
+     "packing", "missing 'base_blocks'"),
+], ids=["object blocks", "object codewords", "missing blocks"])
+def test_verify_object_for_list_is_usage_error(tmp_path, doc, check, message, capsys):
+    """an object where a list belongs decoded as an empty design that
+    passed its check; now it is a parse error naming the field"""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--check", check]) == 2
+    assert capsys.readouterr().err == "error: cannot parse %s: %s\n" % (path, message)

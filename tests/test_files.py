@@ -307,3 +307,43 @@ def test_double_coverage_reads_the_same_everywhere(tmp_path, capsys, monkeypatch
         assert str(info.value) == "catalog small-(2,3): " + detail
     finally:
         catalog_get.cache_clear()
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (-2, 2), (2, 0)])
+def test_code_grid_dimensions_must_be_positive(u, v):
+    with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+        Code(u=u, v=v, k=2, lam=1, codewords=())
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "code",
+           "parameters": {"u": u, "v": v, "k": 2, "lambda": 1}, "codewords": []}
+    with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+        design_from_dict(doc)
+
+
+@pytest.mark.parametrize("source, name, value, message", [
+    (1, "base_blocks", {}, "malformed 'base_blocks': expected a list, got dict"),
+    (2, "codewords", {}, "malformed 'codewords': expected a list, got dict"),
+    (6, "layers", {}, "malformed 'layers': expected a list, got dict"),
+    (0, "base_blocks", "x", "malformed 'base_blocks': expected a list, got str"),
+    (3, "base_blocks", None, "malformed 'base_blocks': expected a list, got NoneType"),
+    (1, "base_blocks", ..., "missing 'base_blocks'"),
+    (2, "codewords", ..., "missing 'codewords'"),
+    (4, "base_blocks", ..., "missing 'base_blocks'"),
+], ids=["packing object", "code object", "layers object", "rosqs string", "hdesign null",
+        "packing missing", "code missing", "fan missing"])
+def test_list_fields_must_be_lists(source, name, value, message):
+    """an object where a list belongs would decode as an empty design,
+    and a missing field would surface as a bare KeyError"""
+    doc = copy.deepcopy(MUTATION_SOURCES[source])
+    if value is ...:
+        del doc[name]
+    else:
+        doc[name] = value
+    with pytest.raises(ValueError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_missing_layers_mean_none():
+    doc = copy.deepcopy(MUTATION_SOURCES[4])
+    assert doc.pop("layers") == []
+    assert design_from_dict(doc) == catalog_get("fg-4^2-s2c").payload

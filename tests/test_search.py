@@ -9,6 +9,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ooc2d.search as search
 from ooc2d.bounds import johnson_bound, jstar
@@ -86,9 +88,9 @@ def test_heuristic_witnesses_pinned(u, v, digest):
 
 
 @pytest.mark.parametrize("u, v, nodes, digest", [
-    (4, 3, 6_731, "41210ef277b459e1"), (9, 1, 152_875, "54493c71be697e66"),
-    (2, 7, 102, "4534c107055ba340"), (2, 4, 6, "096db74a5019c7bf"),
-    (3, 3, 13, "096affacdee76913"), (3, 4, 35_644, "9b425edfd80e8fb8"),
+    (4, 3, 4_926, "41210ef277b459e1"), (9, 1, 67_686, "54493c71be697e66"),
+    (2, 7, 70, "4534c107055ba340"), (2, 4, 6, "096db74a5019c7bf"),
+    (3, 3, 13, "096affacdee76913"), (3, 4, 20_248, "9b425edfd80e8fb8"),
     (1, 16, 475, "22555a938b70bcd7"),
 ])
 def test_tree_witnesses_pinned(u, v, nodes, digest):
@@ -272,7 +274,7 @@ def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
 
 @pytest.mark.parametrize("u, v, k, t", [
     (2, 4, 4, 3), (3, 3, 4, 3), (4, 3, 4, 3), (2, 7, 4, 3), (5, 2, 4, 3), (1, 13, 4, 3),
-    (4, 2, 4, 4), (3, 4, 3, 2), (3, 5, 4, 2), (2, 6, 3, 2),
+    (4, 2, 4, 4), (3, 4, 3, 2), (3, 5, 4, 2), (2, 6, 3, 2), (9, 1, 4, 3), (3, 4, 4, 3),
 ])
 def test_orbit_leave_matches_reference(u, v, k, t):
     # the heuristic incumbent is one greedy grow; on the t = 3 grids
@@ -288,3 +290,27 @@ def test_orbit_leave_matches_reference(u, v, k, t):
                                                              incumbent, cap, 10**7)
         assert reps == ref_reps
         assert not exhausted and nodes <= ref_nodes
+
+
+_SMALL_CASES = [(u, n // u, k, t) for n in range(3, 11) for u in range(1, n + 1) if n % u == 0
+                for k in (3, 4) if k <= n for t in range(1, k + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SMALL_CASES), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_slot_bound_matches_reference(case, seed):
+    """The reference tree prunes with the counting bound alone: the slot
+    bound may only cut nodes, never change the reps found, whether the
+    walk starts from no incumbent or from a greedy grow of some seed.
+    A reference that runs out of its budget decides nothing."""
+    u, v, k, t = case
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
+    orbits = _build_orbits(u, v, k, t, index)
+    incumbent = [] if seed is None else _ruin_recreate(orbits, cap, 0, random.Random(seed))
+    ref_reps, ref_nodes, ref_exhausted = _reference_branch_and_bound(
+        v, k, t, orbits, index, incumbent, cap, 50_000)
+    assume(not ref_exhausted)
+    reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent, cap, 50_000)
+    assert reps == ref_reps
+    assert not exhausted and nodes <= ref_nodes

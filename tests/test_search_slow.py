@@ -9,14 +9,18 @@ from ooc2d.search import max_packing
 pytestmark = pytest.mark.slow
 
 SWEEP = [(2, 3, 1), (3, 2, 1), (2, 4, 3), (4, 2, 6), (3, 3, 6),
-         (2, 6, 8), (3, 4, 12), (4, 3, 17), (6, 2, 25), (2, 2, 0), (6, 1, 3)]
+         (2, 6, 8), (3, 4, 12), (4, 3, 17), (6, 2, 25), (2, 2, 0), (6, 1, 3), (10, 1, 30)]
+# (nodes, proof, witness digest) of the two biggest trees
+PINS = {(6, 2): (778_065, "bound", "9f5a8f1be2297dc4"),
+        (10, 1): (122_405, "bound", "c7d3b09e4fcc424b")}
 
 
 def test_exhaustive_sweep_without_heuristic():
     """the tree search alone, with no heuristic incumbent, still
     proves every settled value; 6x2 takes most of the time, about
-    3.3 s and 1.93M nodes on a 2-core machine, and its tree and
-    witness are pinned.  3x4 (35,644 nodes) is no longer slow: tier-1
+    1.8 s and 778k nodes on a 2-core machine, then 10x1, about 0.3 s
+    and 122k nodes, where the optimum meets jstar.  Both trees and
+    witnesses are pinned.  3x4 (20,248 nodes) is not slow: tier-1
     pins it in test_search.py."""
     for u, v, best in SWEEP:
         result = max_packing(u, v, 4, 3, heuristic_iterations=0,
@@ -26,6 +30,6 @@ def test_exhaustive_sweep_without_heuristic():
         assert not result.budget_exhausted, (u, v)
         report = verify_packing(result.witness)
         assert report.valid and report.strictly_cyclic, (u, v)
-        if (u, v) == (6, 2):  # the biggest tree
+        if (u, v) in PINS:
             pin = (result.nodes_explored, result.proof, _digest(result))
-            assert pin == (1_934_392, "bound", "9f5a8f1be2297dc4")
+            assert pin == PINS[u, v], (u, v)
