@@ -1,7 +1,10 @@
 """Command line front end.
 
 Subcommands: bound, verify, construct, search, convert, catalog.
-Design sources are either file paths or catalog:<id> references.
+Recipes and design sources (file paths, catalog:<id>, pipeline:<name>,
+trivial:<u>x<v>) are resolved by pipelines.construct and
+pipelines.load_source; this module keeps argument parsing, output and
+the verify checks.
 Exit codes: 0 success, 1 a verification or construction failed,
 2 bad usage (unknown name, unreadable file, malformed parameters).
 """
@@ -14,53 +17,12 @@ import sys
 
 from .bounds import bound_report
 from .catalog import catalog_get, catalog_ids
-from .constructs import (
-    ConstructionTrace,
-    add_cross_pairs_layer,
-    as_semicyclic,
-    complete_pair_fan,
-    filling_1,
-    filling_2,
-    fold,
-    hartman,
-    perfect_to_regular_1fg,
-    regular_to_h1cyclic,
-    semicyclic_to_vcyclic,
-    weighting_1,
-    weighting_2,
-    weighting_3,
-)
 from .core import Code, CyclicPacking
-from .correlation import code_to_packing, packing_to_code
 from .designs import FanDesign, HDesign, RoSQSDesign
-from .files import block_count, design_to_dict, load_design, save_design, verdict
+from .files import block_count, design_to_dict, save_design, verdict
 from .packing import is_perfect, verify_packing
-from .pipelines import run_pipeline
+from .pipelines import UsageError, as_kind, construct, load_source
 from .search import check_parameters, max_packing
-
-
-class UsageError(Exception):
-    pass
-
-
-def _load_source(source: str, kind=None):
-    """The design a source names; with kind, it must be of that class."""
-    if source.startswith("catalog:"):
-        try:
-            obj = catalog_get(source[len("catalog:"):]).payload
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0]))
-    else:
-        try:
-            obj = load_design(source)
-        except OSError as exc:
-            raise UsageError("cannot read %s: %s" % (source, exc))
-        except (ValueError, KeyError) as exc:
-            raise UsageError("cannot parse %s: %s" % (source, exc))
-    if kind is not None and not isinstance(obj, kind):
-        raise UsageError("%s holds a %s, expected a %s"
-                         % (source, type(obj).__name__, kind.__name__))
-    return obj
 
 
 def _emit(obj, out, as_json: bool) -> None:
@@ -68,18 +30,6 @@ def _emit(obj, out, as_json: bool) -> None:
         save_design(obj, out)
     elif as_json:
         print(json.dumps(design_to_dict(obj), indent=1, sort_keys=True))
-
-
-def _as_kind(obj, kind, message: str):
-    """obj as an instance of kind, a code and a packing converting into
-    each other; anything else is a UsageError(message)."""
-    if kind is Code and isinstance(obj, CyclicPacking):
-        obj = packing_to_code(obj)
-    elif kind is CyclicPacking and isinstance(obj, Code):
-        obj = code_to_packing(obj)
-    if not isinstance(obj, kind):
-        raise UsageError(message)
-    return obj
 
 
 def _object_summary(obj) -> dict:
@@ -115,7 +65,7 @@ def _run_check(obj, check: str, strict: bool):
     """None when obj passes, else the failure detail; a kind mismatch
     raises UsageError."""
     kind, needs = _CHECK_KINDS[check]
-    obj = _as_kind(obj, kind, "check %s needs %s" % (check, needs))
+    obj = as_kind(obj, kind, "check %s needs %s" % (check, needs))
     detail = verdict(obj, strict or check == "perfect")
     if detail is None and check == "perfect" and not is_perfect(obj):
         detail = "leave is nonempty (%d t-subsets)" % verify_packing(obj).leave_size
@@ -123,7 +73,7 @@ def _run_check(obj, check: str, strict: bool):
 
 
 def cmd_verify(args) -> int:
-    detail = _run_check(_load_source(args.target), args.check, args.strict)
+    detail = _run_check(load_source(args.target), args.check, args.strict)
     if args.json:
         print(json.dumps({"target": args.target, "check": args.check,
                           "ok": detail is None, "detail": detail}, sort_keys=True))
@@ -134,98 +84,8 @@ def cmd_verify(args) -> int:
     return 0 if detail is None else 1
 
 
-def _parse_sized(token: str, label: str, kind):
-    size, eq, src = token.partition("=")
-    if not eq or not size.isdecimal():
-        raise UsageError("%s wants SIZE=SOURCE, got %r" % (label, token))
-    return int(size), _load_source(src, kind)
-
-
-def _parse_weighting_args(rest):
-    fans = {}
-    hs = {}
-    for token in rest:
-        if token.startswith("fan:"):
-            size, obj = _parse_sized(token[4:], "fan ingredient", FanDesign)
-            fans[size] = obj
-        elif token.startswith("h:"):
-            size, obj = _parse_sized(token[2:], "h ingredient", HDesign)
-            hs[size] = obj
-        else:
-            raise UsageError("weighting wants fan:SIZE=SOURCE or h:SIZE=SOURCE, got %r"
-                             % token)
-    return fans, hs
-
-
-def _dispatch_recipe(recipe: str, rest: list):
-    if recipe == "hartman":
-        if len(rest) != 1:
-            raise UsageError("construct hartman SOURCE")
-        return hartman(_load_source(rest[0], RoSQSDesign), input_label=rest[0])
-    if recipe == "filling1":
-        if len(rest) < 2:
-            raise UsageError("construct filling1 MASTER SIZE=SOURCE...")
-        fillers = dict(_parse_sized(tok, "filler", CyclicPacking) for tok in rest[1:])
-        return filling_1(_load_source(rest[0], FanDesign), fillers)
-    if recipe == "filling2":
-        if len(rest) != 2:
-            raise UsageError("construct filling2 MASTER FILLER")
-        return filling_2(_load_source(rest[0], FanDesign), _load_source(rest[1], CyclicPacking))
-    if recipe in ("weighting1", "weighting2"):
-        if len(rest) < 2:
-            raise UsageError("construct %s MASTER fan:SIZE=SOURCE... h:SIZE=SOURCE..."
-                             % recipe)
-        fans, hs = _parse_weighting_args(rest[1:])
-        op = weighting_1 if recipe == "weighting1" else weighting_2
-        return op(_load_source(rest[0], FanDesign), fans, hs)
-    if recipe == "weighting3":
-        if len(rest) < 2:
-            raise UsageError("construct weighting3 MASTER SIZE=SOURCE...")
-        ingredients = dict(_parse_sized(tok, "ingredient", HDesign) for tok in rest[1:])
-        return weighting_3(_load_source(rest[0], HDesign), ingredients)
-    if recipe == "fold":
-        if len(rest) != 2 or not rest[1].isdecimal():
-            raise UsageError("construct fold SOURCE V1")
-        code = _as_kind(_load_source(rest[0]), Code, "fold needs a code or packing")
-        return fold(code, int(rest[1]), input_label=rest[0])
-    if recipe == "remap":
-        if len(rest) != 2:
-            raise UsageError("construct remap MODE SOURCE")
-        mode, source = rest
-        if mode == "semicyclic":
-            return semicyclic_to_vcyclic(_load_source(source, FanDesign))
-        if mode == "hsemicyclic":
-            return as_semicyclic(_load_source(source, HDesign))
-        if mode.startswith("h1cyclic:"):
-            h1 = mode[len("h1cyclic:"):]
-            if not h1.isdecimal():
-                raise UsageError("remap h1cyclic:<h1> SOURCE")
-            return regular_to_h1cyclic(_load_source(source, FanDesign), int(h1))
-        if mode == "pairs":
-            return add_cross_pairs_layer(_load_source(source, FanDesign))
-        if mode == "perfect1fg":
-            return perfect_to_regular_1fg(_load_source(source, CyclicPacking))
-        raise UsageError("unknown remap mode %r" % mode)
-    if recipe == "pairfan":
-        if len(rest) != 1 or not rest[0].isdecimal():
-            raise UsageError("construct pairfan N")
-        if int(rest[0]) < 2:
-            raise UsageError("pairfan needs N >= 2, got %s" % rest[0])
-        fan = complete_pair_fan(int(rest[0]))
-        return fan, ConstructionTrace(inputs=(),
-                                      steps=(("pair and quadruple blocks", block_count(fan)),))
-    if recipe == "pipeline":
-        if len(rest) != 1:
-            raise UsageError("construct pipeline NAME")
-        try:
-            return run_pipeline(rest[0])
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0]))
-    raise UsageError("unknown recipe %r" % recipe)
-
-
 def cmd_construct(args) -> int:
-    obj, trace = _dispatch_recipe(args.recipe, args.args)
+    obj, trace = construct(args.recipe, args.args)
     summary = _object_summary(obj)
     if args.json:
         print(json.dumps({"result": summary,
@@ -266,11 +126,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    obj = _load_source(args.src)
+    obj = load_source(args.src)
     if args.to == "matrix":
-        obj = _as_kind(obj, Code, "convert --to matrix needs a packing or code")
+        obj = as_kind(obj, Code, "convert --to matrix needs a packing or code")
     else:
-        obj = _as_kind(obj, CyclicPacking, "convert --to blocks needs a code or packing")
+        obj = as_kind(obj, CyclicPacking, "convert --to blocks needs a code or packing")
     _emit(obj, args.out, True)
     return 0
 
@@ -284,7 +144,7 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.id:
         raise UsageError("catalog emit needs an id")
-    _emit(_load_source("catalog:" + args.id), args.out, True)
+    _emit(load_source("catalog:" + args.id), args.out, True)
     return 0
 
 

@@ -154,9 +154,15 @@ def _codewords(ms, u: int, v: int) -> tuple:
                  for i in range(len(ms)))
 
 
+def _param(params: dict, name: str):
+    if name not in params:
+        raise ValueError("missing parameter %r" % name)
+    return params[name]
+
+
 def _ints(params: dict, *names) -> list:
     for name in names:
-        if type(params[name]) is not int:
+        if type(_param(params, name)) is not int:
             raise ValueError("parameter %r must be an integer, got %r" % (name, params[name]))
     return [params[name] for name in names]
 
@@ -178,7 +184,7 @@ def design_from_dict(doc: dict):
         s, h = _ints(params, "s", "h")
         if params.get("shape") == CYCLIC:
             point = tuple
-            g_list = params["g_list"]
+            g_list = _param(params, "g_list")
             if not (isinstance(g_list, list) and all(type(g) is int for g in g_list)):
                 raise ValueError("parameter 'g_list' must be a list of integers, got %r"
                                  % (g_list,))

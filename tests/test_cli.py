@@ -9,8 +9,9 @@ import pytest
 
 import ooc2d.search as search
 from ooc2d.cli import main
-from ooc2d.files import load_design
+from ooc2d.files import block_count, load_design
 from ooc2d.packing import verify_packing
+from ooc2d.pipelines import run_pipeline
 
 
 def test_bound_human(capsys):
@@ -329,3 +330,79 @@ def test_verify_object_for_list_is_usage_error(tmp_path, doc, check, message, ca
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--check", check]) == 2
     assert capsys.readouterr().err == "error: cannot parse %s: %s\n" % (path, message)
+
+
+# the recipe tokens of every single-step pipeline, as a user types them
+PIPELINE_RECIPES = {
+    "2x4": ["filling2", "catalog:fg-(2,2)reg-4^2", "trivial:2x2"],
+    "2x7": ["hartman", "catalog:rosqs8"],
+    "2x8": ["filling2", "catalog:fg-(2,4)reg-8^2", "pipeline:2x4"],
+    "2x12": ["filling2", "catalog:fg-(2,6)reg-12^2", "catalog:small-(2,6)"],
+    "2x15": ["filling2", "catalog:fg-(2,3)reg-6^5", "catalog:small-(2,3)"],
+    "3x10": ["filling2", "catalog:fg-(3,2)reg-6^5", "catalog:small-(3,2)"],
+    "4x2": ["filling1", "catalog:fg-4^2-s2c", "2=trivial:2x2"],
+    "4x3": ["filling1", "catalog:fg-6^2-s3c", "2=catalog:small-(2,3)"],
+    "12x2": ["filling1", "catalog:fg-12^2-s2c", "6=catalog:small-(6,2)"],
+    "14x1": ["fold", "pipeline:2x7", "7"],
+    "h44-plain": ["weighting3", "catalog:h-4-2-4-3", "4=catalog:h-4-2-4-3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_RECIPES))
+def test_recipe_tokens_rebuild_the_pipeline(name, capsys):
+    """typing a single-step pipeline's recipe gives its result and trace"""
+    assert main(["construct"] + PIPELINE_RECIPES[name] + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    obj, trace = run_pipeline(name)
+    assert doc["result"]["count"] == block_count(obj)
+    assert doc["inputs"] == list(trace.inputs)
+    assert doc["steps"] == [list(step) for step in trace.steps]
+    assert main(["construct", "pipeline", name, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
+
+def test_trace_inputs_name_their_sources(tmp_path, capsys):
+    """catalog:ID reads as "catalog ID", a file by its path"""
+    assert main(["construct", "filling1", "catalog:fg-6^2-s3c", "2=catalog:small-(2,3)"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "inputs: catalog fg-6^2-s3c; catalog small-(2,3)\n")
+    path = tmp_path / "r8.json"
+    assert main(["catalog", "emit", "rosqs8", "--out", str(path)]) == 0
+    assert main(["construct", "hartman", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == [str(path)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["filling1", "catalog:fg-6^2-s3c", "2=catalog:small-(2,3)", "2=catalog:small-(2,3)"],
+     "error: filler size 2 given twice"),
+    (["weighting1", "catalog:fg-4^2-s2c", "fan:2=catalog:fg-4^2-s2c",
+      "fan:2=catalog:fg-4^2-s2c"], "error: fan ingredient size 2 given twice"),
+    (["weighting2", "catalog:fg-(2,2)reg-4^2", "h:4=catalog:h-4-2-4-3",
+      "h:4=catalog:h-4-2-4-3"], "error: h ingredient size 4 given twice"),
+    (["weighting3", "catalog:h-4-2-4-3", "4=catalog:h-4-2-4-3", "04=catalog:h-4-2-4-3"],
+     "error: ingredient size 4 given twice"),
+], ids=["filler", "fan ingredient", "h ingredient", "weighting3 ingredient"])
+def test_repeated_size_is_usage_error(argv, message, capsys):
+    """the last ingredient of a size used to win silently"""
+    assert main(["construct"] + argv) == 2
+    assert capsys.readouterr().err.startswith(message + "\n")
+
+
+@pytest.mark.parametrize("token", ["trivial:0x2", "trivial:2", "trivial:axb",
+                                   "trivial:2x", "pipeline:9x9"])
+def test_bad_named_source_is_usage_error(token, capsys):
+    """a zero grid reached CyclicPacking and failed as a construction"""
+    for argv in (["construct", "filling2", "catalog:fg-(2,2)reg-4^2", token],
+                 ["verify", token, "--check", "packing"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(token) in err
+
+
+def test_missing_parameter_is_usage_error(tmp_path, capsys):
+    doc = {"schema_version": 1, "kind": "packing", "parameters": {"v": 3, "k": 4, "t": 3},
+           "base_blocks": []}
+    path = tmp_path / "nou.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--check", "packing"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse %s: missing parameter 'u'\n" % path

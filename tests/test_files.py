@@ -347,3 +347,21 @@ def test_missing_layers_mean_none():
     doc = copy.deepcopy(MUTATION_SOURCES[4])
     assert doc.pop("layers") == []
     assert design_from_dict(doc) == catalog_get("fg-4^2-s2c").payload
+
+
+# the parameters each kind requires, by MUTATION_SOURCES index
+REQUIRED_PARAMETERS = {0: ("n",), 1: ("u", "v", "k", "t"), 2: ("u", "v", "k", "lambda"),
+                       3: ("n", "l", "h", "t"), 4: ("s", "h", "g_list"), 5: ("s", "h", "u", "v")}
+
+
+@pytest.mark.parametrize("source, name", [(source, name)
+                                          for source, names in REQUIRED_PARAMETERS.items()
+                                          for name in names])
+def test_missing_parameter_is_named(source, name):
+    """a missing parameter surfaced as a bare KeyError whose text was
+    only the name"""
+    doc = copy.deepcopy(MUTATION_SOURCES[source])
+    del doc["parameters"][name]
+    with pytest.raises(ValueError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == "missing parameter %r" % name

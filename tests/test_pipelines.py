@@ -68,3 +68,43 @@ def test_semicyclic_fixture_converts(tmp_path):
     assert verify_fan(out).ok
     assert verify_h_cyclic(out, strict=True).ok
     assert sum(delta for _, delta in trace.steps) == 15
+
+
+PINNED_TRACES = {
+    "2x4": (("catalog fg-(2,2)reg-4^2", "trivial 2x2"),
+            (("master blocks", 3), ("dilated filler blocks", 0))),
+    "2x7": (("catalog rosqs8",),
+            (("row 0 quadruples", 1), ("mirrored row 1 quadruples", 1),
+             ("fixed point blocks", 1), ("mirrored fixed point blocks", 1),
+             ("pair difference blocks", 9))),
+    "2x8": (("catalog fg-(2,4)reg-8^2", "pipeline 2x4"),
+            (("master blocks", 14), ("dilated filler blocks", 3))),
+    "2x12": (("catalog fg-(2,6)reg-12^2", "catalog small-(2,6)"),
+             (("master blocks", 33), ("dilated filler blocks", 8))),
+    "2x15": (("catalog fg-(2,3)reg-6^5", "catalog small-(2,3)"),
+             (("master blocks", 66), ("dilated filler blocks", 1))),
+    "3x10": (("catalog fg-(3,2)reg-6^5", "catalog small-(3,2)"),
+             (("master blocks", 99), ("dilated filler blocks", 1))),
+    "4x2": (("catalog fg-4^2-s2c", "trivial 2x2"),
+            (("master blocks", 6), ("filler blocks", 0))),
+    "4x3": (("catalog fg-6^2-s3c", "catalog small-(2,3)"),
+            (("master blocks", 15), ("filler blocks", 2))),
+    "8x2": (("weighted 4^4 fan", "trivial 2x2"),
+            (("master blocks", 68), ("filler blocks", 0))),
+    "8x4": (("weighted 16^2 fan", "pipeline 8x2"),
+            (("master blocks", 240), ("dilated filler blocks", 68))),
+    "12x2": (("catalog fg-12^2-s2c", "catalog small-(6,2)"),
+             (("master blocks", 198), ("filler blocks", 50))),
+    "14x1": (("pipeline 2x7",), (("translated copies", 91),)),
+    "h44-plain": (("catalog h-4-2-4-3", "catalog h-4-2-4-3"), (("inflated blocks", 64),)),
+    "h44-2cyc": (("catalog h-4-2-4-3", "semicyclic h-4-2-4-3"), (("inflated blocks", 32),)),
+}
+
+
+def test_pipeline_traces_pinned():
+    """every pipeline's final trace, inputs and steps, as the chains
+    wrote them by hand before the single-step ones became recipes"""
+    assert sorted(PINNED_TRACES) == pipeline_names()
+    for name, pinned in PINNED_TRACES.items():
+        _, trace = run_pipeline(name)
+        assert (trace.inputs, trace.steps) == pinned, name
