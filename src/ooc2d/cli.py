@@ -19,7 +19,7 @@ from .bounds import bound_report
 from .catalog import catalog_get, catalog_ids
 from .core import Code, CyclicPacking
 from .designs import FanDesign, HDesign, RoSQSDesign
-from .files import block_count, design_to_dict, save_design, verdict
+from .files import block_count, design_json, design_to_dict, save_design, verdict
 from .packing import is_perfect, verify_packing
 from .pipelines import UsageError, as_kind, construct, load_source
 from .search import check_parameters, max_packing
@@ -29,7 +29,7 @@ def _emit(obj, out, as_json: bool) -> None:
     if out:
         save_design(obj, out)
     elif as_json:
-        print(json.dumps(design_to_dict(obj), indent=1, sort_keys=True))
+        print(design_json(obj))
 
 
 def _object_summary(obj) -> dict:

@@ -8,6 +8,12 @@ plain lists of JSON integers, [row, col] on grids and [x, y, j] for the
 cyclic shapes; the fixed point of a rotational system is written -1.
 The decoder checks types rather than coercing them, so 1.9, "0" or true
 is an error naming its field.
+
+The writer, design_json, gives one line of canonical JSON: sorted keys,
+no whitespace, built in one call of the C encoder.  save_design writes
+that line and a newline, and opens the file only once the text is
+built, so an object that cannot be written leaves the file as it was.
+The reader accepts any JSON layout, so indented files load as before.
 """
 
 from __future__ import annotations
@@ -22,6 +28,14 @@ from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_f
 from .packing import verify_packing
 
 SCHEMA_VERSION = 1
+
+
+def _bit_rows(m: CodewordMatrix) -> list:
+    """The u rows of v 0/1 entries of m, as lists, straight from its cells."""
+    flat = [0] * (m.u * m.v)
+    for e in m.cells:
+        flat[e] = 1
+    return [flat[i:i + m.v] for i in range(0, len(flat), m.v)]
 
 
 def design_to_dict(obj) -> dict:
@@ -44,10 +58,15 @@ def design_to_dict(obj) -> dict:
         body = {"base_blocks": [list(b) for b in obj.base_blocks]}
     elif isinstance(obj, Code):
         kind, params = "code", {"u": obj.u, "v": obj.v, "k": obj.k, "lambda": obj.lam}
-        body = {"codewords": [[list(row) for row in m.bits] for m in obj.codewords]}
+        body = {"codewords": [_bit_rows(m) for m in obj.codewords]}
     else:
         raise ValueError("cannot serialize %r" % (type(obj).__name__,))
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "parameters": params, **body}
+
+
+def design_json(obj) -> str:
+    """obj as one line of canonical JSON: sorted keys, no whitespace."""
+    return json.dumps(design_to_dict(obj), sort_keys=True, separators=(",", ":"))
 
 
 def block_count(obj) -> int:
@@ -222,9 +241,9 @@ def design_from_dict(doc: dict):
 
 
 def save_design(obj, path: str) -> None:
+    text = design_json(obj) + "\n"
     with open(path, "w") as fh:
-        json.dump(design_to_dict(obj), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_design(path: str):

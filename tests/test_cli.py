@@ -129,6 +129,14 @@ def test_catalog_emit(tmp_path, capsys):
     assert d.n == 8
 
 
+def test_catalog_emit_stdout_matches_out(tmp_path, capsys):
+    out = tmp_path / "r8.json"
+    assert main(["catalog", "emit", "rosqs8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["catalog", "emit", "rosqs8"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_weighting_chain_via_files(tmp_path, capsys):
     """builds the 68-block 8x2 packing entirely through the cli"""
     semi = tmp_path / "semi.json"

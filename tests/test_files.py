@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import os
 
 import pytest
@@ -16,7 +17,7 @@ from ooc2d.core import Code, CodewordMatrix, CyclicPacking, make_packing
 from ooc2d.correlation import packing_to_code, verify_ooc
 from ooc2d.designs import (FanDesign, HDesign, verify_fan, verify_h_cyclic, verify_h_design,
                            verify_rosqs)
-from ooc2d.files import (SCHEMA_VERSION, design_from_dict, design_to_dict,
+from ooc2d.files import (SCHEMA_VERSION, design_from_dict, design_json, design_to_dict,
                          load_design, save_design, verdict)
 from ooc2d.packing import verify_packing
 from ooc2d.pipelines import run_pipeline
@@ -52,6 +53,48 @@ def test_roundtrip_all_kinds(tmp_path):
         path = tmp_path / ("rt%d.json" % i)
         save_design(obj, str(path))
         assert load_design(str(path)) == obj
+
+
+def _written_objects():
+    """every catalog payload, and a 12x1 code folded from the 4x3 pipeline"""
+    folded, _ = fold(packing_to_code(run_pipeline("4x3")[0]), 3)
+    return ([pytest.param(catalog_get(i).payload, id=i) for i in catalog.catalog_ids()]
+            + [pytest.param(folded, id="12x1 fold")])
+
+
+WRITTEN = _written_objects()
+
+
+@pytest.mark.parametrize("obj", WRITTEN)
+def test_saved_file_is_one_canonical_line(obj, tmp_path):
+    path = tmp_path / "d.json"
+    save_design(obj, str(path))
+    text = path.read_text()
+    assert text == design_json(obj) + "\n"
+    assert text.count("\n") == 1 and " " not in text
+    assert json.loads(text) == design_to_dict(obj)
+    assert load_design(str(path)) == obj
+
+
+@pytest.mark.parametrize("obj", WRITTEN)
+def test_indented_layout_still_loads(obj, tmp_path):
+    """files written by the earlier indented writer load as before"""
+    path = tmp_path / "old.json"
+    with open(path, "w") as fh:
+        json.dump(design_to_dict(obj), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert load_design(str(path)) == obj
+
+
+def test_failed_save_keeps_the_target(tmp_path):
+    """the text is built before the file is opened, so an object that
+    cannot be written leaves the old file whole"""
+    path = tmp_path / "keep.json"
+    save_design(catalog_get("rosqs8").payload, str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="cannot serialize 'object'"):
+        save_design(object(), str(path))
+    assert path.read_bytes() == before
 
 
 def test_dict_roundtrip_is_stable():
