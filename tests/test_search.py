@@ -272,12 +272,13 @@ def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
     return best_blocks, nodes, False
 
 
-def _check_orbit_leave(u, v, k, t):
-    """The orbit-leave tree finds the reference tree's reps in no more
-    nodes, from no incumbent and from one greedy grow.  On the t = 3
-    grids but 1x13 the grow falls short of the optimum, so both trees
-    improve on it.  3x4 with t = 3 is in test_search_slow.py: its
-    reference walks 1,716,673 nodes per incumbent."""
+@pytest.mark.parametrize("u, v, k, t", [
+    (2, 4, 4, 3), (3, 3, 4, 3), (4, 3, 4, 3), (2, 7, 4, 3), (5, 2, 4, 3), (1, 13, 4, 3),
+    (4, 2, 4, 4), (3, 4, 3, 2), (3, 5, 4, 2), (2, 6, 3, 2), (9, 1, 4, 3), (3, 4, 4, 3),
+])
+def test_orbit_leave_matches_reference(u, v, k, t):
+    # the heuristic incumbent is one greedy grow; on the t = 3 grids
+    # but 1x13 it falls short of the optimum, so both trees improve on it
     index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
     orbits = _build_orbits(u, v, k, t, index)
@@ -289,14 +290,6 @@ def _check_orbit_leave(u, v, k, t):
                                                              incumbent, cap, 10**7)
         assert reps == ref_reps
         assert not exhausted and nodes <= ref_nodes
-
-
-@pytest.mark.parametrize("u, v, k, t", [
-    (2, 4, 4, 3), (3, 3, 4, 3), (4, 3, 4, 3), (2, 7, 4, 3), (5, 2, 4, 3), (1, 13, 4, 3),
-    (4, 2, 4, 4), (3, 4, 3, 2), (3, 5, 4, 2), (2, 6, 3, 2), (9, 1, 4, 3),
-])
-def test_orbit_leave_matches_reference(u, v, k, t):
-    _check_orbit_leave(u, v, k, t)
 
 
 _SMALL_CASES = [(u, n // u, k, t) for n in range(3, 11) for u in range(1, n + 1) if n % u == 0

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from test_search import _check_orbit_leave, _digest
+from test_search import _digest
 
 from ooc2d.packing import verify_packing
 from ooc2d.search import max_packing
@@ -33,11 +33,3 @@ def test_exhaustive_sweep_without_heuristic():
         if (u, v) in PINS:
             pin = (result.nodes_explored, result.proof, _digest(result))
             assert pin == PINS[u, v], (u, v)
-
-
-@pytest.mark.parametrize("u, v, k, t", [(3, 4, 4, 3)])
-def test_orbit_leave_matches_reference(u, v, k, t):
-    """test_search.py's orbit-leave check on 3x4 with t = 3, about 7 s
-    on a 2-core machine: the reference tree prunes with the counting
-    bound alone and walks 1,716,673 nodes per incumbent"""
-    _check_orbit_leave(u, v, k, t)
