@@ -14,10 +14,11 @@ optimality, no tree search needed.  The heuristic refers to an orbit
 by its index in the orbit list and gives each orbit a conflict bitset
 over those indices: bit j is set when orbit j shares a t-subset with
 it, its own bit included.  The orbits still free beside a partial
-packing are all orbits less the OR of its blocks' conflicts, taken in
-ascending index.  Its draws are defined as follows: a draw below n
-repeats rng.getrandbits(n.bit_length()) until the value is below n,
-and a shuffle is Fisher-Yates from the last position down, each swap
+packing form the bitset free: all orbits less the OR of its blocks'
+conflicts.  A pick with draw r is the r-th lowest set bit of free.
+Its draws are defined as follows: a draw below n repeats
+rng.getrandbits(n.bit_length()) until the value is below n, and a
+shuffle is Fisher-Yates from the last position down, each swap
 partner such a draw.  These are the draws rng.randrange and
 rng.shuffle make on CPython 3.10 to 3.13, so a seed picks the same
 witness on each of them.
@@ -157,6 +158,7 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
     conflicts = _conflicts(orbits)
     everything = (1 << len(orbits)) - 1
     getrandbits = rng.getrandbits
+    width_of = [n.bit_length() for n in range(len(orbits) + 1)]
 
     def grow(blocks: list) -> list:
         blocked = 0
@@ -164,18 +166,15 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
             blocked |= conflicts[i]
         free = everything ^ blocked
         while free:
-            avail = []
-            rest = free
-            while rest:
-                low = rest & -rest
-                avail.append(low.bit_length() - 1)
-                rest ^= low
-            n = len(avail)  # pick = avail[rng.randrange(n)]
-            width = n.bit_length()
+            n = free.bit_count()  # r = rng.randrange(n)
+            width = width_of[n]
             r = getrandbits(width)
             while r >= n:
                 r = getrandbits(width)
-            pick = avail[r]
+            rest = free
+            for _ in range(r):  # clear the r lowest set bits
+                rest &= rest - 1
+            pick = (rest & -rest).bit_length() - 1
             blocks.append(pick)
             free &= ~conflicts[pick]
         return blocks
@@ -189,13 +188,12 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
         while r >= 5:
             r = getrandbits(3)
         keep = max(0, len(cur) - 2 - r)
-        for i in range(len(cur) - 1, 0, -1):  # rng.shuffle(cur)
-            n = i + 1
-            width = n.bit_length()
+        for n in range(len(cur), 1, -1):  # rng.shuffle(cur)
+            width = width_of[n]
             j = getrandbits(width)
             while j >= n:
                 j = getrandbits(width)
-            cur[i], cur[j] = cur[j], cur[i]
+            cur[n - 1], cur[j] = cur[j], cur[n - 1]
         cur = grow(cur[:keep])
         if len(cur) > len(best):
             best = list(cur)

@@ -203,10 +203,12 @@ def _reference_ruin_recreate(orbits: list, cap, iterations: int, rng: random.Ran
 
 @pytest.mark.parametrize("u, v, k, t", [
     (2, 6, 4, 3), (6, 2, 4, 3), (12, 1, 4, 3), (3, 5, 4, 3), (4, 2, 4, 4), (3, 5, 4, 2),
+    (2, 10, 4, 3), (5, 4, 4, 3),
 ])
 def test_ruin_recreate_matches_reference(u, v, k, t):
     # 300 iterations stop short of the cap everywhere but 2x6 and
-    # (4, 2) on 3x5, which meet it within them
+    # (4, 2) on 3x5, which meet it within them; on 2x10 (474 orbits)
+    # and 5x4 (1,200) the free bitset spans many 30-bit int digits
     index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1)
     orbits = _build_orbits(u, v, k, t, index)
@@ -215,6 +217,27 @@ def test_ruin_recreate_matches_reference(u, v, k, t):
         best = _ruin_recreate(orbits, cap, 300, ours)
         assert best == _reference_ruin_recreate(orbits, cap, 300, reference)
         assert ours.getstate() == reference.getstate()
+
+
+_SMALL_CASES = [(u, n // u, k, t) for n in range(3, 11) for u in range(1, n + 1) if n % u == 0
+                for k in (3, 4) if k <= n for t in range(1, k + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SMALL_CASES), st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_ruin_recreate_matches_reference_property(case, seed, iterations):
+    """Any seed and iteration count, stopped where max_packing stops it."""
+    u, v, k, t = case
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    if (k, t) == (4, 3):
+        cap = jstar(u, v)[0]
+    else:
+        cap = None if t < 2 else johnson_bound(u, v, k, t - 1)
+    orbits = _build_orbits(u, v, k, t, index)
+    ours, reference = random.Random(seed), random.Random(seed)
+    best = _ruin_recreate(orbits, cap, iterations, ours)
+    assert best == _reference_ruin_recreate(orbits, cap, iterations, reference)
+    assert ours.getstate() == reference.getstate()
 
 
 def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
@@ -290,10 +313,6 @@ def test_orbit_leave_matches_reference(u, v, k, t):
                                                              incumbent, cap, 10**7)
         assert reps == ref_reps
         assert not exhausted and nodes <= ref_nodes
-
-
-_SMALL_CASES = [(u, n // u, k, t) for n in range(3, 11) for u in range(1, n + 1) if n % u == 0
-                for k in (3, 4) if k <= n for t in range(1, k + 1)]
 
 
 @settings(max_examples=100, deadline=None)
