@@ -22,16 +22,19 @@ A u x v codeword matrix is kept as the sorted grid codes i * v + j of
 its ones (CodewordMatrix.cells) and rebuilds its rows only when asked,
 so codes reach the same kernel: a codeword rotated by r is its cells'
 image under Z_v, and a code's correlation is a cover count of its
-developed codewords.  A CyclicPacking keeps the codes and stabilizer
-orders its constructor computed to check its base blocks, and packing
-develops them without encoding a Point again.
+developed codewords.  A CyclicPacking is built from its codes once:
+make_packing, code_to_packing and the search witness take each orbit
+once, check the canonical images on ints and decode them with one Point
+per distinct code.  It keeps the checked codes and stabilizer orders,
+and packing develops them without encoding a Point again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -115,6 +118,13 @@ def _grid_block(codes, v: int) -> Block:
     return tuple([Point._make(divmod(e, v)) for e in codes])
 
 
+def _set(obj, **fields):
+    """obj with its frozen fields set."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def shift(block: Block, delta: int, v: int) -> Block:
     """Add delta to every column index modulo v and re-sort."""
     if v <= 0:
@@ -158,40 +168,55 @@ class CyclicPacking:
     base_blocks: tuple
 
     def __post_init__(self):
-        if self.u < 1 or self.v < 1:
-            raise ValueError("grid dimensions must be positive")
-        if not (1 <= self.t <= self.k):
-            raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (self.t, self.k))
-        u, v, k = self.u, self.v, self.k
-        reps, stabs = {}, []  # reps: the canonical codes in block order
-        for b in self.base_blocks:
-            if len(b) != k:
-                raise ValueError("block %r has size %d, expected %d" % (b, len(b), k))
-            try:
-                codes = tuple([p.row * v + p.col for p in b if 0 <= p.row < u and 0 <= p.col < v])
-            except (AttributeError, TypeError):  # not every point a Point of integers
-                codes = ()
-            if len(codes) != k:  # the point by point walk names the first bad point
-                check_block_range(b, u, v)
-                codes = tuple(p[0] * v + p[1] for p in b)
-            if len(set(codes)) != k:
-                raise ValueError("duplicate point in block: %r" % (b,))
-            rep, stab = _orbit(tuple(sorted(codes)), v)
-            if codes != rep:
-                raise ValueError("block %r is not the canonical representative %r"
-                                 % (b, _grid_block(rep, v)))
-            if rep in reps:
-                raise ValueError("two base blocks share the orbit of %r" % (_grid_block(rep, v),))
-            reps[rep] = None
-            stabs.append(stab)
-        # the codes and stabilizer orders just checked, for packing's
-        # development; not fields, so ==, repr and hash ignore them
-        object.__setattr__(self, "_codes", tuple(reps))
-        object.__setattr__(self, "_stabs", tuple(stabs))
+        _check_blocks(self)
 
     @property
     def num_base_blocks(self) -> int:
         return len(self.base_blocks)
+
+
+def _check_blocks(p: CyclicPacking, orbits=None) -> None:
+    """Check p's parameters, then each base block against its (canonical
+    codes, stabilizer order) in orbits, else its Points' codes: k points
+    on the grid, distinct, canonical, one block per orbit.  Keeps the
+    codes and stabilizer orders for packing; not fields, so ==, repr
+    and hash ignore them."""
+    u, v, k, t = p.u, p.v, p.k, p.t
+    if u < 1 or v < 1:
+        raise ValueError("grid dimensions must be positive")
+    if not (1 <= t <= k):
+        raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (t, k))
+    n, reps, stabs = u * v, {}, []  # reps: the canonical codes in block order
+    for b, (rep, stab) in zip(p.base_blocks, repeat((None, None)) if orbits is None else orbits):
+        if len(b) != k:
+            raise ValueError("block %r has size %d, expected %d" % (b, len(b), k))
+        codes = rep
+        if rep is None or rep[-1] >= n:  # the point by point walk names the first bad point
+            check_block_range(b, u, v)
+            codes = tuple(q[0] * v + q[1] for q in b)
+            rep, stab = _orbit(tuple(sorted(codes)), v)
+        if len(set(codes)) != k:
+            raise ValueError("duplicate point in block: %r" % (b,))
+        if codes != rep:
+            raise ValueError("block %r is not the canonical representative %r"
+                             % (b, _grid_block(rep, v)))
+        if rep in reps:
+            raise ValueError("two base blocks share the orbit of %r" % (_grid_block(rep, v),))
+        reps[rep] = None
+        stabs.append(stab)
+    _set(p, _codes=tuple(reps), _stabs=tuple(stabs))
+
+
+def _packing(u: int, v: int, k: int, t: int, blocks) -> CyclicPacking:
+    """The CyclicPacking of the canonical images of blocks, sorted grid
+    code tuples: one _orbit per block, the checks on ints, and one Point
+    per distinct code."""
+    orbits = sorted([_orbit(codes, v) for codes in blocks], key=itemgetter(0))
+    point = {e: Point._make(divmod(e, v)) for e in {e for rep, _ in orbits for e in rep}}
+    p = _set(object.__new__(CyclicPacking), u=u, v=v, k=k, t=t, base_blocks=tuple(
+        [tuple(map(point.__getitem__, rep)) for rep, _ in orbits]))
+    _check_blocks(p, orbits)
+    return p
 
 
 def _block_codes(points, v: int) -> tuple:
@@ -209,12 +234,12 @@ def _block_codes(points, v: int) -> tuple:
 def make_packing(u: int, v: int, k: int, t: int, blocks: Iterable) -> CyclicPacking:
     """Build a CyclicPacking from arbitrary orbit representatives.
 
-    Blocks are canonicalized and sorted so equal packings compare equal
-    regardless of which orbit representatives the caller picked.  Both
-    run on codes, which sort as their points do.
+    Each block is refused as as_block and canonicalize refuse it, and
+    the packing is built once from the blocks' sorted grid codes: its
+    base blocks are their canonical images, sorted, so equal packings
+    compare equal whichever orbit representatives the caller picked.
     """
-    reps = sorted(_orbit(_block_codes(b, v), v)[0] for b in blocks)
-    return CyclicPacking(u=u, v=v, k=k, t=t, base_blocks=tuple(_grid_block(r, v) for r in reps))
+    return _packing(u, v, k, t, [_block_codes(b, v) for b in blocks])
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -241,7 +266,7 @@ class CodewordMatrix:
                 for x in row:
                     if x not in (0, 1):
                         raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
-        _set_matrix(self, u, v, tuple(compress(range(len(flat)), flat)))
+        _set(self, u=u, v=v, cells=tuple(compress(range(len(flat)), flat)))
 
     @property
     def bits(self) -> tuple:
@@ -259,15 +284,9 @@ class CodewordMatrix:
         return "CodewordMatrix(u=%r, v=%r, bits=%r)" % (self.u, self.v, self.bits)
 
 
-def _set_matrix(m: CodewordMatrix, u: int, v: int, cells: tuple) -> CodewordMatrix:
-    for name, value in (("u", u), ("v", v), ("cells", cells)):
-        object.__setattr__(m, name, value)
-    return m
-
-
 def _cells_matrix(cells, u: int, v: int) -> CodewordMatrix:
     """The u x v matrix whose ones are the distinct grid codes in cells."""
-    return _set_matrix(object.__new__(CodewordMatrix), u, v, tuple(sorted(cells)))
+    return _set(object.__new__(CodewordMatrix), u=u, v=v, cells=tuple(sorted(cells)))
 
 
 @dataclass(frozen=True)

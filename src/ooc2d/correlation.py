@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (Block, Code, CodewordMatrix, CyclicPacking, _cells_matrix, _cover_counts,
-                   _grid_block, _grid_codes, _image, _orbit)
+                   _grid_block, _grid_codes, _image, _packing)
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,16 @@ def _violation(x: int, y: int, v: int) -> tuple:
 
 def packing_to_code(p: CyclicPacking) -> Code:
     """Read each base block as a codeword matrix.  Needs t >= 2 so the
-    correlation bound t - 1 is a valid lambda."""
+    correlation bound t - 1 is a valid lambda.  Each matrix is built
+    from the grid codes CyclicPacking checked, not from its Points."""
     if p.t < 2:
         raise ValueError("packing with t=%d has no code counterpart" % p.t)
-    mats = tuple(block_to_matrix(b, p.u, p.v) for b in p.base_blocks)
+    mats = tuple(_cells_matrix(codes, p.u, p.v) for codes in p._codes)
     return Code(u=p.u, v=p.v, k=p.k, lam=p.t - 1, codewords=mats)
 
 
 def code_to_packing(c: Code) -> CyclicPacking:
-    """Each codeword's canonical image is a base block; sorting the
-    codes sorts the blocks, since all have k cells."""
-    reps = sorted(_orbit(m.cells, c.v)[0] for m in c.codewords)
-    return CyclicPacking(u=c.u, v=c.v, k=c.k, t=c.lam + 1,
-                         base_blocks=tuple(_grid_block(rep, c.v) for rep in reps))
+    """The packing whose base blocks are the codewords' canonical
+    images, built once from their cells: each codeword's orbit is taken
+    once, and its Points are made only for the finished packing."""
+    return _packing(c.u, c.v, c.k, c.lam + 1, [m.cells for m in c.codewords])

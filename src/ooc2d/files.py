@@ -7,7 +7,8 @@ catalog and the constructions all go through them.  Coordinates are
 plain lists of JSON integers, [row, col] on grids and [x, y, j] for the
 cyclic shapes; the fixed point of a rotational system is written -1.
 The decoder checks types rather than coercing them, so 1.9, "0" or true
-is an error naming its field.
+is an error naming its field, as is a point with too few or too many
+coordinates.
 
 The writer, design_json, gives one line of canonical JSON: sorted keys,
 no whitespace, built in one call of the C encoder.  save_design writes
@@ -132,14 +133,18 @@ def _int_rows(rows, name: str):
     return rows
 
 
-def _coords(bs, name: str):
-    """bs, a list of blocks of points, once every coordinate is a JSON integer."""
-    _int_rows([p for b in bs for p in b], name)
+def _coords(bs, name: str, dim: int):
+    """bs, a list of blocks of points, once each point is dim JSON integers."""
+    points = _int_rows([p for b in bs for p in b], name)
+    if not set(map(len, points)) <= {dim}:
+        bad = next(p for p in points if len(p) != dim)
+        raise ValueError("malformed %r: point %r has %d coordinate%s, expected %d"
+                         % (name, bad, len(bad), "s" * (len(bad) != 1), dim))
     return bs
 
 
-def _blocks(bs, name: str, point=tuple) -> tuple:
-    return tuple(tuple(sorted(map(point, b))) for b in _coords(bs, name))
+def _blocks(bs, name: str, point=tuple, dim: int = 3) -> tuple:
+    return tuple(tuple(sorted(map(point, b))) for b in _coords(bs, name, dim))
 
 
 def _clean_bits(ms, u: int, v: int):
@@ -198,18 +203,18 @@ def design_from_dict(doc: dict):
     if kind == "packing":
         u, v, k, t = _ints(params, "u", "v", "k", "t")
         return _field(doc, "base_blocks", lambda bs: make_packing(
-            u, v, k, t, _coords(bs, "base_blocks")))
+            u, v, k, t, _coords(bs, "base_blocks", 2)))
     if kind == "fan":
         s, h = _ints(params, "s", "h")
         if params.get("shape") == CYCLIC:
-            point = tuple
+            point, dim = tuple, 3
             g_list = _param(params, "g_list")
             if not (isinstance(g_list, list) and all(type(g) is int for g in g_list)):
                 raise ValueError("parameter 'g_list' must be a list of integers, got %r"
                                  % (g_list,))
             extra = {"g_list": tuple(g_list)}
         elif params.get("shape") == REGULAR:
-            point = Point._make
+            point, dim = Point._make, 2
             u, v = _ints(params, "u", "v")
             extra = {"u": u, "v": v}
         else:
@@ -219,10 +224,10 @@ def design_from_dict(doc: dict):
             raise ValueError("parameter 'developed' must be true or false, got %r"
                              % (developed,))
         layers = _field(doc, "layers", lambda lays: tuple(
-            _blocks(lay, "layers", point) for lay in lays), [])
+            _blocks(lay, "layers", point, dim) for lay in lays), [])
         return FanDesign(s=s, shape=params["shape"], h=h, layers=layers,
                          terminal=_field(doc, "base_blocks",
-                                         lambda bs: _blocks(bs, "base_blocks", point)),
+                                         lambda bs: _blocks(bs, "base_blocks", point, dim)),
                          developed=developed, **extra)
     if kind == "hdesign":
         n, l, h, t = _ints(params, "n", "l", "h", "t")

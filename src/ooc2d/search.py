@@ -85,7 +85,7 @@ from math import comb
 from operator import or_
 
 from .bounds import johnson_bound, jstar
-from .core import CyclicPacking, _grid_block, _image, _orbit, make_packing
+from .core import CyclicPacking, _image, _orbit, _packing
 from .files import verdict
 
 
@@ -336,7 +336,7 @@ def max_packing(u: int, v: int, k: int, t: int,
         reps, nodes, exhausted = _branch_and_bound(
             v, k, t, orbits, index, incumbent, cap, node_budget)
 
-    witness = make_packing(u, v, k, t, [_grid_block(b, v) for b in reps])
+    witness = _packing(u, v, k, t, reps)
     detail = verdict(witness, strict=True)
     if detail is not None:
         raise ValueError("search witness: " + detail)

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ooc2d.core import (Code, CodewordMatrix, CyclicPacking, Point, as_block,
                         canonicalize, make_packing, orbit, shift,
                         stabilizer_order)
+from ooc2d.correlation import code_to_packing, packing_to_code
 
 
 def random_block(rng, u, v, k):
@@ -96,6 +100,89 @@ def test_packing_rejects_out_of_range():
 def test_make_packing_refusals(block, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         make_packing(2, 3, 4, 3, [block])
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[(0, 0), (0, 1), (2, 0)]],
+     "block (Point(row=0, col=0), Point(row=0, col=1), Point(row=2, col=0)) has size 3, "
+     "expected 4"),
+    ([[(0, 1), (1, 0), (1, 2), (2, 2)], [(0, 2), (1, 0), (1, 1)]],
+     "block (Point(row=0, col=0), Point(row=1, col=1), Point(row=1, col=2)) has size 3, "
+     "expected 4"),
+    ([[(1, 0), (1, 1), (1, 2)], [(0, 0), (0, 1), (1, 0), (2, 1)]],
+     "point Point(row=2, col=1) outside 2x3 grid"),
+    ([[(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (0, 2), (1, 1), (1, 2)],
+      [(1, 1), (0, 2), (1, 2)]],
+     "two base blocks share the orbit of (Point(row=0, col=0), Point(row=0, col=1), "
+     "Point(row=1, col=0), Point(row=1, col=1))"),
+], ids=["size before range", "first bad block by size", "first bad block by range",
+        "orbit before a later size"])
+def test_make_packing_names_the_first_bad_block(blocks, message):
+    """blocks are checked in their sorted canonical order, each for size,
+    then range, then its orbit"""
+    with pytest.raises(ValueError) as info:
+        make_packing(2, 3, 4, 3, blocks)
+    assert str(info.value) == message
+
+
+def _outcome(build):
+    """("built", packing, its repr, hash, codes and stabilizer orders),
+    or ("refused", message) for a ValueError."""
+    try:
+        p = build()
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "built", p, repr(p), hash(p), p._codes, p._stabs
+
+
+@st.composite
+def packing_inputs(draw):
+    """Small grids and random blocks: most have k distinct points on the
+    grid, the rest another size, a repeated point, or a point one row or
+    column past the grid.  Blocks often share an orbit."""
+    u, v = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(4, u * v)))
+    t = draw(st.integers(1, k + 1))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        size = k if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+        rows = u if draw(st.integers(0, 3)) else u + 1
+        cols = v if draw(st.integers(0, 7)) else v + 1
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        unique = draw(st.integers(0, 4)) > 0
+        size = min(size, len(cells)) if unique else size
+        blocks.append(draw(st.lists(st.sampled_from(cells), min_size=size, max_size=size,
+                                    unique=unique)))
+    return u, v, k, t, blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(packing_inputs())
+def test_packing_from_codes_equals_public_constructor(args):
+    """make_packing and code_to_packing build a packing from its codes
+    once; the result, or the refusal, is the public constructor's on the
+    sorted canonical blocks"""
+    u, v, k, t, blocks = args
+    want = _outcome(lambda: CyclicPacking(u=u, v=v, k=k, t=t, base_blocks=tuple(
+        sorted(canonicalize(as_block(b), v) for b in blocks))))
+    assert _outcome(lambda: make_packing(u, v, k, t, blocks)) == want
+    if want[0] == "built" and t >= 2:
+        assert _outcome(lambda: code_to_packing(packing_to_code(want[1]))) == want
+    cells = [sorted({r * v + c for r, c in b if r < u and c < v}) for b in blocks]
+    if 2 <= t <= k and all(len(c) == len(b) == k for c, b in zip(cells, blocks)):
+        mats = tuple(CodewordMatrix(u=u, v=v, bits=tuple(
+            tuple(int(i * v + j in c) for j in range(v)) for i in range(u))) for c in cells)
+        code = Code(u=u, v=v, k=k, lam=t - 1, codewords=mats)
+        assert _outcome(lambda: code_to_packing(code)) == want
+
+
+def test_make_packing_on_a_huge_grid_returns_at_once():
+    """nothing is sized by the grid or by the largest code"""
+    block = [(999_999, 0), (999_999, 1), (999_999, 3), (999_999, 7)]
+    start = time.perf_counter()
+    p = make_packing(10**6, 10**6, 4, 3, [block])
+    assert time.perf_counter() - start < 0.5
+    assert p.base_blocks == (as_block(block),) and p._stabs == (1,)
 
 
 def test_packing_rejects_bad_t():

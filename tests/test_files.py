@@ -187,12 +187,23 @@ def test_mutated_documents_load_or_raise_value_error(doc):
     (2, ("codewords", 0, 0, 0), lambda x: x + 0.5, "'codewords'"),
     (3, ("parameters", "h"), bool, "'h'"),
     (4, ("parameters", "developed"), lambda x: "no", "'developed'"),
+    (1, ("base_blocks", 0, 3), lambda p: p[:1],
+     r"^malformed 'base_blocks': point \[1\] has 1 coordinate, expected 2$"),
+    (1, ("base_blocks", 0, 3), lambda p: p + [1],
+     r"^malformed 'base_blocks': point \[1, 1, 1\] has 3 coordinates, expected 2$"),
+    (4, ("base_blocks", 0, 3), lambda p: p[:2],
+     r"^malformed 'base_blocks': point \[1, 1\] has 2 coordinates, expected 3$"),
+    (3, ("base_blocks", 0, 1), lambda p: p[:2],
+     r"^malformed 'base_blocks': point \[1, 0\] has 2 coordinates, expected 3$"),
 ], ids=["packing float", "cyclic fan string", "layer string", "regular fan bool",
         "hdesign float", "rosqs string", "code float", "bool parameter",
-        "string developed"])
+        "string developed", "packing 1-coordinate point", "packing 3-coordinate point",
+        "cyclic fan 2-coordinate point", "hdesign 2-coordinate point"])
 def test_wrong_typed_value_is_refused_not_coerced(source, path, change, field):
     """int() would read each changed value as the one it replaced (and
-    bool() reads "no" as true); the decoder names the field instead"""
+    bool() reads "no" as true); the decoder names the field instead.  A
+    point with the wrong number of coordinates gave a bare unpacking
+    error; the decoder names the field and the point."""
     doc = copy.deepcopy(MUTATION_SOURCES[source])
     node = doc
     for key in path[:-1]:
