@@ -46,8 +46,22 @@ class Point(NamedTuple):
 Block = tuple  # tuple[Point, ...], sorted ascending
 
 
+def _int_points(points) -> list:
+    """(row, col) int pairs of points, refusing a coordinate that int()
+    would change, such as 1.9 or "1"."""
+    points = list(points)
+    pts = [(r, c) for r, c in points if type(r) is int is type(c)]
+    if len(pts) != len(points):
+        raw = [(r, c) for r, c in points]
+        pts = [(int(r), int(c)) for r, c in raw]
+        if pts != raw:
+            bad = next(x for p, q in zip(raw, pts) for x, y in zip(p, q) if x != y)
+            raise ValueError("block %r has a non-integral coordinate %r" % (raw, bad))
+    return pts
+
+
 def as_block(points: Iterable) -> Block:
-    pts = tuple(sorted(Point(int(r), int(c)) for r, c in points))
+    pts = tuple(sorted([Point._make(p) for p in _int_points(points)]))
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point in block: %r" % (pts,))
     return pts
@@ -192,6 +206,8 @@ def _check_blocks(p: CyclicPacking, orbits=None) -> None:
             raise ValueError("block %r has size %d, expected %d" % (b, len(b), k))
         codes = rep
         if rep is None or rep[-1] >= n:  # the point by point walk names the first bad point
+            if not all(type(q) is Point and type(q.row) is type(q.col) is int for q in b):
+                raise ValueError("block %r has a point that is not a Point of ints" % (b,))
             check_block_range(b, u, v)
             codes = tuple(q[0] * v + q[1] for q in b)
             rep, stab = _orbit(tuple(sorted(codes)), v)
@@ -222,8 +238,8 @@ def _packing(u: int, v: int, k: int, t: int, blocks) -> CyclicPacking:
 def _block_codes(points, v: int) -> tuple:
     """Sorted grid codes of a block of (row, col) pairs, refused as
     as_block and canonicalize refuse it: a duplicate point, no point, or
-    a point out of range for period v."""
-    pts = [(int(r), int(c)) for r, c in points]
+    a point out of range for period v, or a non-integral coordinate."""
+    pts = _int_points(points)
     codes = sorted([r * v + c for r, c in pts if r >= 0 and 0 <= c < v])
     if not codes or len(codes) != len(pts) or len(set(codes)) != len(codes):
         canonicalize(as_block(pts), v)

@@ -36,23 +36,36 @@ off the orbit at once, rather than T alone, saves the nodes whose
 only child would be a forced leave of each shift of T.
 
 A node is expanded only while depth + slots // k beats the
-incumbent: the per-point counting behind Johnson's bound (IRE Trans.
-Inf. Theory 8, 1962).  The t-subsets used (covered or written off)
-are closed under column shifts, so every point of row i lies on the
-same number f_i of free t-subsets.  A block through a point covers
-C(k-1, t-1) t-subsets through it, so at most f_i // C(k-1, t-1)
-further blocks pass through point (i, 0): these are row i's slots,
-and slots is their sum over the rows.  An orbit has one block
-through (i, 0) for each of its rep's r_i points in row i, so it
-fills k slots, and at most slots // k further orbits fit.  A cover
-child has exactly slots - k: its orbit repeats no t-subset, so its
-r_i blocks through (i, 0) take exactly r_i * C(k-1, t-1) free
-t-subsets off that point.  A leave child touches only the rows of
-T's points, and its entry holds, per row, the mask of t-subsets
-through (i, 0) and how many members of T's orbit pass through it:
-one popcount per row finds f_i before and after.  The bound implies
-the plain counting bound depth + free // (v*C(k, t)), since
-t * free = v * sum f_i and C(k, t) = k * C(k-1, t-1) / t.
+incumbent: the second level of Johnson's bound (IRE Trans. Inf.
+Theory 8, 1962), counted per row.  The t-subsets used (covered or
+written off) are closed under column shifts, so every point of row i
+counts as p = (i, 0) does.  For each other point q, let g_q be the
+number of free t-subsets through both p and q.  A block through p and
+q covers C(k-2, t-2) of them, so each further block through p lowers
+S_i, the sum of g_q // C(k-2, t-2) over q, by exactly k-1, and at
+most S_i // (k-1) such blocks fit: these are row i's slots, and slots
+is their sum over the rows.  An orbit has one block through (i, 0) for
+each of its rep's r_i points in row i, so it fills k slots, and at
+most slots // k further orbits fit.  At the root, for t in {2, 3},
+slots // k is johnson_bound(u, v, k, t - 1).
+
+A cover child has exactly slots - k.  Its orbit repeats no t-subset,
+so each of its r_i blocks through p takes exactly C(k-2, t-2) free
+t-subsets off each of its k-1 pairs: S_i falls by exactly (k-1) * r_i
+and S_i mod (k-1) stays as it was.  Each frame therefore carries one
+residue S_i mod (k-1) per row, and cover children share their
+parent's residues.  Only a leave child recounts.  Its entry lists,
+per row that T's orbit meets, the (mask, lost) of each pair that the
+orbit's members through p hold: the mask of all t-subsets through the
+pair, and how many members hold it.  One popcount per pair gives g_q
+before the leave, and the fall of S_i updates slots and that row's
+residue.  For t = 1 there is no pair level: each row's point is its
+own one pair and the divisor is 1, the plain per-point count.  For
+t >= 2 the bound is at least as sharp as the per-point count
+f_i // C(k-1, t-1), f_i the free t-subsets through p, since the g_q
+sum to (t-1) * f_i; and that implies the plain counting bound depth +
+free // (v*C(k, t)), since t * free = v * sum f_i and C(k, t) =
+k * C(k-1, t-1) / t.
 
 All pruning is against strictly-better-than-incumbent, so a finished
 run proves the incumbent maximal.  A sound bound, however sharp,
@@ -217,57 +230,80 @@ def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
 def _leave_orbits(v: int, t: int, index: dict) -> list:
     """Per t-subset index, the (mask, rows) of its orbit under column
     shifts; all members of an orbit share one entry.  rows holds, for
-    each row i that the orbit's members meet, the mask of all
-    t-subsets through point (i, 0) and how many members pass through
-    that point."""
-    through: dict = {}  # row -> mask of the t-subsets through (row, 0)
+    each row i whose point p = (i, 0) the orbit's members meet, the
+    pair (i, pairs): per other point q of those members, the mask of
+    all t-subsets through p and q and how many members hold both.  For
+    t = 1, q is p itself."""
+    n = next(reversed(index))[-1] + 1  # the last t-subset ends at point uv - 1
+    through = [0] * n  # point -> mask of the t-subsets through it
     for sub, i in index.items():
-        for p in sub:
-            if p % v == 0:
-                through[p // v] = through.get(p // v, 0) | 1 << i
+        for x in sub:
+            through[x] |= 1 << i
     table: list = [None] * len(index)
     for sub, i in index.items():
         if table[i] is None:
             images = {_image(sub, d, v) for d in range(v)}
-            lost: dict = {}
+            lost: dict = {}  # p in column 0 -> {q: members through p and q}
             for img in images:
                 for p in img:
                     if p % v == 0:
-                        lost[p // v] = lost.get(p // v, 0) + 1
+                        here = lost.setdefault(p, {})
+                        for q in img:
+                            if q != p or t == 1:
+                                here[q] = here.get(q, 0) + 1
             entry = (sum(1 << index[img] for img in images),
-                     tuple((through[row], n) for row, n in sorted(lost.items())))
+                     tuple((p // v, tuple((through[p] & through[q], m)
+                                          for q, m in sorted(here.items())))
+                           for p, here in sorted(lost.items())))
             for img in images:
                 table[index[img]] = entry
     return table
+
+
+def _pair_level(n: int, k: int, t: int) -> tuple:
+    """(pair_total, per_pair, per_block, root) on n points, as the
+    module docstring counts them: the t-subsets through a pair of
+    points, those a block through the pair covers, the pairs through a
+    point that a block through it holds (k - 1), and each row's S_i at
+    the root.  For t = 1 a point is its own one pair: all four are 1."""
+    if t == 1:
+        return 1, 1, 1, 1
+    pair_total, per_pair = comb(n - 2, t - 2), comb(k - 2, t - 2)
+    return pair_total, per_pair, k - 1, (n - 1) * (pair_total // per_pair)
 
 
 def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
                       incumbent: list, cap, node_budget: int):
     """Exhaustive search from the incumbent.  Returns (best reps,
     nodes visited, whether the node budget ran out)."""
-    n = next(reversed(index))[-1] + 1  # the last t-subset ends at point uv - 1
-    per_point = comb(k - 1, t - 1)  # t-subsets through one point of a block
-    through_point = comb(n - 1, t - 1)  # t-subsets through one grid point
+    n = next(reversed(index))[-1] + 1
+    pair_total, per_pair, per_block, root = _pair_level(n, k, t)
     full = (1 << len(index)) - 1
     options_of = _candidates(v, t, orbits, index)
     leave_of = _leave_orbits(v, t, index)
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
-    # pending children (depth, used, slots, chosen, leave), where used
-    # = covered | forbidden, slots is the slot bound of the module
-    # docstring, chosen is the parent-linked tuple (rep, chosen) of the
-    # blocks on the way down and leave is the (mask, rows) a leave
-    # child still has to write off; at the root each of the n // v
-    # rows has through_point // per_point slots
-    stack: list = [(0, 0, n // v * (through_point // per_point), None, None)]
+    # pending children (depth, used, slots, residues, chosen, leave),
+    # where used = covered | forbidden, slots and the per-row residues
+    # S_i mod per_block are those of the module docstring, chosen is
+    # the parent-linked tuple (rep, chosen) of the blocks on the way
+    # down and leave is the (mask, rows) a leave child still has to
+    # write off; at the root each of the n // v rows has S_i = root
+    stack: list = [(0, 0, n // v * (root // per_block), [root % per_block] * (n // v),
+                    None, None)]
     while stack:
-        depth, used, slots, chosen, leave = stack.pop()
+        depth, used, slots, residues, chosen, leave = stack.pop()
         if leave is not None:
             orbit, rows = leave
-            for row_mask, lost in rows:
-                free_here = through_point - (row_mask & used).bit_count()
-                slots += (free_here - lost) // per_point - free_here // per_point
+            residues = residues[:]  # the parent's list is shared by its cover children
+            for row, pairs in rows:
+                left = residues[row]
+                for pair_mask, lost in pairs:
+                    free_here = pair_total - (pair_mask & used).bit_count()
+                    left -= free_here // per_pair - (free_here - lost) // per_pair
+                slots += left // per_block
+                residues[row] = left % per_block
             if depth + slots // k <= best:
                 continue
             used |= orbit
@@ -288,10 +324,11 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
             break
         elif depth + slots // k > best:
             target = (free & -free).bit_length() - 1
-            stack.append((depth, used, slots, chosen, leave_of[target]))
+            stack.append((depth, used, slots, residues, chosen, leave_of[target]))
             for mask, rep in reversed(options_of[target]):
                 if not mask & used:
-                    stack.append((depth + 1, used | mask, slots - k, (rep, chosen), None))
+                    stack.append((depth + 1, used | mask, slots - k, residues, (rep, chosen),
+                                  None))
     return best_blocks, nodes, False
 
 

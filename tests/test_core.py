@@ -86,6 +86,33 @@ def test_packing_rejects_repeated_point(v):
         CyclicPacking(u=1, v=v, k=2, t=2, base_blocks=((Point(0, 0), Point(0, 0)),))
 
 
+@pytest.mark.parametrize("block, bad", [
+    ([(0, 0), (0, 1), (1, 0), (1, 1.9)], "1.9"), ([(0, 0), (0, 1), (1, 0), ("1", 1)], "'1'"),
+])
+def test_make_packing_refuses_non_integral_coordinates(block, bad):
+    # int() would truncate (1, 1.9) to Point(1, 1) and build a packing
+    message = "block %r has a non-integral coordinate %s" % (block, bad)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make_packing(2, 3, 4, 3, [block])
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        as_block(block)
+
+
+def test_make_packing_takes_integral_floats():
+    p = make_packing(2, 3, 4, 3, [[(0, 0), (0, 1.0), (1, 0), (1, 1)]])
+    assert p == make_packing(2, 3, 4, 3, [[(0, 0), (0, 1), (1, 0), (1, 1)]])
+    assert {type(x) for q in p.base_blocks[0] for x in q} == {int}
+
+
+@pytest.mark.parametrize("block", [
+    ((0, 0), (0, 1)), (Point(0, 0), (0, 1)), (Point(0, 0), Point(0, 1.0)),
+])
+def test_packing_refuses_blocks_of_non_points(block):
+    message = "block %r has a point that is not a Point of ints" % (block,)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        CyclicPacking(u=2, v=2, k=2, t=2, base_blocks=(block,))
+
+
 def test_packing_rejects_out_of_range():
     with pytest.raises(ValueError):
         make_packing(2, 3, 4, 3, [as_block([(0, 0), (0, 1), (1, 0), (2, 0)])])

@@ -18,8 +18,9 @@ from ooc2d.constructs import fold
 from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
-from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _ruin_recreate,
-                          max_packing)
+from ooc2d.core import _image
+from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _pair_level,
+                          _ruin_recreate, max_packing)
 
 
 def test_small_grids_proved():
@@ -88,10 +89,10 @@ def test_heuristic_witnesses_pinned(u, v, digest):
 
 
 @pytest.mark.parametrize("u, v, nodes, digest", [
-    (4, 3, 4_926, "41210ef277b459e1"), (9, 1, 67_686, "54493c71be697e66"),
-    (2, 7, 70, "4534c107055ba340"), (2, 4, 6, "096db74a5019c7bf"),
-    (3, 3, 13, "096affacdee76913"), (3, 4, 20_248, "9b425edfd80e8fb8"),
-    (1, 16, 475, "22555a938b70bcd7"),
+    (4, 3, 1_986, "41210ef277b459e1"), (9, 1, 13_261, "54493c71be697e66"),
+    (2, 7, 52, "4534c107055ba340"), (2, 4, 6, "096db74a5019c7bf"),
+    (3, 3, 13, "096affacdee76913"), (3, 4, 8_402, "9b425edfd80e8fb8"),
+    (1, 16, 194, "22555a938b70bcd7"),
 ])
 def test_tree_witnesses_pinned(u, v, nodes, digest):
     result = max_packing(u, v, 4, 3, heuristic_iterations=0)
@@ -318,7 +319,7 @@ def test_orbit_leave_matches_reference(u, v, k, t):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_SMALL_CASES), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 def test_slot_bound_matches_reference(case, seed):
-    """The reference tree prunes with the counting bound alone: the slot
+    """The reference tree prunes with the counting bound alone: the pair
     bound may only cut nodes, never change the reps found, whether the
     walk starts from no incumbent or from a greedy grow of some seed.
     A reference that runs out of its budget decides nothing."""
@@ -333,3 +334,106 @@ def test_slot_bound_matches_reference(case, seed):
     reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent, cap, 50_000)
     assert reps == ref_reps
     assert not exhausted and nodes <= ref_nodes
+
+
+def _row_leave_orbits(v: int, t: int, index: dict) -> list:
+    """Per t-subset index, the (mask, rows) of its orbit under column
+    shifts, rows holding per row i that its members meet the mask of
+    all t-subsets through point (i, 0) and how many members pass
+    through that point."""
+    through: dict = {}  # row -> mask of the t-subsets through (row, 0)
+    for sub, i in index.items():
+        for p in sub:
+            if p % v == 0:
+                through[p // v] = through.get(p // v, 0) | 1 << i
+    table: list = [None] * len(index)
+    for sub, i in index.items():
+        if table[i] is None:
+            images = {_image(sub, d, v) for d in range(v)}
+            lost: dict = {}
+            for img in images:
+                for p in img:
+                    if p % v == 0:
+                        lost[p // v] = lost.get(p // v, 0) + 1
+            entry = (sum(1 << index[img] for img in images),
+                     tuple((through[row], n) for row, n in sorted(lost.items())))
+            for img in images:
+                table[index[img]] = entry
+    return table
+
+
+def _row_bound_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
+                                incumbent: list, cap, node_budget: int):
+    """The tree pruned with the per-row slot bound, the first level of
+    Johnson's bound: row i has f_i // C(k-1, t-1) slots, f_i the free
+    t-subsets through point (i, 0)."""
+    n = next(reversed(index))[-1] + 1
+    per_point = comb(k - 1, t - 1)
+    through_point = comb(n - 1, t - 1)
+    full = (1 << len(index)) - 1
+    options_of = _candidates(v, t, orbits, index)
+    leave_of = _row_leave_orbits(v, t, index)
+    best = len(incumbent)
+    best_blocks = [rep for rep, _ in incumbent]
+    nodes = 0
+    stack: list = [(0, 0, n // v * (through_point // per_point), None, None)]
+    while stack:
+        depth, used, slots, chosen, leave = stack.pop()
+        if leave is not None:
+            orbit, rows = leave
+            for row_mask, lost in rows:
+                free_here = through_point - (row_mask & used).bit_count()
+                slots += (free_here - lost) // per_point - free_here // per_point
+            if depth + slots // k <= best:
+                continue
+            used |= orbit
+        nodes += 1
+        if nodes > node_budget:
+            return best_blocks, nodes, True
+        free = full ^ used
+        if not free:
+            if depth > best:
+                best, best_blocks = depth, []
+                while chosen is not None:
+                    rep, chosen = chosen
+                    best_blocks.append(rep)
+                best_blocks.reverse()
+                if cap is not None and best >= cap:
+                    break
+        elif cap is not None and best >= cap:
+            break
+        elif depth + slots // k > best:
+            target = (free & -free).bit_length() - 1
+            stack.append((depth, used, slots, chosen, leave_of[target]))
+            for mask, rep in reversed(options_of[target]):
+                if not mask & used:
+                    stack.append((depth + 1, used | mask, slots - k, (rep, chosen), None))
+    return best_blocks, nodes, False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SMALL_CASES), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_pair_bound_matches_row_bound(case, seed):
+    """The pair bound is at least as sharp as the row slot bound and as
+    sound: the same reps in no more nodes, from no incumbent or from a
+    greedy grow of some seed, t = 1 (no pair level) included."""
+    u, v, k, t = case
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
+    orbits = _build_orbits(u, v, k, t, index)
+    incumbent = [] if seed is None else _ruin_recreate(orbits, cap, 0, random.Random(seed))
+    ref_reps, ref_nodes, ref_exhausted = _row_bound_branch_and_bound(
+        v, k, t, orbits, index, incumbent, cap, 10**6)
+    reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent, cap, 10**6)
+    assert not ref_exhausted and not exhausted
+    assert reps == ref_reps
+    assert nodes <= ref_nodes
+
+
+def test_root_slots_are_johnson():
+    """at the root the pair bound is johnson_bound(u, v, k, t - 1)"""
+    grids = [(u, v, k) for u, v, k, t in _SMALL_CASES if t == 2]
+    for u, v, k in grids + [(12, 1, 4), (6, 2, 4), (5, 4, 4)]:
+        for t in (2, 3):
+            _, _, per_block, root = _pair_level(u * v, k, t)
+            assert u * (root // per_block) // k == johnson_bound(u, v, k, t - 1), (u, v, k, t)
