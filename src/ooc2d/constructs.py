@@ -6,7 +6,10 @@ files.verdict, the one verifier of every design kind, so a failure
 reads "<label>: <detail>" with the detail the command line prints.
 The trace records labelled block count contributions that must sum to
 the output's base block count.  _finish counts the output itself
-(files.block_count) and raises AssertionError on a mismatch.
+(files.block_count) and raises AssertionError on a mismatch.  The
+constructions compute on the kernel codes of core and designs._codec:
+core._packing takes grid codes, design blocks are decoded last, and
+only _glue writes Points.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
-from .core import (Code, CyclicPacking, Point, _cells_matrix, _image, _orbit, canonicalize,
-                   make_packing, shift)
-from .designs import CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, develop_family
+from .core import (Code, CyclicPacking, Point, _cells_matrix, _grid_block, _grid_codes, _image,
+                   _orbit, _packing)
+from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, _codec,
+                      _develop_codes, _fibre_codec)
 from .files import block_count, verdict
 from .packing import is_perfect
 
@@ -86,27 +90,23 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
     p = r.n - 1
     _require(_is_prime(p) and p % 6 == 1, "need n - 1 = %d to be a prime 1 mod 6" % p)
 
-    a1 = [tuple(sorted(Point(0, x) for x in b)) for b in r.b2()]
-    a2 = [tuple(sorted([Point(1, 0)] + [Point(0, x) for x in b if x != INF]))
-          for b in r.b1()]
+    # grid codes on 2 x p: (0, x) -> x, (1, y) -> p + y
+    a1 = [tuple(b) for b in r.b2()]
+    a2 = [tuple(x for x in b if x != INF) + (p,) for b in r.b1()]
     a3 = []
-    for b in r.b1():
-        rest = sorted(x for x in b if x != INF)
-        for x, y in combinations(rest, 2):
+    for b in a2:
+        for x, y in combinations(b[:-1], 2):
             d = y - x
             for rr in range(1, (p - 1) // 2 + 1):
-                a3.append(tuple(sorted([
-                    Point(0, x), Point(0, y),
-                    Point(1, (2 * rr - 1) * d % p), Point(1, 2 * rr * d % p),
-                ])))
+                a3.append((x, y) + tuple(sorted([p + (2 * rr - 1) * d % p, p + 2 * rr * d % p])))
 
     def mirror(block):
-        return tuple(sorted(Point(1 - q.row, -q.col % p) for q in block))
+        return tuple(sorted([(1 - e // p) * p + -e % p for e in block]))
 
     a1m = [mirror(b) for b in a1]
     a2m = [mirror(b) for b in a2]
 
-    out = make_packing(2, p, 4, 3, a1 + a1m + a2 + a2m + a3)
+    out = _packing(2, p, 4, 3, a1 + a1m + a2 + a2m + a3)
     _require_valid(out, "hartman output")
     _require(is_perfect(out), "hartman output has a nonempty leave")
     steps = (
@@ -121,11 +121,9 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
 
 def hartman_part_sizes(r: RoSQSDesign) -> tuple:
     """Sizes of the three block families before merging, in the order
-    (plain plus mirror, fixed point plus mirror, pair difference)."""
-    p = r.n - 1
-    n_pairs = sum(len([x for x in b if x != INF]) * (len([x for x in b if x != INF]) - 1) // 2
-                  for b in r.b1())
-    return (2 * len(r.b2()), 2 * len(r.b1()), n_pairs * (p - 1) // 2)
+    (plain plus mirror, fixed point plus mirror, pair difference): a
+    fixed point block has 3 pairs, each spawning (p - 1) / 2 blocks."""
+    return (2 * len(r.b2()), 2 * len(r.b1()), 3 * len(r.b1()) * (r.n - 2) // 2)
 
 
 def filling_1(master: FanDesign, fillers: dict, input_labels=None):
@@ -153,13 +151,14 @@ def filling_1(master: FanDesign, fillers: dict, input_labels=None):
             _require(g * master.h < k,
                      "no filler for fibre size %d and the group can hold blocks" % g)
 
-    offsets = list(accumulate(master.g_list, initial=0))
-    blocks = [tuple(sorted(Point(offsets[x] + y, j) for x, y, j in b)) for b in master.terminal]
-    filled = [tuple(sorted(Point(offsets[x] + q.row, q.col) for q in fb))
-              for x, g in enumerate(master.g_list) if g in fillers
-              for fb in fillers[g].base_blocks]
+    # the master's code (off[x] + y) * h + j is the grid code of (off[x] + y, j)
+    blocks = list(map(_codec(master)[0], master.terminal))
+    offsets = accumulate(master.g_list, initial=0)
+    filled = [tuple([e + off * master.h for e in fb])
+              for off, g in zip(offsets, master.g_list) if g in fillers
+              for fb in fillers[g]._codes]
 
-    out = make_packing(sum(master.g_list), master.h, k, 3, blocks + filled)
+    out = _packing(sum(master.g_list), master.h, k, 3, blocks + filled)
     _require_valid(out, "filling_1 output")
     labels = input_labels or ["master fan"] + ["filler fibre %d" % g for g in sorted(fillers)]
     steps = (("master blocks", len(blocks)), ("filler blocks", len(filled)))
@@ -183,11 +182,10 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     _require((filler.k, filler.t) == (4, 3), "filler must have k=4, t=3")
     _require_valid(filler, "filling_2 filler")
 
-    step = master.v // master.h
-    blocks = list(master.terminal)
-    for fb in filler.base_blocks:
-        blocks.append(tuple(sorted(Point(q.row, q.col * step) for q in fb)))
-    out = make_packing(master.u, master.v, 4, 3, blocks)
+    step, h, v = master.v // master.h, master.h, master.v
+    blocks = [_grid_codes(b, v) for b in master.terminal]
+    blocks += [tuple([e // h * v + e % h * step for e in fb]) for fb in filler._codes]
+    out = _packing(master.u, master.v, 4, 3, blocks)
     _require_valid(out, "filling_2 output")
     labels = input_labels or ["master fan", "filler"]
     steps = (("master blocks", len(master.terminal)),
@@ -313,19 +311,19 @@ def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
     return _finish(labels, steps, out)
 
 
-def _orbit_representatives(blocks, fibre: int, h: int, suffix: str) -> tuple:
-    """Sorted representatives of whole, full orbits of blocks of points
-    (x, y, j), y < fibre, under +1 on j modulo h."""
+def _orbit_representatives(blocks, fibres, h: int, suffix: str) -> tuple:
+    """Sorted representatives, as points, of whole, full orbits of code
+    blocks of the points (x, y, j), y < fibres[x], under +1 on j mod h."""
+    _, points, _ = _fibre_codec(fibres, h)
     reps = {}
-    for b in blocks:
-        codes = tuple(sorted((x * fibre + y) * h + j for x, y, j in b))
+    for codes in blocks:
         rep, stab = _orbit(codes, h)
         if stab != 1:
-            raise ValueError("block %r has a short orbit%s" % (b, suffix))
+            raise ValueError("block %r has a short orbit%s"
+                             % (tuple([points[e] for e in codes]), suffix))
         reps[rep] = None
     _require(len(reps) * h == len(blocks), "orbits do not partition the block set")
-    return tuple(sorted(tuple((e // h // fibre, e // h % fibre, e % h) for e in rep)
-                        for rep in reps))
+    return tuple([tuple([points[e] for e in rep]) for rep in sorted(reps)])
 
 
 def as_semicyclic(d: HDesign):
@@ -335,8 +333,8 @@ def as_semicyclic(d: HDesign):
     _require_kind(d, "as_semicyclic input", HDesign)
     _require(d.h == 1, "input must be a plain H design")
     _require_valid(d, "as_semicyclic input")
-    remapped = [tuple(sorted((x, 0, y) for x, y, _ in b)) for b in d.base_blocks]
-    reps = _orbit_representatives(remapped, 1, d.l, "")
+    # the plain code x * l + y of (x, y, 0) is the code of (x, 0, y) under Z_l
+    reps = _orbit_representatives(list(map(_codec(d)[0], d.base_blocks)), (1,) * d.n, d.l, "")
     out = HDesign(n=d.n, l=1, h=d.l, t=d.t, base_blocks=reps)
     _require_valid(out, "as_semicyclic output")
     steps = (("orbit representatives", len(reps)),)
@@ -375,10 +373,13 @@ def semicyclic_to_vcyclic(d: FanDesign):
     _require_valid(d, "semicyclic_to_vcyclic input", strict=False)
     v = d.h // 2
 
-    full, _, problem = develop_family(d, d.terminal)
+    encode, points, _ = _codec(d)
+    full, _, problem = _develop_codes(d, d.terminal, encode, points)
     _require(problem is None, "input family problem: %s" % problem)
-    remapped = [tuple(sorted((x, i % 2, i // 2) for x, _, i in b)) for b in full]
-    reps = _orbit_representatives(remapped, 2, v, " under the new action")
+    # (x, 0, i), code x * 2v + i, goes to (x, i % 2, i // 2), code (2x + i % 2) * v + i // 2
+    remapped = [tuple(sorted([(e // (2 * v) * 2 + e % 2) * v + e % (2 * v) // 2 for e in b]))
+                for b in full]
+    reps = _orbit_representatives(remapped, (2, 2), v, " under the new action")
 
     out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))
     _require_valid(out, "semicyclic_to_vcyclic output")
@@ -398,17 +399,14 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     step = d.v // d.h
     ratio = d.h // h1
 
-    def remap(block):
-        out = []
-        for q in block:
-            i, m = q.col % step, q.col // step
-            a, b = m % ratio, m // ratio
-            out.append((i, q.row + d.u * a, b))
-        return tuple(sorted(out))
+    def remap(e):
+        row, col = divmod(e, d.v)
+        m = col // step
+        return col % step, row + d.u * (m % ratio), m // ratio
 
     # by position: an empty layer and an empty terminal are the same ()
-    fams = [tuple(sorted(remap(shift(blk, delta, d.v))
-                         for blk in fam for delta in range(d.v // h1)))
+    fams = [tuple(sorted([tuple(sorted(map(remap, _image(_grid_codes(blk, d.v), delta, d.v))))
+                          for blk in fam for delta in range(d.v // h1)]))
             for fam in d.families()]
     out = FanDesign(s=d.s, shape=CYCLIC, h=h1, layers=tuple(fams[:-1]), terminal=fams[-1],
                     g_list=(d.u * ratio,) * step)
@@ -423,9 +421,10 @@ def add_cross_pairs_layer(d: FanDesign):
     _require_kind(d, "add_cross_pairs_layer input", FanDesign)
     _require(d.shape == REGULAR and d.s == 0, "input must be a 0-layer regular fan")
     _require_valid(d, "add_cross_pairs_layer input")
-    step = d.v // d.h
-    layer = tuple(sorted({canonicalize(pq, d.v) for pq in combinations(d.points(), 2)
-                          if pq[0].col % step != pq[1].col % step}))
+    step = d.v // d.h  # divides v, so a code's column class is its class modulo step
+    layer = tuple([_grid_block(pq, d.v) for pq in sorted(
+        {_orbit(pq, d.v)[0] for pq in combinations(range(d.u * d.v), 2)
+         if pq[0] % step != pq[1] % step})])
     out = FanDesign(s=1, shape=REGULAR, h=d.h, layers=(layer,),
                     terminal=d.terminal, u=d.u, v=d.v)
     _require_valid(out, "add_cross_pairs_layer output")

@@ -23,10 +23,10 @@ its ones (CodewordMatrix.cells) and rebuilds its rows only when asked,
 so codes reach the same kernel: a codeword rotated by r is its cells'
 image under Z_v, and a code's correlation is a cover count of its
 developed codewords.  A CyclicPacking is built from its codes once:
-make_packing, code_to_packing and the search witness take each orbit
-once, check the canonical images on ints and decode them with one Point
-per distinct code.  It keeps the checked codes and stabilizer orders,
-and packing develops them without encoding a Point again.
+make_packing, code_to_packing, the constructions and the search witness
+take each orbit once, check the canonical images on ints and decode
+them with one Point per distinct code.  It keeps the checked codes and
+stabilizer orders, which packing develops without encoding a Point.
 """
 
 from __future__ import annotations
@@ -47,16 +47,16 @@ Block = tuple  # tuple[Point, ...], sorted ascending
 
 
 def _int_points(points) -> list:
-    """(row, col) int pairs of points, refusing a coordinate that int()
-    would change, such as 1.9 or "1"."""
+    """(row, col) int pairs of points, refusing a bool and a coordinate
+    that int() would change, such as 1.9 or "1"."""
     points = list(points)
     pts = [(r, c) for r, c in points if type(r) is int is type(c)]
     if len(pts) != len(points):
         raw = [(r, c) for r, c in points]
         pts = [(int(r), int(c)) for r, c in raw]
-        if pts != raw:
-            bad = next(x for p, q in zip(raw, pts) for x, y in zip(p, q) if x != y)
-            raise ValueError("block %r has a non-integral coordinate %r" % (raw, bad))
+        bad = [x for p, q in zip(raw, pts) for x, y in zip(p, q) if x != y or type(x) is bool]
+        if bad:
+            raise ValueError("block %r has a non-integral coordinate %r" % (raw, bad[0]))
     return pts
 
 
@@ -224,9 +224,9 @@ def _check_blocks(p: CyclicPacking, orbits=None) -> None:
 
 
 def _packing(u: int, v: int, k: int, t: int, blocks) -> CyclicPacking:
-    """The CyclicPacking of the canonical images of blocks, sorted grid
-    code tuples: one _orbit per block, the checks on ints, and one Point
-    per distinct code."""
+    """The CyclicPacking of the canonical images of blocks, sorted tuples
+    of non-negative grid codes: one _orbit per block, the checks on ints,
+    and one Point per distinct code."""
     orbits = sorted([_orbit(codes, v) for codes in blocks], key=itemgetter(0))
     point = {e: Point._make(divmod(e, v)) for e in {e for rep, _ in orbits for e in rep}}
     p = _set(object.__new__(CyclicPacking), u=u, v=v, k=k, t=t, base_blocks=tuple(

@@ -122,10 +122,7 @@ class FanDesign:
 
     def points(self) -> list:
         if self.shape == CYCLIC:
-            return [(x, y, j)
-                    for x in range(len(self.g_list))
-                    for y in range(self.g_list[x])
-                    for j in range(self.h)]
+            return _fibre_codec(self.g_list, self.h)[1]
         return [Point(i, j) for i in range(self.u) for j in range(self.v)]
 
     def group_of(self, p) -> int:
@@ -144,14 +141,19 @@ class FanDesign:
         return group_type([self.u * self.h] * (self.v // self.h))
 
 
+def _fibre_codec(sizes, h: int) -> tuple:
+    """_codec of the points (x, y, j), y < sizes[x], j in Z_h."""
+    off = list(accumulate(sizes, initial=0))
+    points = [(x, y, j) for x, g in enumerate(sizes) for y in range(g) for j in range(h)]
+    return (lambda b: tuple(sorted((off[x] + y) * h + j for x, y, j in b))), points, h
+
+
 def _codec(d) -> tuple:
     """(encode, points, period) of a fan or H design: encode gives a block's
     sorted codes (see core), points[e] decodes e, Z_period acts."""
-    points = d.points()
     if isinstance(d, FanDesign) and d.shape == REGULAR:
-        return (lambda b: _grid_codes(b, d.v)), points, d.v
-    off = list(accumulate(d.g_list if isinstance(d, FanDesign) else (d.l,) * d.n, initial=0))
-    return (lambda b: tuple(sorted((off[x] + y) * d.h + j for x, y, j in b))), points, d.h
+        return (lambda b: _grid_codes(b, d.v)), d.points(), d.v
+    return _fibre_codec(d.g_list if isinstance(d, FanDesign) else (d.l,) * d.n, d.h)
 
 
 def fan_shift(d: FanDesign, block, delta: int = 1):
@@ -300,8 +302,7 @@ class HDesign:
         return self.l * self.h
 
     def points(self) -> list:
-        return [(x, y, j) for x in range(self.n)
-                for y in range(self.l) for j in range(self.h)]
+        return _fibre_codec((self.l,) * self.n, self.h)[1]
 
 
 def verify_h_design(d: HDesign) -> DesignReport:

@@ -14,7 +14,8 @@ from ooc2d.constructs import (add_cross_pairs_layer, as_semicyclic,
                               weighting_2, weighting_3)
 from ooc2d.core import Point, as_block, canonicalize
 from ooc2d.correlation import packing_to_code, verify_ooc
-from ooc2d.designs import CYCLIC, FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_cyclic
+from ooc2d.designs import (CYCLIC, FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_cyclic,
+                           verify_h_design)
 from ooc2d.packing import is_perfect, verify_packing
 
 
@@ -180,6 +181,30 @@ def test_as_semicyclic():
     assert len(semi.base_blocks) == 4
     with pytest.raises(ValueError):
         as_semicyclic(semi)
+
+
+def _swap_rows_of_group_0(d: HDesign) -> HDesign:
+    """d with y = 0 and y = 1 swapped in group 0 only: still an H design"""
+    swap = {(0, 0): 1, (0, 1): 0}
+    blocks = (tuple(sorted((x, swap.get((x, y), y), j) for x, y, j in b))
+              for b in d.base_blocks)
+    return HDesign(n=d.n, l=d.l, h=d.h, t=d.t, base_blocks=tuple(sorted(blocks)))
+
+
+@pytest.mark.parametrize("design, message", [
+    (lambda: _swap_rows_of_group_0(weighting_3(_cat("h-4-2-4-3"), {4: _cat("h-4-2-4-3")})[0]),
+     "orbits do not partition the block set"),
+    (_h44_2cyc, "input must be a plain H design"),
+])
+def test_as_semicyclic_refusals(design, message):
+    """valid H designs as_semicyclic refuses: a plain one whose blocks
+    are not whole orbits under Z_l, and one that is not plain.  No valid
+    design reaches the short orbit refusal: a transversal block has a
+    trivial stabilizer"""
+    d = design()
+    assert verify_h_design(d).ok
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        as_semicyclic(d)
 
 
 def test_add_cross_pairs_layer_matches_pinned_orbits():

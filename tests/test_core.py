@@ -88,9 +88,10 @@ def test_packing_rejects_repeated_point(v):
 
 @pytest.mark.parametrize("block, bad", [
     ([(0, 0), (0, 1), (1, 0), (1, 1.9)], "1.9"), ([(0, 0), (0, 1), (1, 0), ("1", 1)], "'1'"),
+    ([(0, 0), (0, True), (1, 0), (1, 1)], "True"),
 ])
 def test_make_packing_refuses_non_integral_coordinates(block, bad):
-    # int() would truncate (1, 1.9) to Point(1, 1) and build a packing
+    # int() would truncate (1, 1.9) to Point(1, 1), or read True as 1, and build a packing
     message = "block %r has a non-integral coordinate %s" % (block, bad)
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         make_packing(2, 3, 4, 3, [block])

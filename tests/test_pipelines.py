@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import os
+
 import pytest
 
 from ooc2d.bounds import jstar
-from ooc2d.constructs import semicyclic_to_vcyclic
+from ooc2d.catalog import catalog_get
+from ooc2d.constructs import (hartman, perfect_to_regular_1fg, regular_to_h1cyclic,
+                              semicyclic_to_vcyclic)
 from ooc2d.core import Code, CyclicPacking
 from ooc2d.correlation import packing_to_code, verify_ooc
 from ooc2d.designs import verify_fan, verify_h_cyclic
-from ooc2d.files import load_design
+from ooc2d.files import design_json, load_design
 from ooc2d.packing import verify_packing
 from ooc2d.pipelines import pipeline_names, run_pipeline
 
@@ -57,11 +62,11 @@ def test_results_cached():
     assert run_pipeline("4x2") is run_pipeline("4x2")
 
 
-def test_semicyclic_fixture_converts(tmp_path):
-    import os
+SEMICYCLIC_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "semicyclic-6x2.json")
 
-    fixture = os.path.join(os.path.dirname(__file__), "data", "semicyclic-6x2.json")
-    out, trace = semicyclic_to_vcyclic(load_design(fixture))
+
+def test_semicyclic_fixture_converts():
+    out, trace = semicyclic_to_vcyclic(load_design(SEMICYCLIC_FIXTURE))
     assert tuple(out.g_list) == (2, 2)
     assert out.h == 3
     assert len(out.terminal) == 15
@@ -108,3 +113,43 @@ def test_pipeline_traces_pinned():
     for name, pinned in PINNED_TRACES.items():
         _, trace = run_pipeline(name)
         assert (trace.inputs, trace.steps) == pinned, name
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(design_json(obj).encode()).hexdigest()[:16]
+
+
+# the first 16 hex digits of sha256(design_json(obj)) of every pipeline's object
+PINNED_DIGESTS = {
+    "12x2": "b25632886801d052", "14x1": "b06217c7d68aee5a",
+    "2x12": "0785eede58e175c4", "2x15": "2b4842d7afc5478a",
+    "2x4": "6eeaecbefec69605", "2x7": "4b7ba5af95e321cd",
+    "2x8": "9623e8c3452ca876", "3x10": "3a2e5ec2bd0f7bf5",
+    "4x2": "160be91f929a4467", "4x3": "b80b765f7480b8d7",
+    "8x2": "70cfa728f42f5d68", "8x4": "ac11a2f2f1f598eb",
+    "h44-2cyc": "986f1f2889c19221", "h44-plain": "3cea4bc9e7d9f86b",
+}
+
+
+def test_pipeline_outputs_pinned():
+    """every pipeline's object, byte for byte as the file writer writes it"""
+    assert sorted(PINNED_DIGESTS) == pipeline_names()
+    for name, digest in PINNED_DIGESTS.items():
+        assert _digest(run_pipeline(name)[0]) == digest, name
+
+
+@pytest.mark.parametrize("build, digest, trace", [
+    (lambda: regular_to_h1cyclic(catalog_get("fg-(2,4)reg-8^2").payload, 2),
+     "6b637d0ea9688c92", (("regular fan",), (("family 0 representatives", 56),))),
+    (lambda: regular_to_h1cyclic(catalog_get("fg-(2,4)reg-8^2").payload, 4),
+     "c6cd8313d882db49", (("regular fan",), (("family 0 representatives", 28),))),
+    (lambda: perfect_to_regular_1fg(hartman(catalog_get("rosqs8").payload)[0]),
+     "0ed063209c34479d", (("perfect packing",), (("existing terminal blocks", 13),
+                                                 ("cross pair representatives", 12)))),
+    (lambda: semicyclic_to_vcyclic(load_design(SEMICYCLIC_FIXTURE)),
+     "39a3c0eb794c7216", (("semicyclic fan",), (("orbit representatives", 15),))),
+], ids=["h1cyclic-2", "h1cyclic-4", "perfect1fg", "semicyclic"])
+def test_remap_outputs_pinned(build, digest, trace):
+    """the remaps no pipeline runs: object and trace"""
+    out, got = build()
+    assert (_digest(out), (got.inputs, got.steps)) == (digest, trace)

@@ -17,8 +17,8 @@ def test_exhaustive_sweep_without_heuristic():
     proves every settled value; 6x2 takes most of the time, about
     0.5 s and 135k nodes on a 2-core machine, then 10x1, about 0.1 s
     and 26k nodes, where the optimum meets jstar.  Both trees and
-    witnesses are pinned.  The whole sweep takes under 1 s, so it runs
-    without --runslow; 3x4 (8,402 nodes) is pinned in test_search.py."""
+    witnesses are pinned.  The whole sweep takes under 1 s; 3x4 (8,402
+    nodes) is pinned in test_search.py."""
     for u, v, best in SWEEP:
         result = max_packing(u, v, 4, 3, heuristic_iterations=0,
                              node_budget=50_000_000)
