@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import _check_grid, _check_params
+
 JOHNSON = "JOHNSON"
 U7_11_V2 = "U7_11_V2"
 MOD6_GENERAL = "MOD6_GENERAL"
@@ -30,13 +32,6 @@ NOT_ADMISSIBLE = "NOT_ADMISSIBLE"
 PERFECT_CLASSES = (CLASS1, CLASS2, CLASS3, EXCLUDED_COR5_5, NOT_ADMISSIBLE)
 
 
-def _check_params(u: int, v: int, k: int, lam: int) -> None:
-    if u < 1 or v < 1:
-        raise ValueError("grid dimensions must be positive")
-    if lam < 1 or k <= lam:
-        raise ValueError("need k > lambda >= 1")
-
-
 def _inner(n: int, k: int, lam: int) -> int:
     """The nested floor product: working from the innermost level out,
     multiply by (n - i) and floor-divide by (k - i) for i = lam .. 1."""
@@ -53,10 +48,7 @@ def johnson_bound(u: int, v: int, k: int, lam: int) -> int:
 
 def j1(n: int, k: int, lam: int) -> Fraction:
     """The single-row bound before the outermost floor, kept exact."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if lam < 1 or k <= lam:
-        raise ValueError("need k > lambda >= 1")
+    _check_params(1, n, k, lam)
     return Fraction(_inner(n, k, lam), k)
 
 
@@ -79,8 +71,7 @@ def lifting_equal(u: int, v: int, k: int, lam: int) -> bool:
 
 def jstar(u: int, v: int) -> tuple:
     """Sharpened bound for k=4, lambda=2.  Returns (value, case)."""
-    if u < 1 or v < 1:
-        raise ValueError("grid dimensions must be positive")
+    _check_grid(u, v)
     n = u * v
     x = _inner(n, 4, 2)
     in_a = u % 12 == 0 and v % 6 in (2, 4)
@@ -115,8 +106,7 @@ def perfect_class(u: int, v: int) -> str:
     classes below applies, which is asserted.  The fourth class is
     known to be empty and is reported as excluded.
     """
-    if u < 1 or v < 1:
-        raise ValueError("grid dimensions must be positive")
+    _check_grid(u, v)
     n = u * v
     admissible = n % 6 in (2, 4) and u * (n - 1) * (n - 2) % 24 == 0
     if u % 12 in (1, 5) and v % 24 in (2, 10):

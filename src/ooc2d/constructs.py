@@ -20,7 +20,7 @@ from itertools import accumulate, combinations
 from .core import (Code, CyclicPacking, Point, _cells_matrix, _grid_block, _grid_codes, _image,
                    _orbit, _packing)
 from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, _codec,
-                      _develop_codes, _fibre_codec)
+                      _develop_codes, _fibre_points)
 from .files import block_count, verdict
 from .packing import is_perfect
 
@@ -314,7 +314,7 @@ def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
 def _orbit_representatives(blocks, fibres, h: int, suffix: str) -> tuple:
     """Sorted representatives, as points, of whole, full orbits of code
     blocks of the points (x, y, j), y < fibres[x], under +1 on j mod h."""
-    _, points, _ = _fibre_codec(fibres, h)
+    points = _fibre_points(fibres, h)
     reps = {}
     for codes in blocks:
         rep, stab = _orbit(codes, h)

@@ -10,7 +10,8 @@ universe codes its points 0 .. N-1 in lexicographic order, so sorted
 codes decode to sorted points: grid (row, col) -> row * v + col; cyclic
 fan (x, y, j) -> (off[x] + y) * h + j, off[x] being the fibre rows of
 the earlier groups; H design (x, y, j) -> (x * l + y) * h + j;
-rotational quadruple system INF -> 0, x -> x + 1.  Z_P moves code e by d
+rotational quadruple system INF -> 0, x -> x + 1; a design's code of a
+point is its index in the design's points().  Z_P moves code e by d
 to e - e % P + (e % P + d) % P.  The canonical image and the stabilizer
 come from at most k shifts, those taking a least-row point to 0.  A
 cover check counts the covered t-subsets once and passes when none is
@@ -65,6 +66,22 @@ def as_block(points: Iterable) -> Block:
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point in block: %r" % (pts,))
     return pts
+
+
+def _check_grid(u: int, v: int) -> None:
+    if u < 1 or v < 1:
+        raise ValueError("grid dimensions must be positive")
+
+
+def _check_params(u: int, v: int, k: int, lam: int) -> None:
+    _check_grid(u, v)
+    if lam < 1 or k <= lam:
+        raise ValueError("need k > lambda >= 1")
+
+
+def _check_t(k: int, t: int) -> None:
+    if not (1 <= t <= k):
+        raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (t, k))
 
 
 def check_block_range(block: Block, u: int, v: int) -> None:
@@ -195,11 +212,9 @@ def _check_blocks(p: CyclicPacking, orbits=None) -> None:
     on the grid, distinct, canonical, one block per orbit.  Keeps the
     codes and stabilizer orders for packing; not fields, so ==, repr
     and hash ignore them."""
-    u, v, k, t = p.u, p.v, p.k, p.t
-    if u < 1 or v < 1:
-        raise ValueError("grid dimensions must be positive")
-    if not (1 <= t <= k):
-        raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (t, k))
+    u, v, k = p.u, p.v, p.k
+    _check_grid(u, v)
+    _check_t(k, p.t)
     n, reps, stabs = u * v, {}, []  # reps: the canonical codes in block order
     for b, (rep, stab) in zip(p.base_blocks, repeat((None, None)) if orbits is None else orbits):
         if len(b) != k:
@@ -270,18 +285,13 @@ class CodewordMatrix:
     def __init__(self, u: int, v: int, bits: tuple):
         if len(bits) != u:
             raise ValueError("expected %d rows, got %d" % (u, len(bits)))
-        try:
-            flat = tuple(chain.from_iterable(bits))
-            clean = set(map(len, bits)) <= {v} and set(flat) <= {0, 1}
-        except TypeError:  # an unsized row or an unhashable entry
-            clean = False
-        if not clean:  # name the first bad row or entry
-            for row in bits:
-                if len(row) != v:
-                    raise ValueError("expected %d columns, got %d" % (v, len(row)))
-                for x in row:
-                    if x not in (0, 1):
-                        raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
+        for row in bits:
+            if len(row) != v:
+                raise ValueError("expected %d columns, got %d" % (v, len(row)))
+            for x in row:
+                if x not in (0, 1):
+                    raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
+        flat = tuple(chain.from_iterable(bits))
         _set(self, u=u, v=v, cells=tuple(compress(range(len(flat)), flat)))
 
     @property
@@ -316,10 +326,7 @@ class Code:
     codewords: tuple  # tuple[CodewordMatrix, ...]
 
     def __post_init__(self):
-        if self.u < 1 or self.v < 1:
-            raise ValueError("grid dimensions must be positive")
-        if self.lam < 1 or self.k <= self.lam:
-            raise ValueError("need k > lambda >= 1")
+        _check_params(self.u, self.v, self.k, self.lam)
         for m in self.codewords:
             if (m.u, m.v) != (self.u, self.v):
                 raise ValueError("codeword has shape %dx%d, expected %dx%d"

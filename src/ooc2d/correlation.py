@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (Block, Code, CodewordMatrix, CyclicPacking, _cells_matrix, _cover_counts,
-                   _grid_block, _grid_codes, _image, _packing)
+                   _grid_block, _grid_codes, _image, _packing, check_block_range)
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,11 @@ def correlation(a: CodewordMatrix, b: CodewordMatrix, r: int) -> int:
 
 
 def block_to_matrix(block: Block, u: int, v: int) -> CodewordMatrix:
-    seen = set()
-    for p in block:
-        if not (0 <= p.row < u and 0 <= p.col < v):
-            raise ValueError("point %r outside %dx%d grid" % (p, u, v))
-        if p in seen:
-            raise ValueError("duplicate point %r" % (p,))
-        seen.add(p)
-    return _cells_matrix(_grid_codes(block, v), u, v)
+    check_block_range(block, u, v)
+    codes = _grid_codes(block, v)
+    if len(set(codes)) != len(codes):
+        raise ValueError("duplicate point in block: %r" % (block,))
+    return _cells_matrix(codes, u, v)
 
 
 def matrix_to_block(m: CodewordMatrix) -> Block:

@@ -23,11 +23,12 @@ covered exactly once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from math import comb, gcd
 
-from .core import Point, _cover_counts, _cover_miss, _develop, _grid_codes, _image, _orbit
+from .core import Point, _cover_counts, _cover_miss, _develop, _image, _orbit, _set
 
 CYCLIC = "cyclic"
 REGULAR = "regular"
@@ -55,11 +56,7 @@ class GroupType:
 
 
 def group_type(sizes) -> GroupType:
-    tally: dict = {}
-    for s in sizes:
-        tally[s] = tally.get(s, 0) + 1
-    parts = tuple(sorted(tally.items(), reverse=True))
-    return GroupType(parts=parts)
+    return GroupType(parts=tuple(sorted(Counter(sizes).items(), reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -99,30 +96,18 @@ class FanDesign:
                 raise ValueError("h=%d must divide v=%d" % (self.h, self.v))
             if self.g_list:
                 raise ValueError("g_list is for the cyclic shape")
-        for fam in self.families():
-            for b in fam:
-                if len(b) < 2 or len(set(b)) != len(b):
-                    raise ValueError("bad block %r" % (b,))
-                if tuple(b) != tuple(sorted(b)):
-                    raise ValueError("block %r is not sorted" % (b,))
-                for p in b:
-                    self._check_point(p)
-
-    def _check_point(self, p) -> None:
-        if self.shape == CYCLIC:
-            x, y, j = p
-            if not (0 <= x < len(self.g_list) and 0 <= y < self.g_list[x] and 0 <= j < self.h):
-                raise ValueError("point %r out of range" % (p,))
-        else:
-            if not (0 <= p[0] < self.u and 0 <= p[1] < self.v):
-                raise ValueError("point %r out of range" % (p,))
+        blocks = list(chain.from_iterable(self.families()))
+        _check_universe(self, blocks)
+        for b in blocks:
+            if len(b) < 2:
+                raise ValueError("block %r has fewer than 2 points" % (b,))
 
     def families(self) -> tuple:
         return self.layers + (self.terminal,)
 
     def points(self) -> list:
         if self.shape == CYCLIC:
-            return _fibre_codec(self.g_list, self.h)[1]
+            return _fibre_points(self.g_list, self.h)
         return [Point(i, j) for i in range(self.u) for j in range(self.v)]
 
     def group_of(self, p) -> int:
@@ -141,19 +126,35 @@ class FanDesign:
         return group_type([self.u * self.h] * (self.v // self.h))
 
 
-def _fibre_codec(sizes, h: int) -> tuple:
-    """_codec of the points (x, y, j), y < sizes[x], j in Z_h."""
-    off = list(accumulate(sizes, initial=0))
-    points = [(x, y, j) for x, g in enumerate(sizes) for y in range(g) for j in range(h)]
-    return (lambda b: tuple(sorted((off[x] + y) * h + j for x, y, j in b))), points, h
+def _fibre_points(sizes, h: int) -> list:
+    """The points (x, y, j), y < sizes[x], j in Z_h, in code order."""
+    return [(x, y, j) for x, g in enumerate(sizes) for y in range(g) for j in range(h)]
+
+
+def _check_universe(d, blocks) -> None:
+    """Refuse the first of blocks that is not sorted, repeats a point, or
+    has a point outside d.points() or a coordinate that is not an int:
+    True and 1.0 equal 1 and hash as 1, so the lookup alone would take
+    them.  Keeps the universe and each point's code, its index in
+    d.points(), for _codec; not fields, so ==, repr and hash ignore them."""
+    points = d.points()
+    index = {p: e for e, p in enumerate(points)}
+    for b in blocks:
+        if tuple(b) != tuple(sorted(set(b))):
+            raise ValueError("block %r is not sorted or repeats a point" % (b,))
+        for p in b:
+            if p not in index or not all(type(x) is int for x in (
+                    p if isinstance(p, tuple) else (p,))):
+                raise ValueError("block %r has point %r outside the universe of int points"
+                                 % (b, p))
+    _set(d, _points=points, _index=index)
 
 
 def _codec(d) -> tuple:
     """(encode, points, period) of a fan or H design: encode gives a block's
     sorted codes (see core), points[e] decodes e, Z_period acts."""
-    if isinstance(d, FanDesign) and d.shape == REGULAR:
-        return (lambda b: _grid_codes(b, d.v)), d.points(), d.v
-    return _fibre_codec(d.g_list if isinstance(d, FanDesign) else (d.l,) * d.n, d.h)
+    index = d._index
+    return (lambda b: tuple(sorted([index[p] for p in b]))), d._points, d.period
 
 
 def fan_shift(d: FanDesign, block, delta: int = 1):
@@ -288,12 +289,8 @@ class HDesign:
     def __post_init__(self):
         if self.n < self.t or self.l < 1 or self.h < 1:
             raise ValueError("bad H design parameters")
+        _check_universe(self, self.base_blocks)
         for b in self.base_blocks:
-            if len(set(b)) != len(b) or tuple(b) != tuple(sorted(b)):
-                raise ValueError("bad block %r" % (b,))
-            for x, y, j in b:
-                if not (0 <= x < self.n and 0 <= y < self.l and 0 <= j < self.h):
-                    raise ValueError("point %r out of range" % ((x, y, j),))
             if len({x for x, _, _ in b}) != len(b):
                 raise ValueError("block %r is not transversal" % (b,))
 
@@ -301,8 +298,12 @@ class HDesign:
     def g(self) -> int:
         return self.l * self.h
 
+    @property
+    def period(self) -> int:
+        return self.h
+
     def points(self) -> list:
-        return _fibre_codec((self.l,) * self.n, self.h)[1]
+        return _fibre_points((self.l,) * self.n, self.h)
 
 
 def verify_h_design(d: HDesign) -> DesignReport:
@@ -342,12 +343,14 @@ class RoSQSDesign:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("need at least 4 points")
+        _check_universe(self, self.base_blocks)
         for b in self.base_blocks:
-            if len(b) != 4 or len(set(b)) != len(b) or tuple(b) != tuple(sorted(b)):
-                raise ValueError("bad block %r" % (b,))
-            for x in b:
-                if x != INF and not (0 <= x < self.n - 1):
-                    raise ValueError("element %r out of range" % (x,))
+            if len(b) != 4:
+                raise ValueError("block %r has %d points, expected 4" % (b, len(b)))
+
+    def points(self) -> list:
+        """INF, then Z_{n-1}: the code of x is x + 1."""
+        return [INF, *range(self.n - 1)]
 
     def b1(self) -> tuple:
         """Base blocks through the fixed point."""
@@ -385,11 +388,15 @@ def verify_rosqs(d: RoSQSDesign) -> DesignReport:
     return DesignReport(True)
 
 
+def _check_gn(g: int, n: int) -> None:
+    if g < 1 or n < 3:
+        raise ValueError("need g >= 1 and n >= 3")
+
+
 def admissible_0fg(g: int, n: int, terminal_sizes=(4,)) -> bool:
     """Divisibility conditions necessary for a 0-layer fan design of
     type g^n whose terminal blocks have sizes in terminal_sizes."""
-    if g < 1 or n < 3:
-        raise ValueError("need g >= 1 and n >= 3")
+    _check_gn(g, n)
     alpha = gcd(*[k * (k - 1) * (k - 2) for k in terminal_sizes])
     beta = gcd(*[(k - 1) * (k - 2) for k in terminal_sizes])
     gamma = gcd(*[k - 2 for k in terminal_sizes])
@@ -406,8 +413,7 @@ def exists_0fg_quad(g: int, n: int) -> bool:
     """Existence of a 0-layer fan design of type g^n with terminal
     block size 4: either g = 1 with n = 2 or 4 mod 6, or g even with
     3 | g(n-1)(n-2)."""
-    if g < 1 or n < 3:
-        raise ValueError("need g >= 1 and n >= 3")
+    _check_gn(g, n)
     if g == 1:
         return n % 6 in (2, 4)
     return g % 2 == 0 and g * (n - 1) * (n - 2) % 3 == 0
@@ -416,8 +422,7 @@ def exists_0fg_quad(g: int, n: int) -> bool:
 def exists_h_design(n: int, g: int) -> bool:
     """Existence of an H design with n groups of size g, block size 4,
     t = 3.  Not defined for n = 3."""
-    if n < 3 or g < 1:
-        raise ValueError("need n >= 3 and g >= 1")
+    _check_gn(g, n)
     if n == 3:
         raise ValueError("existence with 3 groups is not settled here")
     if n == 5:

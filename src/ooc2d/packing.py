@@ -56,12 +56,11 @@ def verify_packing(p: CyclicPacking) -> PackingReport:
 
 def leave(p: CyclicPacking) -> list:
     """Sorted list of t-subsets covered by no developed block."""
-    report = verify_packing(p)
-    if not report.valid:
-        raise ValueError("leave is only defined for valid packings, found %r"
-                         % (report.violation,))
     images = _developed(p)
     covered = _cover_counts(images, p.t)
+    if sum(covered.values()) != len(covered):
+        raise ValueError("leave is only defined for valid packings, found %r"
+                         % (verify_packing(p).violation,))
     missing = [_grid_block(sub, p.v) for sub in combinations(range(p.u * p.v), p.t)
                if sub not in covered]
     expected = comb(p.u * p.v, p.t) - len(images) * comb(p.k, p.t)

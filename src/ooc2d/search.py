@@ -98,7 +98,7 @@ from math import comb
 from operator import or_
 
 from .bounds import johnson_bound, jstar
-from .core import CyclicPacking, _image, _orbit, _packing
+from .core import CyclicPacking, _check_grid, _check_t, _image, _orbit, _packing
 from .files import verdict
 
 
@@ -334,10 +334,8 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
 
 def check_parameters(u: int, v: int, k: int, t: int, node_budget: int) -> None:
     """Raise ValueError unless max_packing can search these parameters."""
-    if u < 1 or v < 1:
-        raise ValueError("grid dimensions must be positive")
-    if not (1 <= t <= k):
-        raise ValueError("need 1 <= t <= k")
+    _check_grid(u, v)
+    _check_t(k, t)
     if u * v < k:
         raise ValueError("grid has fewer than k points")
     if node_budget < 1:

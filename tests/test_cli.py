@@ -297,11 +297,34 @@ def test_pairfan_below_two_is_usage_error(n, capsys):
     (["search", "2", "3", "4", "9"], "error: need 1 <= t <= k"),
     (["search", "1", "3", "4", "3"], "error: grid has fewer than k points"),
     (["search", "2", "3", "4", "3", "--budget", "0"], "error: node budget must be positive"),
+    (["construct", "hartman"], "error: construct hartman SOURCE"),
+    (["construct", "filling1", "catalog:fg-4^2-s2c"],
+     "error: construct filling1 MASTER SIZE=SOURCE..."),
+    (["construct", "filling2", "catalog:fg-(2,2)reg-4^2"],
+     "error: construct filling2 MASTER FILLER"),
+    (["construct", "weighting1", "catalog:fg-4^2-s2c"],
+     "error: construct weighting1 MASTER fan:SIZE=SOURCE... h:SIZE=SOURCE..."),
+    (["construct", "weighting2", "catalog:fg-(2,2)reg-4^2", "2=catalog:fan-plain-4^2"],
+     "error: weighting wants fan:SIZE=SOURCE or h:SIZE=SOURCE, got '2=catalog:fan-plain-4^2'"),
+    (["construct", "weighting3", "catalog:h-4-2-4-3"],
+     "error: construct weighting3 MASTER SIZE=SOURCE..."),
+    (["construct", "remap", "pairs"], "error: construct remap MODE SOURCE"),
+    (["construct", "remap", "twist", "catalog:fg-(2,2)reg-4^2"],
+     "error: unknown remap mode 'twist'"),
+    (["construct", "pipeline"], "error: construct pipeline NAME"),
+    (["construct", "pipeline", "9x9"], "error: no pipeline '9x9', have: "),
+    (["construct", "hartman", "no-such-dir/missing.json"],
+     "error: cannot read no-such-dir/missing.json: "),
+    (["catalog", "emit"], "error: catalog emit needs an id"),
 ], ids=["pairfan superscript", "fold superscript", "h1cyclic superscript",
         "size superscript", "bound zero rows", "search zero rows", "search t above k",
-        "search too few points", "search zero budget"])
+        "search too few points", "search zero budget",
+        "hartman usage", "filling1 usage", "filling2 usage", "weighting1 usage",
+        "weighting ingredient token", "weighting3 usage", "remap usage", "unknown remap mode",
+        "pipeline usage", "unknown pipeline", "unreadable file", "emit without id"])
 def test_malformed_argument_is_usage_error(argv, message, capsys):
-    """a superscript digit is not a number and a zero grid is bad usage:
+    """a superscript digit is not a number, a zero grid, a recipe with too
+    few tokens, an unknown name and an unreadable file are bad usage:
     exit 2 with the usage text, never a failed verification"""
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(message)

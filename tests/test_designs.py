@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -138,3 +139,80 @@ def test_h_design_existence_predicate():
     assert not exists_h_design(5, 58)
     with pytest.raises(ValueError):
         exists_h_design(3, 4)
+
+
+def _cyclic_fan(block):
+    return FanDesign(s=0, shape=CYCLIC, h=2, layers=(), terminal=(block,), g_list=(2, 2))
+
+
+def _regular_fan(block):
+    return FanDesign(s=0, shape=REGULAR, h=1, layers=(), terminal=(block,), u=2, v=2)
+
+
+def _h_design(block):
+    return HDesign(n=4, l=1, h=2, t=3, base_blocks=(block,))
+
+
+def _rosqs(block):
+    return RoSQSDesign(n=8, base_blocks=(block,))
+
+
+P = Point
+_REFUSED_BLOCKS = [
+    (_cyclic_fan, ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, True))),
+    (_cyclic_fan, ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1.0))),
+    (_cyclic_fan, ((0, 0, 0), (0, 1, 0), (1, 0, 0), (2, 0, 0))),
+    (_cyclic_fan, ((0, 1, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1))),
+    (_cyclic_fan, ((0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1))),
+    (_cyclic_fan, ((0, 0), (0, 1), (1, 0), (1, 1))),
+    (_cyclic_fan, ((0, 0, 0),)),
+    (_regular_fan, (P(0, 0), P(0, 1), P(1, 0), P(1, True))),
+    (_regular_fan, (P(0, 0), P(0, 1), P(1, 0), P(1, 1.0))),
+    (_regular_fan, (P(0, 0), P(0, 1), P(1, 0), P(2, 0))),
+    (_regular_fan, (P(0, 1), P(0, 0), P(1, 0), P(1, 1))),
+    (_regular_fan, (P(0, 0), P(0, 0), P(1, 0), P(1, 1))),
+    (_h_design, ((0, 0, 0), (1, 0, 0), (2, 0, True), (3, 0, 0))),
+    (_h_design, ((0, 0, 0), (1, 0, 0), (2, 0, 1.0), (3, 0, 0))),
+    (_h_design, ((0, 0, 0), (1, 0, 0), (2, 0, 2), (3, 0, 0))),
+    (_h_design, ((1, 0, 0), (0, 0, 0), (2, 0, 1), (3, 0, 0))),
+    (_h_design, ((0, 0, 0), (0, 0, 0), (2, 0, 1), (3, 0, 0))),
+    (_h_design, ((0, 0, 0), (0, 0, 1), (2, 0, 1), (3, 0, 0))),
+    (_rosqs, (INF, 0, True, 3)),
+    (_rosqs, (INF, 0, 1.0, 3)),
+    (_rosqs, (INF, 0, 1, 7)),
+    (_rosqs, (0, INF, 1, 3)),
+    (_rosqs, (INF, 0, 0, 3)),
+    (_rosqs, (INF, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("make, block", _REFUSED_BLOCKS, ids=[
+    "cyclic bool", "cyclic float", "cyclic out of range", "cyclic unsorted", "cyclic repeated",
+    "cyclic two coordinates", "cyclic one point",
+    "regular bool", "regular float", "regular out of range", "regular unsorted",
+    "regular repeated",
+    "h bool", "h float", "h out of range", "h unsorted", "h repeated", "h not transversal",
+    "rosqs bool", "rosqs float", "rosqs out of range", "rosqs unsorted", "rosqs repeated",
+    "rosqs three points"])
+def test_design_constructor_refuses_block(make, block):
+    """a bool or float equal to an int coordinate is refused like one out
+    of range: the file writer would print it as true or 1.0, and the
+    reader refuses both"""
+    with pytest.raises(ValueError, match="^block %s " % re.escape(repr(block))):
+        make(block)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(shape="toroidal", g_list=(2,)), "unknown universe shape 'toroidal'"),
+    (dict(shape=CYCLIC, s=1, g_list=(2,)), "s=1 but 0 layers given"),
+    (dict(shape=CYCLIC, h=0, g_list=(2,)), "h must be positive"),
+    (dict(shape=CYCLIC, g_list=(2, 0)), "cyclic shape needs positive fibre sizes"),
+    (dict(shape=CYCLIC, g_list=(2,), u=2, v=2), "u, v are for the regular shape"),
+    (dict(shape=REGULAR, u=0, v=2), "regular shape needs positive u, v"),
+    (dict(shape=REGULAR, h=2, u=2, v=3), "h=2 must divide v=3"),
+    (dict(shape=REGULAR, u=2, v=2, g_list=(2,)), "g_list is for the cyclic shape"),
+], ids=["unknown shape", "layer count", "zero h", "zero fibre", "cyclic with u, v",
+        "regular zero u", "h not dividing v", "regular with g_list"])
+def test_fan_design_refuses_shape_fields(fields, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        FanDesign(**dict(dict(s=0, h=1, layers=(), terminal=()), **fields))
