@@ -1,15 +1,16 @@
 """Recursive constructions.
 
-Every operation verifies its inputs, builds the output, verifies the
-output, and returns (output, trace).  Each verification asks
-files.verdict, the one verifier of every design kind, so a failure
-reads "<label>: <detail>" with the detail the command line prints.
-The trace records labelled block count contributions that must sum to
-the output's base block count.  _finish counts the output itself
-(files.block_count) and raises AssertionError on a mismatch.  The
-constructions compute on the kernel codes of core and designs._codec:
-core._packing takes grid codes, design blocks are decoded last, and
-only _glue writes Points.
+Every operation verifies its inputs, builds the output, and returns
+(output, trace) through _finish, which verifies the output.  Each
+verification asks files.verdict, the one verifier of every design
+kind, so a failure reads "<label>: <detail>" with the detail the
+command line prints.  The trace records labelled block count
+contributions that must sum to the output's base block count.
+_finish counts the output itself (files.block_count) and raises
+AssertionError on a mismatch.  The constructions compute on the
+kernel codes of core: a design's blocks are read as the codes its
+constructor checked and kept, core._packing takes grid codes, design
+blocks are decoded last, and only _glue writes Points.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
-from .core import (Code, CyclicPacking, Point, _cells_matrix, _grid_block, _grid_codes, _image,
-                   _orbit, _packing)
-from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, _codec,
-                      _develop_codes, _fibre_points)
+from .core import Code, CyclicPacking, Point, _cells_matrix, _grid_block, _image, _orbit, _packing
+from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, _develop_codes,
+                      _fibre_points)
 from .files import block_count, verdict
 from .packing import is_perfect
 
@@ -31,7 +31,10 @@ class ConstructionTrace:
     steps: tuple  # ((label, count), ...)
 
 
-def _finish(inputs, steps, output):
+def _finish(name: str, inputs, steps, output):
+    """Verify the output of construction name, check its trace, and
+    return both."""
+    _require_valid(output, "%s output" % name)
     total, count = sum(delta for _, delta in steps), block_count(output)
     if total != count:
         raise AssertionError("trace steps sum to %d, output has %d" % (total, count))
@@ -107,8 +110,6 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
     a2m = [mirror(b) for b in a2]
 
     out = _packing(2, p, 4, 3, a1 + a1m + a2 + a2m + a3)
-    _require_valid(out, "hartman output")
-    _require(is_perfect(out), "hartman output has a nonempty leave")
     steps = (
         ("row 0 quadruples", len(a1)),
         ("mirrored row 1 quadruples", len(a1m)),
@@ -116,7 +117,9 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
         ("mirrored fixed point blocks", len(a2m)),
         ("pair difference blocks", len(a3)),
     )
-    return _finish([input_label], steps, out)
+    out, trace = _finish("hartman", [input_label], steps, out)
+    _require(is_perfect(out), "hartman output has a nonempty leave")
+    return out, trace
 
 
 def hartman_part_sizes(r: RoSQSDesign) -> tuple:
@@ -152,17 +155,16 @@ def filling_1(master: FanDesign, fillers: dict, input_labels=None):
                      "no filler for fibre size %d and the group can hold blocks" % g)
 
     # the master's code (off[x] + y) * h + j is the grid code of (off[x] + y, j)
-    blocks = list(map(_codec(master)[0], master.terminal))
+    blocks = list(master._codes[-1])
     offsets = accumulate(master.g_list, initial=0)
     filled = [tuple([e + off * master.h for e in fb])
               for off, g in zip(offsets, master.g_list) if g in fillers
               for fb in fillers[g]._codes]
 
     out = _packing(sum(master.g_list), master.h, k, 3, blocks + filled)
-    _require_valid(out, "filling_1 output")
     labels = input_labels or ["master fan"] + ["filler fibre %d" % g for g in sorted(fillers)]
     steps = (("master blocks", len(blocks)), ("filler blocks", len(filled)))
-    return _finish(labels, steps, out)
+    return _finish("filling_1", labels, steps, out)
 
 
 def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
@@ -183,14 +185,14 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     _require_valid(filler, "filling_2 filler")
 
     step, h, v = master.v // master.h, master.h, master.v
-    blocks = [_grid_codes(b, v) for b in master.terminal]
+    # a regular fan's code row * v + col is its grid code
+    blocks = list(master._codes[-1])
     blocks += [tuple([e // h * v + e % h * step for e in fb]) for fb in filler._codes]
     out = _packing(master.u, master.v, 4, 3, blocks)
-    _require_valid(out, "filling_2 output")
     labels = input_labels or ["master fan", "filler"]
     steps = (("master blocks", len(master.terminal)),
              ("dilated filler blocks", filler.num_base_blocks))
-    return _finish(labels, steps, out)
+    return _finish("filling_2", labels, steps, out)
 
 
 def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict, t: int):
@@ -271,11 +273,10 @@ def _weighting(name: str, shape: str, master: FanDesign, layer_fans: dict, termi
     out = FanDesign(s=s2, shape=shape, h=h1 * h2,
                     layers=tuple(tuple(lay) for lay in out_layers),
                     terminal=tuple(inflated + from_h), **universe)
-    _require_valid(out, "%s output" % name)
     labels = input_labels or ["master fan", "layer ingredients", "terminal ingredients"]
     steps = (("inflated layer blocks", sum(map(len, out_layers)) + len(inflated)),
              ("inflated terminal blocks", len(from_h)))
-    return _finish(labels, steps, out)
+    return _finish(name, labels, steps, out)
 
 
 def weighting_1(master: FanDesign, layer_fans: dict, terminal_h: dict, input_labels=None):
@@ -305,10 +306,9 @@ def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
 
     out = HDesign(n=master.n, l=g1 * g2, h=h1 * h2, t=master.t,
                   base_blocks=tuple(blocks))
-    _require_valid(out, "weighting_3 output")
     labels = input_labels or ["master H design", "ingredients"]
     steps = (("inflated blocks", len(blocks)),)
-    return _finish(labels, steps, out)
+    return _finish("weighting_3", labels, steps, out)
 
 
 def _orbit_representatives(blocks, fibres, h: int, suffix: str) -> tuple:
@@ -334,11 +334,10 @@ def as_semicyclic(d: HDesign):
     _require(d.h == 1, "input must be a plain H design")
     _require_valid(d, "as_semicyclic input")
     # the plain code x * l + y of (x, y, 0) is the code of (x, 0, y) under Z_l
-    reps = _orbit_representatives(list(map(_codec(d)[0], d.base_blocks)), (1,) * d.n, d.l, "")
+    reps = _orbit_representatives(d._codes[0], (1,) * d.n, d.l, "")
     out = HDesign(n=d.n, l=1, h=d.l, t=d.t, base_blocks=reps)
-    _require_valid(out, "as_semicyclic output")
     steps = (("orbit representatives", len(reps)),)
-    return _finish(["plain H design"], steps, out)
+    return _finish("as_semicyclic", ["plain H design"], steps, out)
 
 
 def fold(code: Code, v1: int, input_label: str = "code"):
@@ -358,9 +357,8 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     mats = [_cells_matrix(map(remap, _image(m.cells, d, v)), u2, v2)
             for m in code.codewords for d in range(v1)]
     out = Code(u=u2, v=v2, k=code.k, lam=code.lam, codewords=tuple(mats))
-    _require_valid(out, "fold output")
     steps = (("translated copies", len(mats)),)
-    return _finish([input_label], steps, out)
+    return _finish("fold", [input_label], steps, out)
 
 
 def semicyclic_to_vcyclic(d: FanDesign):
@@ -373,8 +371,7 @@ def semicyclic_to_vcyclic(d: FanDesign):
     _require_valid(d, "semicyclic_to_vcyclic input", strict=False)
     v = d.h // 2
 
-    encode, points, _ = _codec(d)
-    full, _, problem = _develop_codes(d, d.terminal, encode, points)
+    full, _, problem = _develop_codes(d, d.terminal, d._codes[-1])
     _require(problem is None, "input family problem: %s" % problem)
     # (x, 0, i), code x * 2v + i, goes to (x, i % 2, i // 2), code (2x + i % 2) * v + i // 2
     remapped = [tuple(sorted([(e // (2 * v) * 2 + e % 2) * v + e % (2 * v) // 2 for e in b]))
@@ -382,9 +379,8 @@ def semicyclic_to_vcyclic(d: FanDesign):
     reps = _orbit_representatives(remapped, (2, 2), v, " under the new action")
 
     out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))
-    _require_valid(out, "semicyclic_to_vcyclic output")
     steps = (("orbit representatives", len(reps)),)
-    return _finish(["semicyclic fan"], steps, out)
+    return _finish("semicyclic_to_vcyclic", ["semicyclic fan"], steps, out)
 
 
 def regular_to_h1cyclic(d: FanDesign, h1: int):
@@ -405,14 +401,13 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
         return col % step, row + d.u * (m % ratio), m // ratio
 
     # by position: an empty layer and an empty terminal are the same ()
-    fams = [tuple(sorted([tuple(sorted(map(remap, _image(_grid_codes(blk, d.v), delta, d.v))))
-                          for blk in fam for delta in range(d.v // h1)]))
-            for fam in d.families()]
+    fams = [tuple(sorted([tuple(sorted(map(remap, _image(codes, delta, d.v))))
+                          for codes in fam for delta in range(d.v // h1)]))
+            for fam in d._codes]
     out = FanDesign(s=d.s, shape=CYCLIC, h=h1, layers=tuple(fams[:-1]), terminal=fams[-1],
                     g_list=(d.u * ratio,) * step)
-    _require_valid(out, "regular_to_h1cyclic output")
     steps = tuple(("family %d representatives" % i, len(fam)) for i, fam in enumerate(fams))
-    return _finish(["regular fan"], steps, out)
+    return _finish("regular_to_h1cyclic", ["regular fan"], steps, out)
 
 
 def add_cross_pairs_layer(d: FanDesign):
@@ -427,10 +422,9 @@ def add_cross_pairs_layer(d: FanDesign):
          if pq[0] % step != pq[1] % step})])
     out = FanDesign(s=1, shape=REGULAR, h=d.h, layers=(layer,),
                     terminal=d.terminal, u=d.u, v=d.v)
-    _require_valid(out, "add_cross_pairs_layer output")
     steps = (("existing terminal blocks", len(d.terminal)),
              ("cross pair representatives", len(layer)))
-    return _finish(["regular fan"], steps, out)
+    return _finish("add_cross_pairs_layer", ["regular fan"], steps, out)
 
 
 def perfect_to_regular_1fg(p: CyclicPacking):
@@ -449,7 +443,8 @@ def perfect_to_regular_1fg(p: CyclicPacking):
     got_pairs = len(out.layers[0])
     _require(got_pairs == expected_pairs,
              "expected %d pair orbits, got %d" % (expected_pairs, got_pairs))
-    return _finish(["perfect packing"], trace.steps, out)
+    # add_cross_pairs_layer has verified out and checked the steps
+    return out, ConstructionTrace(("perfect packing",), trace.steps)
 
 
 def complete_pair_fan(n: int = 4) -> FanDesign:

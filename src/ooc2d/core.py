@@ -11,7 +11,9 @@ codes decode to sorted points: grid (row, col) -> row * v + col; cyclic
 fan (x, y, j) -> (off[x] + y) * h + j, off[x] being the fibre rows of
 the earlier groups; H design (x, y, j) -> (x * l + y) * h + j;
 rotational quadruple system INF -> 0, x -> x + 1; a design's code of a
-point is its index in the design's points().  Z_P moves code e by d
+point is its index in the design's points().  A design encodes its own
+blocks once, when it is built, and keeps each family's sorted codes for
+its verifier and the constructions.  Z_P moves code e by d
 to e - e % P + (e % P + d) % P.  The canonical image and the stabilizer
 come from at most k shifts, those taking a least-row point to 0.  A
 cover check counts the covered t-subsets once and passes when none is
@@ -156,26 +158,33 @@ def _set(obj, **fields):
     return obj
 
 
-def shift(block: Block, delta: int, v: int) -> Block:
-    """Add delta to every column index modulo v and re-sort."""
+def _period_codes(block: Block, v: int) -> tuple:
+    """The grid codes of block under Z_v, refusing a period below 1 and a
+    point outside rows >= 0, columns 0 .. v - 1: its code would belong to
+    another point."""
     if v <= 0:
         raise ValueError("period v must be positive")
-    return _grid_block(_image(_grid_codes(block, v), delta, v), v)
+    for p in block:
+        if p[0] < 0 or not (0 <= p[1] < v):
+            raise ValueError("point %r out of range for period %d" % (p, v))
+    return _grid_codes(block, v)
+
+
+def shift(block: Block, delta: int, v: int) -> Block:
+    """Add delta to every column index modulo v and re-sort."""
+    return _grid_block(_image(_period_codes(block, v), delta, v), v)
 
 
 def canonicalize(block: Block, v: int) -> Block:
     """Lexicographically least among the v column shifts of the block."""
     if not block:
         raise ValueError("cannot canonicalize an empty block")
-    for p in block:
-        if p.row < 0 or not (0 <= p.col < v):
-            raise ValueError("point %r out of range for period %d" % (p, v))
-    return _grid_block(_orbit(_grid_codes(block, v), v)[0], v)
+    return _grid_block(_orbit(_period_codes(block, v), v)[0], v)
 
 
 def stabilizer_order(block: Block, v: int) -> int:
     """Order of the subgroup of Z_v fixing the block setwise."""
-    return _orbit(_grid_codes(block, v), v)[1]
+    return _orbit(_period_codes(block, v), v)[1]
 
 
 def orbit(block: Block, v: int) -> list:

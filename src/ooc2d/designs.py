@@ -19,6 +19,11 @@ Two universe shapes appear:
 H designs are the transversal relatives: on I_n x I_l x Z_h with
 groups the x-fibres, every t-subset meeting t distinct groups is
 covered exactly once.
+
+A design encodes its blocks once, when it is built, and keeps each
+family's sorted integer codes (see core) for its verifier and the
+constructions; fan_shift and develop_family encode the blocks handed
+to them through the same check.
 """
 
 from __future__ import annotations
@@ -96,9 +101,8 @@ class FanDesign:
                 raise ValueError("h=%d must divide v=%d" % (self.h, self.v))
             if self.g_list:
                 raise ValueError("g_list is for the cyclic shape")
-        blocks = list(chain.from_iterable(self.families()))
-        _check_universe(self, blocks)
-        for b in blocks:
+        _check_universe(self, self.families())
+        for b in chain.from_iterable(self.families()):
             if len(b) < 2:
                 raise ValueError("block %r has fewer than 2 points" % (b,))
 
@@ -131,51 +135,49 @@ def _fibre_points(sizes, h: int) -> list:
     return [(x, y, j) for x, g in enumerate(sizes) for y in range(g) for j in range(h)]
 
 
-def _check_universe(d, blocks) -> None:
-    """Refuse the first of blocks that is not sorted, repeats a point, or
-    has a point outside d.points() or a coordinate that is not an int:
-    True and 1.0 equal 1 and hash as 1, so the lookup alone would take
-    them.  Keeps the universe and each point's code, its index in
-    d.points(), for _codec; not fields, so ==, repr and hash ignore them."""
+def _encode(d, b) -> tuple:
+    """The codes of block b, refused unless its points are in d.points()
+    with int coordinates (True and 1.0 equal 1 and hash as 1, so the
+    lookup alone would take them), sorted and distinct: d.points() is
+    sorted, so b is when its codes increase."""
+    index, codes = d._index, []
+    for p in b:
+        e = index.get(p)
+        if e is None or not all(type(x) is int for x in (p if isinstance(p, tuple) else (p,))):
+            raise ValueError("block %r has point %r outside the universe of int points" % (b, p))
+        codes.append(e)
+    if any(x >= y for x, y in zip(codes, codes[1:])):
+        raise ValueError("block %r is not sorted or repeats a point" % (b,))
+    return tuple(codes)
+
+
+def _check_universe(d, families) -> None:
+    """Keep d's universe, each point's code (its index in d.points()) and
+    each family's blocks as codes, refusing the first block _encode
+    refuses; not fields, so ==, repr and hash ignore them."""
     points = d.points()
-    index = {p: e for e, p in enumerate(points)}
-    for b in blocks:
-        if tuple(b) != tuple(sorted(set(b))):
-            raise ValueError("block %r is not sorted or repeats a point" % (b,))
-        for p in b:
-            if p not in index or not all(type(x) is int for x in (
-                    p if isinstance(p, tuple) else (p,))):
-                raise ValueError("block %r has point %r outside the universe of int points"
-                                 % (b, p))
-    _set(d, _points=points, _index=index)
-
-
-def _codec(d) -> tuple:
-    """(encode, points, period) of a fan or H design: encode gives a block's
-    sorted codes (see core), points[e] decodes e, Z_period acts."""
-    index = d._index
-    return (lambda b: tuple(sorted([index[p] for p in b]))), d._points, d.period
+    _set(d, _points=points, _index={p: e for e, p in enumerate(points)})
+    _set(d, _codes=tuple([tuple([_encode(d, b) for b in fam]) for fam in families]))
 
 
 def fan_shift(d: FanDesign, block, delta: int = 1):
-    encode, points, period = _codec(d)
-    return tuple(points[e] for e in _image(encode(block), delta, period))
+    return tuple(d._points[e] for e in _image(_encode(d, tuple(sorted(block))), delta, d.period))
 
 
-def _develop_codes(d: FanDesign, blocks, encode, points) -> tuple:
-    """develop_family on codes: (images, stabilizer orders, problem)."""
+def _develop_codes(d: FanDesign, blocks, codes) -> tuple:
+    """develop_family on the sorted codes of blocks, which name a block in
+    a problem: (images, stabilizer orders, problem)."""
     if d.developed:
-        fam = [encode(b) for b in blocks]
-        fam_set = set(fam)
-        if len(fam_set) != len(fam):
-            return fam, (), "duplicate block in developed family"
-        for b, codes in zip(blocks, fam):
-            if _image(codes, 1, d.period) not in fam_set:
-                return fam, (), "family not closed under the action at %r" % (tuple(sorted(b)),)
-        return fam, tuple(_orbit(codes, d.period)[1] for codes in fam), None
-    images, stabs, clash = _develop([encode(b) for b in blocks], d.period)
+        fam_set = set(codes)
+        if len(fam_set) != len(codes):
+            return codes, (), "duplicate block in developed family"
+        for b, c in zip(blocks, codes):
+            if _image(c, 1, d.period) not in fam_set:
+                return codes, (), "family not closed under the action at %r" % (tuple(sorted(b)),)
+        return codes, tuple(_orbit(c, d.period)[1] for c in codes), None
+    images, stabs, clash = _develop(codes, d.period)
     problem = None if clash is None else "orbit collision at %r" % (
-        tuple(points[e] for e in clash),)
+        tuple(d._points[e] for e in clash),)
     return images, tuple(stabs), problem
 
 
@@ -185,13 +187,14 @@ def develop_family(d: FanDesign, blocks) -> tuple:
     For base input each orbit is expanded with duplicates removed
     inside the orbit; a block reappearing from a different base block
     is a collision.  Developed input is returned as is after checking
-    the family is closed under the action.
+    the family is closed under the action.  Each block, once sorted, is
+    refused as d's constructor refuses its blocks.
     """
-    encode, points, _ = _codec(d)
-    images, stabs, problem = _develop_codes(d, blocks, encode, points)
+    blocks = [tuple(sorted(b)) for b in blocks]
+    images, stabs, problem = _develop_codes(d, blocks, [_encode(d, b) for b in blocks])
     if d.developed:
-        return [tuple(sorted(b)) for b in blocks], stabs, problem
-    return [tuple(points[e] for e in img) for img in images], stabs, problem
+        return blocks, stabs, problem
+    return [tuple(d._points[e] for e in img) for img in images], stabs, problem
 
 
 def _short_orbit(d: FanDesign, idx: int, fam, stabs) -> DesignReport | None:
@@ -204,13 +207,13 @@ def _short_orbit(d: FanDesign, idx: int, fam, stabs) -> DesignReport | None:
     return None
 
 
-def _develop_families(d: FanDesign, encode, points, strict: bool) -> tuple:
+def _develop_families(d: FanDesign, strict: bool) -> tuple:
     """(developed families, their stabilizer orders, first failure or
     None), family by family: a family that does not develop fails, and
     with strict so does its first block with a short orbit."""
     developed, stabilizers = [], []
-    for idx, fam in enumerate(d.families()):
-        full, stabs, problem = _develop_codes(d, fam, encode, points)
+    for idx, (fam, codes) in enumerate(zip(d.families(), d._codes)):
+        full, stabs, problem = _develop_codes(d, fam, codes)
         if problem:
             return developed, stabilizers, DesignReport(False, "family %d: %s" % (idx, problem))
         if strict and (short := _short_orbit(d, idx, fam, stabs)):
@@ -228,11 +231,11 @@ def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
     developed once; a failed covering check is reported before a short
     orbit.
     """
-    encode, points, _ = _codec(d)
-    developed, stabilizers, failure = _develop_families(d, encode, points, False)
+    developed, stabilizers, failure = _develop_families(d, False)
     if failure:
         return failure
 
+    points = d._points
     group = [d.group_of(p) for p in points]
 
     def want(sub):
@@ -241,11 +244,11 @@ def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
     # the action maps groups onto groups, so an input block covers a
     # t-subset inside one group exactly when one of its images does;
     # size-2 blocks contribute no triples, so no filtering is needed
-    checks = [("triple", 3, chain.from_iterable(developed), chain.from_iterable(d.families()))]
-    checks += [("layer %d: pair" % idx, 2, full, fam)
-               for idx, (fam, full) in enumerate(zip(d.layers, developed))]
+    checks = [("triple", 3, chain.from_iterable(developed), chain.from_iterable(d._codes))]
+    checks += [("layer %d: pair" % idx, 2, full, codes)
+               for idx, (codes, full) in enumerate(zip(d._codes[:-1], developed))]
     for name, t, blocks, inputs in checks:
-        strays = any(not want(sub) for b in inputs for sub in combinations(encode(b), t))
+        strays = any(not want(sub) for codes in inputs for sub in combinations(codes, t))
         n_want = comb(len(points), t) - sum(n * comb(g, t) for g, n in d.group_sizes().parts)
         bad = _cover_miss(_cover_counts(blocks, t), len(points), t, want, n_want, strays)
         if bad:
@@ -261,8 +264,7 @@ def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
 def _verify_action(d: FanDesign, shape: str, strict: bool) -> DesignReport:
     if d.shape != shape:
         raise ValueError("expected %s shape, got %s" % (shape, d.shape))
-    encode, points, _ = _codec(d)
-    return _develop_families(d, encode, points, strict)[2] or DesignReport(True)
+    return _develop_families(d, strict)[2] or DesignReport(True)
 
 
 def verify_h_cyclic(d: FanDesign, strict: bool = True) -> DesignReport:
@@ -289,7 +291,7 @@ class HDesign:
     def __post_init__(self):
         if self.n < self.t or self.l < 1 or self.h < 1:
             raise ValueError("bad H design parameters")
-        _check_universe(self, self.base_blocks)
+        _check_universe(self, (self.base_blocks,))
         for b in self.base_blocks:
             if len({x for x, _, _ in b}) != len(b):
                 raise ValueError("block %r is not transversal" % (b,))
@@ -312,8 +314,8 @@ def verify_h_design(d: HDesign) -> DesignReport:
     A valid design here is automatically strict: a block with a
     nontrivial stabilizer would repeat one of its own t-subsets.
     """
-    encode, points, _ = _codec(d)
-    developed, stabs, clash = _develop([encode(b) for b in d.base_blocks], d.h)
+    points = d._points
+    developed, stabs, clash = _develop(d._codes[0], d.h)
     if clash is not None:
         return DesignReport(False, "orbit collision at %r" % (tuple(points[e] for e in clash),))
 
@@ -343,7 +345,7 @@ class RoSQSDesign:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("need at least 4 points")
-        _check_universe(self, self.base_blocks)
+        _check_universe(self, (self.base_blocks,))
         for b in self.base_blocks:
             if len(b) != 4:
                 raise ValueError("block %r has %d points, expected 4" % (b, len(b)))

@@ -112,18 +112,18 @@ def as_kind(obj, kind, message: str):
     return obj
 
 
-def _parse_sized(tokens, what: str, kind) -> dict:
-    """{size: (object, label)} from SIZE=SOURCE tokens; a size given
-    twice is refused."""
-    sized = {}
+def _parse_sized(tokens, what: str, kind) -> tuple:
+    """({size: object}, labels in size order) from SIZE=SOURCE tokens; a
+    size given twice is refused."""
+    objects, labels = {}, {}
     for token in tokens:
         size, eq, src = token.partition("=")
         if not eq or not size.isdecimal():
             raise UsageError("%s wants SIZE=SOURCE, got %r" % (what, token))
-        if int(size) in sized:
+        if int(size) in objects:
             raise UsageError("%s size %d given twice" % (what, int(size)))
-        sized[int(size)] = load_source(src, kind), _label(src)
-    return sized
+        objects[int(size)], labels[int(size)] = load_source(src, kind), _label(src)
+    return objects, [labels[size] for size in sorted(labels)]
 
 
 def _parse_weighting_args(rest):
@@ -137,14 +137,6 @@ def _parse_weighting_args(rest):
                          "h ingredient", HDesign))
 
 
-def _objects(sized: dict) -> dict:
-    return {size: obj for size, (obj, _) in sized.items()}
-
-
-def _labels(sized: dict) -> list:
-    return [sized[size][1] for size in sorted(sized)]
-
-
 def construct(recipe: str, args) -> tuple:
     """Run one recipe on its argument tokens; returns (object, trace)."""
     if recipe == "hartman":
@@ -154,9 +146,9 @@ def construct(recipe: str, args) -> tuple:
     if recipe == "filling1":
         if len(args) < 2:
             raise UsageError("construct filling1 MASTER SIZE=SOURCE...")
-        fillers = _parse_sized(args[1:], "filler", CyclicPacking)
-        return filling_1(load_source(args[0], FanDesign), _objects(fillers),
-                         input_labels=[_label(args[0])] + _labels(fillers))
+        fillers, labels = _parse_sized(args[1:], "filler", CyclicPacking)
+        return filling_1(load_source(args[0], FanDesign), fillers,
+                         input_labels=[_label(args[0])] + labels)
     if recipe == "filling2":
         if len(args) != 2:
             raise UsageError("construct filling2 MASTER FILLER")
@@ -166,16 +158,16 @@ def construct(recipe: str, args) -> tuple:
         if len(args) < 2:
             raise UsageError("construct %s MASTER fan:SIZE=SOURCE... h:SIZE=SOURCE..."
                              % recipe)
-        fans, hs = _parse_weighting_args(args[1:])
+        (fans, fan_labels), (hs, h_labels) = _parse_weighting_args(args[1:])
         op = weighting_1 if recipe == "weighting1" else weighting_2
-        return op(load_source(args[0], FanDesign), _objects(fans), _objects(hs),
-                  input_labels=[_label(args[0])] + _labels(fans) + _labels(hs))
+        return op(load_source(args[0], FanDesign), fans, hs,
+                  input_labels=[_label(args[0])] + fan_labels + h_labels)
     if recipe == "weighting3":
         if len(args) < 2:
             raise UsageError("construct weighting3 MASTER SIZE=SOURCE...")
-        ingredients = _parse_sized(args[1:], "ingredient", HDesign)
-        return weighting_3(load_source(args[0], HDesign), _objects(ingredients),
-                           input_labels=[_label(args[0])] + _labels(ingredients))
+        ingredients, labels = _parse_sized(args[1:], "ingredient", HDesign)
+        return weighting_3(load_source(args[0], HDesign), ingredients,
+                           input_labels=[_label(args[0])] + labels)
     if recipe == "fold":
         if len(args) != 2 or not args[1].isdecimal():
             raise UsageError("construct fold SOURCE V1")

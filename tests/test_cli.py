@@ -45,6 +45,23 @@ def test_verify_duplicate_coverage_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_json(tmp_path, capsys):
+    """--json prints one object with the target, the check, ok and the
+    failure detail, which is null on a pass"""
+    assert main(["verify", "catalog:rosqs8", "--check", "rosqs", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "target": "catalog:rosqs8", "check": "rosqs", "ok": True, "detail": None}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "packing",
+                                "parameters": {"u": 2, "v": 3, "k": 4, "t": 3},
+                                "base_blocks": [[[0, 0], [0, 1], [1, 0], [1, 1]],
+                                                [[0, 0], [0, 1], [1, 0], [1, 2]]]}))
+    assert main(["verify", str(path), "--check", "packing", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["target"], doc["check"], doc["ok"]) == (str(path), "packing", False)
+    assert doc["detail"].startswith("covered twice: ")
+
+
 def test_verify_unknown_catalog_id(capsys):
     assert main(["verify", "catalog:nope", "--check", "packing"]) == 2
 

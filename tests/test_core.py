@@ -60,6 +60,21 @@ def test_stabilizer_of_full_row_block():
     assert len(orbit(b, 4)) == 1
 
 
+@pytest.mark.parametrize("op", [shift, canonicalize, stabilizer_order, orbit],
+                         ids=["shift", "canonicalize", "stabilizer_order", "orbit"])
+@pytest.mark.parametrize("block, v, message", [
+    ((Point(0, 5), Point(1, 1)), 3, "point Point(row=0, col=5) out of range for period 3"),
+    ((Point(-1, 0), Point(1, 1)), 3, "point Point(row=-1, col=0) out of range for period 3"),
+    ((Point(0, 0), Point(1, 1)), 0, "period v must be positive"),
+], ids=["column", "row", "period"])
+def test_period_ops_refuse_points_outside_the_period(op, block, v, message):
+    """a column outside Z_v would be coded as a point of another row:
+    shift once moved (0, 5) to (1, 0), and a zero period divided by zero"""
+    args = (block, 1, v) if op is shift else (block, v)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        op(*args)
+
+
 def test_make_packing_canonicalizes():
     b = as_block([(0, 1), (0, 2), (1, 0), (1, 1)])
     p = make_packing(2, 4, 4, 3, [b])
@@ -84,6 +99,14 @@ def test_packing_rejects_repeated_point(v):
     # would count the "pair" they form
     with pytest.raises(ValueError, match="duplicate point in block"):
         CyclicPacking(u=1, v=v, k=2, t=2, base_blocks=((Point(0, 0), Point(0, 0)),))
+
+
+def test_packing_rejects_non_canonical_block():
+    b = (Point(0, 1), Point(0, 2), Point(1, 0), Point(1, 1))
+    message = ("block %r is not the canonical representative %r"
+               % (b, (Point(0, 0), Point(0, 1), Point(1, 0), Point(1, 3))))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        CyclicPacking(u=2, v=4, k=4, t=3, base_blocks=(b,))
 
 
 @pytest.mark.parametrize("block, bad", [

@@ -85,6 +85,39 @@ def test_develop_family_closure_check():
     assert problem is not None
 
 
+@pytest.mark.parametrize("entry_id, block, point", [
+    ("fg-4^2-s2c", ((0, 0, 0), (5, 0, 0)), (5, 0, 0)),
+    ("fg-4^2-s2c", ((0, 0, 0), (0, 0, 2)), (0, 0, 2)),
+    ("fg-(2,2)reg-4^2", (Point(0, 0), Point(0, 7)), Point(0, 7)),
+], ids=["cyclic group", "cyclic period", "regular column"])
+def test_fan_shift_refuses_a_point_outside_the_universe(entry_id, block, point):
+    """once a bare KeyError; before that an IndexError, or on the regular
+    shape a block moved to another row"""
+    message = "block %r has point %r outside the universe of int points" % (block, point)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        fan_shift(catalog_get(entry_id).payload, block)
+
+
+@pytest.mark.parametrize("block, message", [
+    (((0, 0, 0), (0, 0, True)), "has point (0, 0, True) outside the universe of int points"),
+    (((0, 0, 0), (1.0, 0, 0)), "has point (1.0, 0, 0) outside the universe of int points"),
+    (((0, 0, 0), (2, 0, 0)), "has point (2, 0, 0) outside the universe of int points"),
+    (((0, 0, 1), (0, 0, 1)), "is not sorted or repeats a point"),
+], ids=["bool", "float", "outside", "repeat"])
+def test_develop_family_refuses_blocks_the_constructor_refuses(block, message):
+    """develop_family read a True coordinate as 1"""
+    d = catalog_get("fg-4^2-s2c").payload
+    with pytest.raises(ValueError, match="^" + re.escape("block %r %s" % (block, message)) + "$"):
+        develop_family(d, [block])
+
+
+def test_foreign_blocks_may_be_unsorted():
+    d = catalog_get("fg-4^2-s2c").payload
+    b = ((1, 0, 0), (0, 0, 0))
+    assert fan_shift(d, b) == ((0, 0, 1), (1, 0, 1))
+    assert develop_family(d, [b])[0] == [((0, 0, 0), (1, 0, 0)), ((0, 0, 1), (1, 0, 1))]
+
+
 def test_h_design_verifies():
     d = catalog_get("h-4-2-4-3").payload
     assert verify_h_design(d).ok

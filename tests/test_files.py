@@ -403,6 +403,24 @@ def test_missing_layers_mean_none():
     assert design_from_dict(doc) == catalog_get("fg-4^2-s2c").payload
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("g_list", 4, "parameter 'g_list' must be a list of integers, got 4"),
+    ("g_list", [4, 4.0], "parameter 'g_list' must be a list of integers, got [4, 4.0]"),
+    ("g_list", [4, True], "parameter 'g_list' must be a list of integers, got [4, True]"),
+    ("shape", "toroidal", "unknown fan shape 'toroidal'"),
+    ("shape", ..., "unknown fan shape None"),
+], ids=["g_list int", "g_list float", "g_list bool", "unknown shape", "no shape"])
+def test_fan_shape_and_fibres_are_checked(name, value, message):
+    doc = copy.deepcopy(MUTATION_SOURCES[4])
+    if value is ...:
+        del doc["parameters"][name]
+    else:
+        doc["parameters"][name] = value
+    with pytest.raises(ValueError) as info:
+        design_from_dict(doc)
+    assert str(info.value) == message
+
+
 # the parameters each kind requires, by MUTATION_SOURCES index
 REQUIRED_PARAMETERS = {0: ("n",), 1: ("u", "v", "k", "t"), 2: ("u", "v", "k", "lambda"),
                        3: ("n", "l", "h", "t"), 4: ("s", "h", "g_list"), 5: ("s", "h", "u", "v")}
