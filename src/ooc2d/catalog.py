@@ -5,7 +5,10 @@ integer labels plus a declared relabeling rule.  The loader applies the
 rule, decodes the result with files.design_from_dict, the same decoder
 that reads design files, and verifies it in full with files.verdict
 before handing it out, so a transcription error cannot propagate
-silently.
+silently.  The report is computed once and kept beside the payload's
+codes, so a construction that checks a catalog payload again gets it
+for free; a payload emitted and read back is a new object, checked
+from scratch.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _verify_payload(entry_id: str, payload, action: dict) -> None:
     if isinstance(payload, FanDesign) and action["form"] != payload.shape:
         raise ValueError("catalog %s: declared form %s, but the payload uses the %s shape"
                          % (entry_id, action["form"], payload.shape))
-    detail = verdict(payload, action.get("strict"))
+    detail = verdict(payload, action.get("strict", False))
     if detail is not None:
         raise ValueError("catalog %s: %s" % (entry_id, detail))
 

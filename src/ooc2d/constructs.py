@@ -4,8 +4,11 @@ Every operation verifies its inputs, builds the output, and returns
 (output, trace) through _finish, which verifies the output.  Each
 verification asks files.verdict, the one verifier of every design
 kind, so a failure reads "<label>: <detail>" with the detail the
-command line prints.  The trace records labelled block count
-contributions that must sum to the output's base block count.
+command line prints.  A report is computed once per object and kept
+beside its codes, so an input the catalog or an earlier step has
+checked is not developed again; a file that is read back is a new
+object and is checked from scratch.  The trace records labelled block
+count contributions that must sum to the output's base block count.
 _finish counts the output itself (files.block_count) and raises
 AssertionError on a mismatch.  The constructions compute on the
 kernel codes of core: a design's blocks are read as the codes its

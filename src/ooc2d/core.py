@@ -30,12 +30,18 @@ make_packing, code_to_packing, the constructions and the search witness
 take each orbit once, check the canonical images on ints and decode
 them with one Point per distinct code.  It keeps the checked codes and
 stabilizer orders, which packing develops without encoding a Point.
+
+A verifier's report is computed once per object and kept beside its
+codes (_kept): the constructions, the catalog and the command line ask
+again for free, and an object read back from a file is a new object,
+checked from scratch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, combinations, compress, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -156,6 +162,27 @@ def _set(obj, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _kept(verify):
+    """verify(obj), computed once per object: the first report is kept
+    on obj and every later call returns it.  Sound because the objects
+    are frozen and every other _set write happens while one is built,
+    so nothing a report reads changes once an object is checked;
+    dataclasses.replace and every file read build a new object, checked
+    from scratch.  The reports sit beside _codes and _stabs, not
+    fields, so ==, repr, hash and design_json ignore them."""
+    name = verify.__name__
+
+    @wraps(verify)
+    def kept(obj):
+        reports = obj.__dict__.get("_reports")
+        if reports is None:
+            reports = _set(obj, _reports={})._reports
+        if name not in reports:
+            reports[name] = verify(obj)
+        return reports[name]
+    return kept
 
 
 def _period_codes(block: Block, v: int) -> tuple:

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (Block, Code, CodewordMatrix, CyclicPacking, _cells_matrix, _cover_counts,
-                   _grid_block, _grid_codes, _image, _packing, check_block_range)
+                   _grid_block, _grid_codes, _image, _kept, _packing, check_block_range)
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ def matrix_to_block(m: CodewordMatrix) -> Block:
     return _grid_block(m.cells, m.v)
 
 
+@_kept
 def verify_ooc(code: Code) -> CorrelationReport:
     """Check every codeword pair at every rotation as a cover count.
 

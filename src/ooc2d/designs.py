@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb, gcd
 
-from .core import Point, _cover_counts, _cover_miss, _develop, _image, _orbit, _set
+from .core import Point, _cover_counts, _cover_miss, _develop, _image, _kept, _orbit, _set
 
 CYCLIC = "cyclic"
 REGULAR = "regular"
@@ -227,13 +227,27 @@ def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
     """Check the covering conditions over the developed families.
 
     With strict also demand that every block has a trivial stabilizer
-    under the design's action, so every orbit is full.  Each family is
-    developed once; a failed covering check is reported before a short
-    orbit.
+    under the design's action, so every orbit is full.  The covering
+    report and the stabilizer orders are computed once per design,
+    whatever the flag; a failed covering check is reported before a
+    short orbit.
     """
+    report, stabilizers = _fan_cover(d)
+    if strict and report.ok:
+        for idx, (fam, stabs) in enumerate(zip(d.families(), stabilizers)):
+            if short := _short_orbit(d, idx, fam, stabs):
+                return short
+    return report
+
+
+@_kept
+def _fan_cover(d: FanDesign) -> tuple:
+    """(verify_fan's report without strict, the stabilizer orders of
+    each family's blocks): each family is developed once."""
     developed, stabilizers, failure = _develop_families(d, False)
+    stabilizers = tuple(stabilizers)  # kept, so every caller reads the same orders
     if failure:
-        return failure
+        return failure, stabilizers
 
     points = d._points
     group = [d.group_of(p) for p in points]
@@ -253,12 +267,10 @@ def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
         bad = _cover_miss(_cover_counts(blocks, t), len(points), t, want, n_want, strays)
         if bad:
             sub, got, wanted = bad
-            return DesignReport(False, "%s %r covered %d times, expected %d"
-                                % (name, tuple(points[e] for e in sub), got, wanted))
-    for idx, (fam, stabs) in enumerate(zip(d.families(), stabilizers)):
-        if strict and (short := _short_orbit(d, idx, fam, stabs)):
-            return short
-    return DesignReport(True)
+            detail = "%s %r covered %d times, expected %d" % (
+                name, tuple(points[e] for e in sub), got, wanted)
+            return DesignReport(False, detail), stabilizers
+    return DesignReport(True), stabilizers
 
 
 def _verify_action(d: FanDesign, shape: str, strict: bool) -> DesignReport:
@@ -308,6 +320,7 @@ class HDesign:
         return _fibre_points((self.l,) * self.n, self.h)
 
 
+@_kept
 def verify_h_design(d: HDesign) -> DesignReport:
     """Exact cover of the transverse t-subsets by the developed blocks.
 
@@ -373,6 +386,7 @@ def rosqs_shift(block, delta: int, m: int):
     return (INF,) * (len(block) - len(cyclic)) + _image(cyclic, delta, m)
 
 
+@_kept
 def verify_rosqs(d: RoSQSDesign) -> DesignReport:
     if d.n % 6 not in (2, 4):
         return DesignReport(False, "no quadruple system on %d points" % d.n)

@@ -10,6 +10,12 @@ The decoder checks types rather than coercing them, so 1.9, "0" or true
 is an error naming its field, as is a point with too few or too many
 coordinates.
 
+verdict asks the verifier of obj's kind, which computes its report once
+per object and keeps it beside the object's codes, so the catalog, the
+constructions and the command line may all ask for one object's
+verdict.  The reader always builds a new object, so a file that is
+read back is checked from scratch.
+
 The writer, design_json, gives one line of canonical JSON: sorted keys,
 no whitespace, built in one call of the C encoder.  save_design writes
 that line and a newline, and opens the file only once the text is

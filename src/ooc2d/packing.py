@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import CyclicPacking, _cover_counts, _grid_block, _image
+from .core import CyclicPacking, _cover_counts, _grid_block, _image, _kept
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ def develop(p: CyclicPacking) -> list:
     return [_grid_block(img, p.v) for img in _developed(p)]
 
 
+@_kept
 def verify_packing(p: CyclicPacking) -> PackingReport:
     counts = _cover_counts(_developed(p), p.t)
     violation = None
