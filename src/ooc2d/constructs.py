@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .core import Code, CyclicPacking, Point, _cells_matrix, _grid_block, _image, _orbit, _packing
-from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign, _develop_codes,
-                      _fibre_points)
+from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign,
+                      _fan_development, _fibre_points)
 from .files import block_count, verdict
 from .packing import is_perfect
 
@@ -374,11 +374,10 @@ def semicyclic_to_vcyclic(d: FanDesign):
     _require_valid(d, "semicyclic_to_vcyclic input", strict=False)
     v = d.h // 2
 
-    full, _, problem = _develop_codes(d, d.terminal, d._codes[-1])
-    _require(problem is None, "input family problem: %s" % problem)
-    # (x, 0, i), code x * 2v + i, goes to (x, i % 2, i // 2), code (2x + i % 2) * v + i // 2
+    # the check above developed the terminal family: (x, 0, i), code
+    # x * 2v + i, goes to (x, i % 2, i // 2), code (2x + i % 2) * v + i // 2
     remapped = [tuple(sorted([(e // (2 * v) * 2 + e % 2) * v + e % (2 * v) // 2 for e in b]))
-                for b in full]
+                for b in _fan_development(d).families[-1]]
     reps = _orbit_representatives(remapped, (2, 2), v, " under the new action")
 
     out = FanDesign(s=0, shape=CYCLIC, h=v, layers=(), terminal=reps, g_list=(2, 2))

@@ -312,7 +312,7 @@ def make_packing(u: int, v: int, k: int, t: int, blocks: Iterable) -> CyclicPack
 @dataclass(frozen=True, init=False, repr=False)
 class CodewordMatrix:
     """A u x v matrix over {0,1}, kept as the sorted grid codes
-    i * v + j of its ones; bits rebuilds its u rows of v ints."""
+    i * v + j of its ones; _bit_rows rebuilds its u rows of v ints."""
 
     u: int
     v: int
@@ -332,11 +332,7 @@ class CodewordMatrix:
 
     @property
     def bits(self) -> tuple:
-        u, v = self.u, self.v
-        flat = [0] * (u * v)
-        for e in self.cells:
-            flat[e] = 1
-        return tuple(tuple(flat[i * v:i * v + v]) for i in range(u))
+        return tuple(map(tuple, _bit_rows(self)))
 
     @property
     def weight(self) -> int:
@@ -344,6 +340,14 @@ class CodewordMatrix:
 
     def __repr__(self) -> str:
         return "CodewordMatrix(u=%r, v=%r, bits=%r)" % (self.u, self.v, self.bits)
+
+
+def _bit_rows(m: CodewordMatrix) -> list:
+    """The u rows of v 0/1 entries of m, as lists, straight from its cells."""
+    flat = [0] * (m.u * m.v)
+    for e in m.cells:
+        flat[e] = 1
+    return [flat[i:i + m.v] for i in range(0, len(flat), m.v)]
 
 
 def _cells_matrix(cells, u: int, v: int) -> CodewordMatrix:

@@ -23,7 +23,8 @@ covered exactly once.
 A design encodes its blocks once, when it is built, and keeps each
 family's sorted integer codes (see core) for its verifier and the
 constructions; fan_shift and develop_family encode the blocks handed
-to them through the same check.
+to them through the same check.  A fan is developed once, and every
+strict, action and covering question reads that kept development.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb, gcd
+from typing import NamedTuple
 
 from .core import Point, _cover_counts, _cover_miss, _develop, _image, _kept, _orbit, _set
 
@@ -197,58 +199,60 @@ def develop_family(d: FanDesign, blocks) -> tuple:
     return [tuple(d._points[e] for e in img) for img in images], stabs, problem
 
 
-def _short_orbit(d: FanDesign, idx: int, fam, stabs) -> DesignReport | None:
-    """The first block of family idx whose stabilizer is not trivial."""
-    for b, order in zip(fam, stabs):
-        if order != 1:
-            shown = tuple(sorted(b)) if d.developed else b
-            return DesignReport(False, "family %d: block %r has stabilizer of order %d"
-                                % (idx, shown, order))
+def _short_orbit(d: FanDesign, stabilizers) -> DesignReport | None:
+    """The first block, family by family, whose stabilizer is not trivial."""
+    for idx, (fam, stabs) in enumerate(zip(d.families(), stabilizers)):
+        for b, order in zip(fam, stabs):
+            if order != 1:
+                shown = tuple(sorted(b)) if d.developed else b
+                return DesignReport(False, "family %d: block %r has stabilizer of order %d"
+                                    % (idx, shown, order))
     return None
 
 
-def _develop_families(d: FanDesign, strict: bool) -> tuple:
-    """(developed families, their stabilizer orders, first failure or
-    None), family by family: a family that does not develop fails, and
-    with strict so does its first block with a short orbit."""
+def _develop_families(d: FanDesign) -> tuple:
+    """(developed families, their stabilizer orders, failure or None),
+    family by family up to the first family that does not develop."""
     developed, stabilizers = [], []
     for idx, (fam, codes) in enumerate(zip(d.families(), d._codes)):
         full, stabs, problem = _develop_codes(d, fam, codes)
         if problem:
             return developed, stabilizers, DesignReport(False, "family %d: %s" % (idx, problem))
-        if strict and (short := _short_orbit(d, idx, fam, stabs)):
-            return developed, stabilizers, short
         developed.append(full)
         stabilizers.append(stabs)
     return developed, stabilizers, None
+
+
+class _FanDevelopment(NamedTuple):  # a fan's one development, kept by _fan_development
+    families: tuple  # each family's developed codes, up to the first failure
+    stabilizers: tuple  # the stabilizer orders of those families' blocks
+    failure: DesignReport | None  # the first family that does not develop
+    report: DesignReport  # verify_fan's report without strict
 
 
 def verify_fan(d: FanDesign, strict: bool = False) -> DesignReport:
     """Check the covering conditions over the developed families.
 
     With strict also demand that every block has a trivial stabilizer
-    under the design's action, so every orbit is full.  The covering
-    report and the stabilizer orders are computed once per design,
-    whatever the flag; a failed covering check is reported before a
-    short orbit.
+    under the design's action, so every orbit is full.  A fan is
+    developed once, and every strict, action and covering question
+    reads that development; a family that does not develop is reported
+    first, then the covering check, then a short orbit.
     """
-    report, stabilizers = _fan_cover(d)
-    if strict and report.ok:
-        for idx, (fam, stabs) in enumerate(zip(d.families(), stabilizers)):
-            if short := _short_orbit(d, idx, fam, stabs):
-                return short
-    return report
+    dev = _fan_development(d)
+    return (strict and dev.report.ok and _short_orbit(d, dev.stabilizers)) or dev.report
 
 
 @_kept
-def _fan_cover(d: FanDesign) -> tuple:
-    """(verify_fan's report without strict, the stabilizer orders of
-    each family's blocks): each family is developed once."""
-    developed, stabilizers, failure = _develop_families(d, False)
-    stabilizers = tuple(stabilizers)  # kept, so every caller reads the same orders
-    if failure:
-        return failure, stabilizers
+def _fan_development(d: FanDesign) -> _FanDevelopment:
+    """d's families developed once, with the covering report on them."""
+    developed, stabilizers, failure = _develop_families(d)
+    report = failure or _fan_cover(d, developed)
+    return _FanDevelopment(tuple(developed), tuple(stabilizers), failure, report)
 
+
+def _fan_cover(d: FanDesign, developed: list) -> DesignReport:
+    """verify_fan's report without strict, on d's developed families."""
     points = d._points
     group = [d.group_of(p) for p in points]
 
@@ -267,16 +271,17 @@ def _fan_cover(d: FanDesign) -> tuple:
         bad = _cover_miss(_cover_counts(blocks, t), len(points), t, want, n_want, strays)
         if bad:
             sub, got, wanted = bad
-            detail = "%s %r covered %d times, expected %d" % (
-                name, tuple(points[e] for e in sub), got, wanted)
-            return DesignReport(False, detail), stabilizers
-    return DesignReport(True), stabilizers
+            return DesignReport(False, "%s %r covered %d times, expected %d"
+                                % (name, tuple(points[e] for e in sub), got, wanted))
+    return DesignReport(True)
 
 
 def _verify_action(d: FanDesign, shape: str, strict: bool) -> DesignReport:
+    # with strict, a short orbit comes before a later family's failure
     if d.shape != shape:
         raise ValueError("expected %s shape, got %s" % (shape, d.shape))
-    return _develop_families(d, strict)[2] or DesignReport(True)
+    dev = _fan_development(d)
+    return (strict and _short_orbit(d, dev.stabilizers)) or dev.failure or DesignReport(True)
 
 
 def verify_h_cyclic(d: FanDesign, strict: bool = True) -> DesignReport:

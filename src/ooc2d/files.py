@@ -28,21 +28,14 @@ from __future__ import annotations
 import json
 from itertools import chain, compress
 
-from .core import Code, CodewordMatrix, CyclicPacking, Point, _cells_matrix, make_packing
+from .core import (Code, CodewordMatrix, CyclicPacking, Point, _bit_rows, _cells_matrix,
+                   make_packing)
 from .correlation import verify_ooc
 from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_fan,
                       verify_h_design, verify_rosqs)
 from .packing import verify_packing
 
 SCHEMA_VERSION = 1
-
-
-def _bit_rows(m: CodewordMatrix) -> list:
-    """The u rows of v 0/1 entries of m, as lists, straight from its cells."""
-    flat = [0] * (m.u * m.v)
-    for e in m.cells:
-        flat[e] = 1
-    return [flat[i:i + m.v] for i in range(0, len(flat), m.v)]
 
 
 def design_to_dict(obj) -> dict:

@@ -73,9 +73,9 @@ prunes only subtrees that hold no packing larger than the incumbent
 of the moment, where a walk that pruned less would change nothing:
 both walks meet the same incumbents in the same order and return the
 same witness, the sharper one in fewer nodes.  Only under an
-exhausted node budget may the best-so-far differ.  For
-(k, t) != (4, 3) the Johnson bound only stops the heuristic early;
-the tree search still proves those optima.
+exhausted node budget may the best-so-far differ.  Both stages stop
+at one cap (max_packing), which proves a witness that meets it; for
+t = 1 that cap, u // k, is the root's slots // k.
 
 The tree is walked from one stack of pending children, so its depth
 is not limited by Python's recursion limit.  Expanding a node pushes
@@ -110,7 +110,7 @@ class SearchResult:
     nodes_explored: int
     budget_exhausted: bool
     proof: str | None  # "bound", "exhausted" or None, as max_packing says
-    upper_bound: int | None  # jstar(u, v) for k=4, t=3, else None
+    upper_bound: int  # the cap both stages stop at, as max_packing says
 
 
 def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
@@ -351,23 +351,26 @@ def max_packing(u: int, v: int, k: int, t: int,
     heuristic_iterations bounds the ruin-and-recreate rounds, seeded
     from (u, v); 0 starts the tree search from no incumbent.  When
     node_budget tree nodes run out, the best packing found is returned
-    with budget_exhausted set.  upper_bound is jstar(u, v) for (k, t) =
-    (4, 3), else None; proof is "bound" when the witness meets it,
-    "exhausted" when the tree search finished, else None.  The witness
-    passes files.verdict with strict, or ValueError is raised."""
+    with budget_exhausted set.  upper_bound is the cap both stages stop
+    at: jstar(u, v) for (k, t) = (4, 3), else johnson_bound(u, v, k,
+    t - 1) for t >= 2 and u // k for t = 1.  proof is "bound" when the
+    witness meets it, "exhausted" when the tree search finished, else
+    None.  The witness passes files.verdict with strict, or ValueError
+    is raised."""
     check_parameters(u, v, k, t, node_budget)
     index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
-    cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    # The heuristic keeps strict improvements only, so stopping it at
-    # any valid upper bound leaves its best packing unchanged.
-    stop = cap if cap is not None or t < 2 else johnson_bound(u, v, k, t - 1)
+    # developed blocks share at most t - 1 points, and a full orbit of a
+    # 1-packing fills k rows.  The heuristic keeps strict improvements
+    # only, so stopping it at cap leaves its best packing unchanged.
+    cap = (jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1) if t >= 2
+           else u // k)
     orbits = _build_orbits(u, v, k, t, index)
     incumbent: list = []
     if heuristic_iterations > 0 and orbits and cap != 0:
         rng = random.Random(20210 + 31 * u + v)
-        incumbent = _ruin_recreate(orbits, stop, heuristic_iterations, rng)
+        incumbent = _ruin_recreate(orbits, cap, heuristic_iterations, rng)
     reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
-    if not incumbent or cap is None or len(incumbent) < cap:
+    if not incumbent or len(incumbent) < cap:
         reps, nodes, exhausted = _branch_and_bound(
             v, k, t, orbits, index, incumbent, cap, node_budget)
 
@@ -376,12 +379,7 @@ def max_packing(u: int, v: int, k: int, t: int,
     if detail is not None:
         raise ValueError("search witness: " + detail)
 
-    if cap is not None and len(reps) >= cap:
-        proof = "bound"
-    elif not exhausted:
-        proof = "exhausted"
-    else:
-        proof = None
+    proof = "bound" if len(reps) >= cap else None if exhausted else "exhausted"
     return SearchResult(
         max_blocks=len(reps),
         witness=witness,

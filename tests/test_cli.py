@@ -209,7 +209,7 @@ def test_search_json_proof_keys(capsys):
     assert (doc["proof"], doc["bound"]) == ("bound", 3)
     assert main(["search", "2", "3", "4", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["proof"], doc["bound"]) == ("exhausted", None)
+    assert (doc["proof"], doc["bound"]) == ("bound", 0)
 
 
 def test_search_refuses_bad_witness(tmp_path, monkeypatch, capsys):

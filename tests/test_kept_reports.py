@@ -14,10 +14,11 @@ import pytest
 from ooc2d import designs, packing
 from ooc2d.catalog import catalog_get, catalog_ids
 from ooc2d.cli import main
-from ooc2d.constructs import hartman
+from ooc2d.constructs import hartman, semicyclic_to_vcyclic
 from ooc2d.core import Code, CyclicPacking
 from ooc2d.correlation import packing_to_code, verify_ooc
-from ooc2d.designs import FanDesign, HDesign, verify_fan, verify_h_design, verify_rosqs
+from ooc2d.designs import (FanDesign, HDesign, verify_fan, verify_h_cyclic, verify_h_design,
+                           verify_regular, verify_rosqs)
 from ooc2d.files import design_from_dict, design_json, design_to_dict, load_design, verdict
 from ooc2d.packing import verify_packing
 from ooc2d.pipelines import pipeline_names, run_pipeline
@@ -131,3 +132,23 @@ def test_strict_flags_share_one_fan_report(monkeypatch, build, short):
     assert (verdict(d, True) is not None) == short
     assert verify_fan(d, True).ok != short
     assert len(developed) == 1
+
+
+@pytest.mark.parametrize("entry_id, action", [
+    ("fg-4^2-s2c", verify_h_cyclic), ("fg-(2,2)reg-4^2", verify_regular),
+])
+def test_action_and_fan_checks_share_one_development(monkeypatch, entry_id, action):
+    d = _fresh(catalog_get(entry_id).payload)
+    developed = _counting(monkeypatch, designs, "_develop_families")
+    assert action(d, strict=True).ok and action(d, strict=False).ok
+    assert verify_fan(d).ok and verify_fan(d, True).ok
+    assert verdict(d, True) is None
+    assert len(developed) == 1
+
+
+def test_semicyclic_remap_develops_its_input_once(monkeypatch):
+    d = load_design(FIXTURE)
+    developed = _counting(monkeypatch, designs, "_develop")
+    out, _ = semicyclic_to_vcyclic(d)
+    assert verify_fan(out, True).ok
+    assert sum(args[0] is d._codes[-1] for args in developed) == 1

@@ -105,7 +105,7 @@ def test_proof_reasons():
     result = max_packing(2, 2, 4, 3)
     assert (result.proof, result.upper_bound, result.max_blocks) == ("bound", 0, 0)
     result = max_packing(2, 3, 4, 2)
-    assert (result.proof, result.upper_bound) == ("exhausted", None)
+    assert (result.proof, result.upper_bound) == ("bound", 0)
     assert result.proved_optimal
     result = max_packing(3, 4, 4, 3, node_budget=50, heuristic_iterations=0)
     assert (result.proof, result.upper_bound) == (None, 12)
@@ -155,11 +155,11 @@ def test_deep_tree_needs_no_recursion():
 def test_johnson_bound_stops_heuristic(u, v, k, t, best, digest):
     # the heuristic stops once it meets johnson_bound(u, v, k, t - 1)
     # instead of running all 30,000 iterations, which takes several
-    # times the limit below, and a one-node tree then proves the optimum
+    # times the limit below, and meeting that bound proves the optimum
     start = time.perf_counter()
     result = max_packing(u, v, k, t)
     elapsed = time.perf_counter() - start
-    assert (result.max_blocks, result.nodes_explored, result.proof) == (best, 1, "exhausted")
+    assert (result.max_blocks, result.nodes_explored, result.proof) == (best, 0, "bound")
     assert _digest(result) == digest
     assert elapsed < 0.5
 
@@ -172,6 +172,16 @@ def test_orbit_list_pinned(u, v, count, digest):
     orbits = _build_orbits(u, v, 4, 3, index)
     assert len(orbits) == count
     assert hashlib.sha256(repr(orbits).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("u, v, k, t, best, nodes, proof, bound", [
+    (4, 2, 4, 4, 32, 58, "exhausted", 35),  # the optimum is below the Johnson bound
+    (6, 2, 4, 1, 1, 0, "bound", 1),  # a full orbit fills k of the u rows
+])
+def test_one_cap_for_every_search(u, v, k, t, best, nodes, proof, bound):
+    result = max_packing(u, v, k, t)
+    assert (result.max_blocks, result.nodes_explored, result.proof) == (best, nodes, proof)
+    assert result.upper_bound == bound
 
 
 def _reference_ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> list:
