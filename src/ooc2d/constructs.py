@@ -357,7 +357,7 @@ def fold(code: Code, v1: int, input_label: str = "code"):
         i, x = divmod(e, v)
         return (i + u * (x % v1)) * v2 + x // v1
 
-    mats = [_cells_matrix(map(remap, _image(m.cells, d, v)), u2, v2)
+    mats = [_cells_matrix(sorted(map(remap, _image(m.cells, d, v))), u2, v2)
             for m in code.codewords for d in range(v1)]
     out = Code(u=u2, v=v2, k=code.k, lam=code.lam, codewords=tuple(mats))
     steps = (("translated copies", len(mats)),)

@@ -351,8 +351,9 @@ def _bit_rows(m: CodewordMatrix) -> list:
 
 
 def _cells_matrix(cells, u: int, v: int) -> CodewordMatrix:
-    """The u x v matrix whose ones are the distinct grid codes in cells."""
-    return _set(object.__new__(CodewordMatrix), u=u, v=v, cells=tuple(sorted(cells)))
+    """The u x v matrix whose ones are the grid codes in cells, which
+    must be distinct and in increasing order."""
+    return _set(object.__new__(CodewordMatrix), u=u, v=v, cells=tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -367,6 +368,10 @@ class Code:
 
     def __post_init__(self):
         _check_params(self.u, self.v, self.k, self.lam)
+        if not set(map(type, self.codewords)) <= {CodewordMatrix}:
+            i, m = next((i, m) for i, m in enumerate(self.codewords)
+                        if type(m) is not CodewordMatrix)
+            raise ValueError("codeword %d is not a CodewordMatrix: %r" % (i, m))
         for m in self.codewords:
             if (m.u, m.v) != (self.u, self.v):
                 raise ValueError("codeword has shape %dx%d, expected %dx%d"

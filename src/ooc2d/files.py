@@ -21,6 +21,11 @@ no whitespace, built in one call of the C encoder.  save_design writes
 that line and a newline, and opens the file only once the text is
 built, so an object that cannot be written leaves the file as it was.
 The reader accepts any JSON layout, so indented files load as before.
+The writer's own line for a code is decoded from its text: json reads
+only the short rest after the codewords, and the bits come from the
+digits of a span proved to be exactly u x v rows of 0s and 1s per
+codeword.  Every other text goes through json and design_from_dict,
+and both paths give identical objects and identical refusals.
 """
 
 from __future__ import annotations
@@ -159,6 +164,15 @@ def _clean_bits(ms, u: int, v: int):
     return flat if set(map(type, flat)) <= {int} and set(flat) <= {0, 1} else None
 
 
+def _matrices(flat, count: int, u: int, v: int) -> tuple:
+    """The count u x v matrices whose entries, codeword after codeword
+    and row after row, are the 0/1 items of flat; compress gives each
+    one's cells in increasing order."""
+    n = u * v
+    return tuple(_cells_matrix(compress(range(n), flat[i * n:i * n + n]), u, v)
+                 for i in range(count))
+
+
 def _codewords(ms, u: int, v: int) -> tuple:
     """Codeword matrices of the codewords ms, each compressed straight to
     its cells in one pass over all entries.  Only a document that fails
@@ -172,9 +186,49 @@ def _codewords(ms, u: int, v: int) -> tuple:
     if flat is None:
         return tuple(CodewordMatrix(u=u, v=v, bits=_int_rows(tuple(map(tuple, m)), "codewords"))
                      for m in ms)
-    n = u * v
-    return tuple(_cells_matrix(compress(range(n), flat[i * n:i * n + n]), u, v)
-                 for i in range(len(ms)))
+    return _matrices(flat, len(ms), u, v)
+
+
+_CODE_HEAD = '{"codewords":'
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _zeros(u: int, v: int, count: int) -> str:
+    """design_json's text of count all-zero u x v codewords."""
+    row = "[" + "0," * (v - 1) + "0]"
+    return "[" + ",".join(["[" + ",".join([row] * u) + "]"] * count) + "]"
+
+
+def _code_line(text: str):
+    """The Code of text when text is design_json's line for a code, with
+    any trailing whitespace, else None.  The codewords span, up to the
+    first ',"kind":', is the line's only if it is the all-zero text of
+    its length for the u and v of the rest with some 0s made 1s: the
+    length is checked arithmetically before that text is built, so a
+    file claiming a huge grid costs nothing.  Such a span is lists of
+    JSON integers 0 and 1 of exactly the shape _clean_bits accepts, and
+    the rest holds every other key, so the generic path would decode
+    the same parameters and entries."""
+    end = text.find(',"kind":') if text.startswith(_CODE_HEAD) else -1
+    if end < 0:
+        return None
+    try:
+        rest = json.loads("{" + text[end + 1:])
+    except (ValueError, RecursionError):
+        return None
+    params = rest.get("parameters", {})
+    if ("codewords" in rest or rest.get("schema_version") != SCHEMA_VERSION
+            or rest.get("kind") != "code" or not isinstance(params, dict)):
+        return None
+    u, v = params.get("u"), params.get("v")
+    if not (type(u) is int and type(v) is int and u > 0 and v > 0):
+        return None
+    span = text[len(_CODE_HEAD):end]
+    count, spare = divmod(len(span) - 1, u * (2 * v + 2) + 2)  # len(_zeros(u, v, 1)) + 1
+    if span != "[]" and (spare or not count or span.replace("1", "0") != _zeros(u, v, count)):
+        return None
+    flat = span.encode().translate(_DIGITS, b"[],")
+    return _code(params, lambda u, v: _matrices(flat, count, u, v))
 
 
 def _param(params: dict, name: str):
@@ -188,6 +242,13 @@ def _ints(params: dict, *names) -> list:
         if type(_param(params, name)) is not int:
             raise ValueError("parameter %r must be an integer, got %r" % (name, params[name]))
     return [params[name] for name in names]
+
+
+def _code(params: dict, codewords) -> Code:
+    """The Code of params whose matrices are codewords(u, v), decoded
+    once the integer parameters are checked."""
+    u, v, k, lam = _ints(params, "u", "v", "k", "lambda")
+    return Code(u=u, v=v, k=k, lam=lam, codewords=codewords(u, v))
 
 
 def design_from_dict(doc: dict):
@@ -238,9 +299,8 @@ def design_from_dict(doc: dict):
             tuple(sorted(b)) for b in _int_rows(bs, "base_blocks")))
         return RoSQSDesign(n=n, base_blocks=blocks)
     if kind == "code":
-        u, v, k, lam = _ints(params, "u", "v", "k", "lambda")
-        mats = _field(doc, "codewords", lambda ms: _codewords(ms, u, v))
-        return Code(u=u, v=v, k=k, lam=lam, codewords=mats)
+        return _code(params, lambda u, v: _field(doc, "codewords",
+                                                 lambda ms: _codewords(ms, u, v)))
     raise ValueError("unknown design kind %r" % (kind,))
 
 
@@ -252,8 +312,12 @@ def save_design(obj, path: str) -> None:
 
 def load_design(path: str):
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nests too deeply") from None
+        text = fh.read()
+    code = _code_line(text)
+    if code is not None:
+        return code
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
     return design_from_dict(doc)

@@ -253,6 +253,15 @@ def test_code_rejects_wrong_shape():
         Code(u=2, v=3, k=3, lam=2, codewords=(m,))
 
 
+@pytest.mark.parametrize("codeword", [None, ((1, 1),), (0, 1)], ids=["None", "rows", "cells"])
+def test_code_rejects_a_codeword_that_is_not_a_matrix(codeword):
+    """a non-matrix codeword gave an AttributeError on its shape"""
+    m = CodewordMatrix(u=1, v=2, bits=((1, 1),))
+    with pytest.raises(ValueError) as info:
+        Code(u=1, v=2, k=2, lam=1, codewords=(m, codeword))
+    assert str(info.value) == "codeword 1 is not a CodewordMatrix: %r" % (codeword,)
+
+
 def test_matrix_weight():
     m = CodewordMatrix(u=2, v=3, bits=((1, 0, 1), (0, 1, 1)))
     assert m.weight == 4

@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import os
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ooc2d import catalog
+from ooc2d import catalog, files
 from ooc2d.catalog import catalog_get
 from ooc2d.cli import main
 from ooc2d.constructs import filling_2, fold, hartman
-from ooc2d.core import Code, CodewordMatrix, CyclicPacking, make_packing
-from ooc2d.correlation import packing_to_code, verify_ooc
+from ooc2d.core import (Code, CodewordMatrix, CyclicPacking, Point, as_block, canonicalize,
+                        make_packing)
+from ooc2d.correlation import (block_to_matrix, code_to_packing, matrix_to_block,
+                               packing_to_code, verify_ooc)
 from ooc2d.designs import (FanDesign, HDesign, verify_fan, verify_h_cyclic, verify_h_design,
                            verify_rosqs)
 from ooc2d.files import (SCHEMA_VERSION, design_from_dict, design_json, design_to_dict,
@@ -437,3 +442,164 @@ def test_missing_parameter_is_named(source, name):
     with pytest.raises(ValueError) as info:
         design_from_dict(doc)
     assert str(info.value) == "missing parameter %r" % name
+
+
+def _generic_load(text: str):
+    """What load_design makes of text through json and design_from_dict
+    alone, the reader's one path for every other file."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
+    return design_from_dict(doc)
+
+
+def _outcome(load, arg):
+    """(object, repr) of load(arg), or (exception type, text)."""
+    try:
+        obj = load(arg)
+    except Exception as exc:  # the comparison is of whatever either path raises
+        return type(exc), str(exc)
+    return obj, repr(obj)
+
+
+def _load_text(directory, text: str):
+    path = directory / "line.json"
+    path.write_text(text)
+    return load_design(str(path))
+
+
+def _broken(code: Code, seed: int = 0) -> Code:
+    """code with one codeword rewritten to share three cells with
+    another, in an orbit of its own so code_to_packing still takes it"""
+    rng = random.Random(seed)
+    blocks = [matrix_to_block(m) for m in code.codewords]
+    reps = [canonicalize(b, code.v) for b in blocks]
+    cells = [Point(i, j) for i in range(code.u) for j in range(code.v)]
+    while True:
+        a, b = rng.sample(range(len(blocks)), 2)
+        new = as_block(rng.sample(blocks[b], 3)
+                       + [rng.choice([p for p in cells if p not in blocks[b]])])
+        if canonicalize(new, code.v) not in reps[:a] + reps[a + 1:]:
+            break
+    mats = list(code.codewords)
+    mats[a] = block_to_matrix(new, code.u, code.v)
+    return Code(u=code.u, v=code.v, k=code.k, lam=code.lam, codewords=tuple(mats))
+
+
+@functools.cache
+def _folded(pipeline: str, v1: int) -> Code:
+    return fold(packing_to_code(run_pipeline(pipeline)[0]), v1)[0]
+
+
+CODE_FILES = {
+    "14x1": lambda: run_pipeline("14x1")[0],
+    "8x4 by 2": lambda: _folded("8x4", 2),
+    "8x4 by 4": lambda: _folded("8x4", 4),
+    "12x2 by 2": lambda: _folded("12x2", 2),
+    "no codewords": lambda: Code(u=3, v=2, k=4, lam=2, codewords=()),
+}
+
+
+@pytest.mark.parametrize("name, broken", [(name, False) for name in CODE_FILES] + [
+    (name, True) for name in CODE_FILES if name != "no codewords"])
+def test_code_line_reads_as_the_generic_path(name, broken, tmp_path):
+    """the writer's own code line is decoded from its text into the object
+    json and design_from_dict give, with the same reports, and it saves
+    back byte for byte"""
+    code = CODE_FILES[name]()
+    if broken:
+        code = _broken(code)
+    path = tmp_path / "code.json"
+    save_design(code, str(path))
+    text = path.read_text()
+    assert files._code_line(text) is not None
+    fast, generic = load_design(str(path)), _generic_load(text)
+    assert fast == generic == code
+    assert repr(fast) == repr(generic) and hash(fast) == hash(generic)
+    assert verify_ooc(fast) == verify_ooc(generic)
+    assert verify_ooc(fast).ok is not broken
+    assert verify_packing(code_to_packing(fast)) == verify_packing(code_to_packing(generic))
+    save_design(fast, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+SMALL_PACKING = catalog_get("small-(3,3)").payload
+SMALL_LINE = design_json(packing_to_code(SMALL_PACKING)) + "\n"
+
+
+@pytest.fixture(scope="module")
+def line_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_code_line_reads_as_the_generic_path(line_dir, data):
+    """one character replaced, inserted or deleted anywhere in the
+    canonical line: the reader gives the generic path's object, or
+    raises its exception type with its text"""
+    text = SMALL_LINE
+    at = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from('012[],."t '))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    text = text[:at] + {"replace": char, "insert": char + text[at], "delete": ""}[edit] \
+        + text[at + 1:]
+    assert _outcome(lambda t: _load_text(line_dir, t), text) == _outcome(_generic_load, text)
+
+
+def _line(codewords: str, rest: dict) -> str:
+    return '{"codewords":%s,%s\n' % (codewords, json.dumps(rest, separators=(",", ":"))[1:])
+
+
+SMALL_DOC = json.loads(SMALL_LINE)
+SMALL_SPAN = json.dumps(SMALL_DOC["codewords"], separators=(",", ":"))
+SMALL_REST = {key: SMALL_DOC[key] for key in ("kind", "parameters", "schema_version")}
+
+# texts that begin like the writer's code line but are not one
+LOOKALIKES = {
+    "huge grid": _line("[[[1]]]", {**SMALL_REST, "parameters": {
+        "k": 1, "lambda": 1, "u": 10 ** 9, "v": 10 ** 9}}),
+    "duplicate codewords": _line(SMALL_SPAN, {**SMALL_REST, "codewords": []}),
+    "trailing data": SMALL_LINE.rstrip() + "{}\n",
+    "packing rest": _line(SMALL_SPAN, {"kind": "packing", **design_to_dict(SMALL_PACKING)}),
+    "bool k": _line(SMALL_SPAN, {**SMALL_REST, "parameters": {
+        **SMALL_DOC["parameters"], "k": True}}),
+    "wrong v": _line(SMALL_SPAN, {**SMALL_REST, "parameters": {
+        **SMALL_DOC["parameters"], "v": 1}}),
+}
+
+
+@pytest.mark.parametrize("name", LOOKALIKES)
+def test_code_line_lookalikes_read_as_the_generic_path(name, tmp_path):
+    """the reader builds nothing from a span it cannot trust, and a file
+    claiming a 10**9 x 10**9 grid is refused at once"""
+    text = LOOKALIKES[name]
+    start = time.perf_counter()
+    outcome = _outcome(lambda t: _load_text(tmp_path, t), text)
+    assert time.perf_counter() - start < 1.0
+    assert outcome == _outcome(_generic_load, text)
+
+
+def test_code_line_lookalikes_are_what_they_seem():
+    assert _outcome(_generic_load, LOOKALIKES["huge grid"]) == (
+        ValueError, "expected 1000000000 rows, got 1")
+    assert _generic_load(LOOKALIKES["duplicate codewords"]).size == 0
+    assert _outcome(_generic_load, LOOKALIKES["trailing data"])[0] is json.JSONDecodeError
+    assert _generic_load(LOOKALIKES["packing rest"]) == SMALL_PACKING
+
+
+def test_code_line_hands_json_only_the_short_rest(tmp_path, monkeypatch):
+    """the 32 x 1 fold's 160 KB of bit lists never go through json"""
+    path = tmp_path / "c32.json"
+    save_design(_folded("8x4", 4), str(path))
+    lengths = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):
+        lengths.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert load_design(str(path)) == _folded("8x4", 4)
+    assert lengths and max(lengths) < 200
