@@ -158,9 +158,9 @@ def _grid_block(codes, v: int) -> Block:
 
 
 def _set(obj, **fields):
-    """obj with its frozen fields set."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    """obj with its frozen fields set: every target is a dataclass
+    without slots, whose fields live in its __dict__."""
+    vars(obj).update(fields)
     return obj
 
 
@@ -176,9 +176,7 @@ def _kept(verify):
 
     @wraps(verify)
     def kept(obj):
-        reports = obj.__dict__.get("_reports")
-        if reports is None:
-            reports = _set(obj, _reports={})._reports
+        reports = vars(obj).setdefault("_reports", {})
         if name not in reports:
             reports[name] = verify(obj)
         return reports[name]

@@ -25,7 +25,9 @@ The writer's own line for a code is decoded from its text: json reads
 only the short rest after the codewords, and the bits come from the
 digits of a span proved to be exactly u x v rows of 0s and 1s per
 codeword.  Every other text goes through json and design_from_dict,
-and both paths give identical objects and identical refusals.
+which decodes each codeword entry by entry through the matrix check, so
+the first bad entry is named.  Both paths give identical objects and
+identical refusals.
 """
 
 from __future__ import annotations
@@ -151,42 +153,11 @@ def _blocks(bs, name: str, point=tuple, dim: int = 3) -> tuple:
     return tuple(tuple(sorted(map(point, b))) for b in _coords(bs, name, dim))
 
 
-def _clean_bits(ms, u: int, v: int):
-    """Every entry of the codewords ms in order, or None unless each
-    codeword is u rows of v JSON integers 0 or 1.  Each codeword's and
-    row's length is taken before it is iterated."""
-    if not set(map(len, ms)) <= {u}:
-        return None
-    rows = tuple(chain.from_iterable(ms))
-    if not set(map(len, rows)) <= {v}:
-        return None
-    flat = tuple(chain.from_iterable(rows))
-    return flat if set(map(type, flat)) <= {int} and set(flat) <= {0, 1} else None
-
-
-def _matrices(flat, count: int, u: int, v: int) -> tuple:
-    """The count u x v matrices whose entries, codeword after codeword
-    and row after row, are the 0/1 items of flat; compress gives each
-    one's cells in increasing order."""
-    n = u * v
-    return tuple(_cells_matrix(compress(range(n), flat[i * n:i * n + n]), u, v)
-                 for i in range(count))
-
-
 def _codewords(ms, u: int, v: int) -> tuple:
-    """Codeword matrices of the codewords ms, each compressed straight to
-    its cells in one pass over all entries.  Only a document that fails
-    the pass is decoded codeword by codeword, to name the first bad
-    entry as the matrix check would."""
-    ms = tuple(ms)
-    try:
-        flat = _clean_bits(ms, u, v)
-    except TypeError:  # an unsized codeword or row
-        flat = None
-    if flat is None:
-        return tuple(CodewordMatrix(u=u, v=v, bits=_int_rows(tuple(map(tuple, m)), "codewords"))
-                     for m in ms)
-    return _matrices(flat, len(ms), u, v)
+    """Codeword matrices of the codewords ms, decoded codeword by
+    codeword through the matrix check, which names the first bad entry."""
+    return tuple(CodewordMatrix(u=u, v=v, bits=_int_rows(tuple(map(tuple, m)), "codewords"))
+                 for m in ms)
 
 
 _CODE_HEAD = '{"codewords":'
@@ -205,10 +176,12 @@ def _code_line(text: str):
     first ',"kind":', is the line's only if it is the all-zero text of
     its length for the u and v of the rest with some 0s made 1s: the
     length is checked arithmetically before that text is built, so a
-    file claiming a huge grid costs nothing.  Such a span is lists of
-    JSON integers 0 and 1 of exactly the shape _clean_bits accepts, and
-    the rest holds every other key, so the generic path would decode
-    the same parameters and entries."""
+    file claiming a huge grid costs nothing.  Such a span is count
+    codewords of u rows of v JSON integers 0 or 1, each one the matrix
+    check accepts, and the rest holds every other key, so the generic
+    path would decode the same parameters and entries.  The digits,
+    codeword after codeword and row after row, are the entries; compress
+    gives each codeword's cells in increasing order."""
     end = text.find(',"kind":') if text.startswith(_CODE_HEAD) else -1
     if end < 0:
         return None
@@ -227,8 +200,9 @@ def _code_line(text: str):
     count, spare = divmod(len(span) - 1, u * (2 * v + 2) + 2)  # len(_zeros(u, v, 1)) + 1
     if span != "[]" and (spare or not count or span.replace("1", "0") != _zeros(u, v, count)):
         return None
-    flat = span.encode().translate(_DIGITS, b"[],")
-    return _code(params, lambda u, v: _matrices(flat, count, u, v))
+    flat, n = span.encode().translate(_DIGITS, b"[],"), u * v
+    return _code(params, lambda u, v: tuple(
+        _cells_matrix(compress(range(n), flat[i * n:i * n + n]), u, v) for i in range(count)))
 
 
 def _param(params: dict, name: str):

@@ -251,7 +251,7 @@ def test_decoded_code_equals_code_built_from_bits(code, tmp_path):
     (("codewords", 1, 2, 0), lambda x: None, "malformed 'codewords': None is not an integer"),
 ], ids=["row count", "column count", "entry 2", "float entry", "null entry"])
 def test_bad_codeword_message_is_unchanged(path, change, message):
-    """a codeword that fails the one-pass check is decoded again entry by
+    """a code that is not the writer's own line is decoded entry by
     entry, so the message names the first bad entry as before"""
     doc = copy.deepcopy(MUTATION_SOURCES[2])
     assert doc["codewords"][1][2][0] == 1

@@ -252,11 +252,29 @@ def test_ruin_recreate_matches_reference_property(case, seed, iterations):
 
 
 def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
-                                incumbent: list, cap, node_budget: int):
+                                incumbent: list, cap, node_budget: int,
+                                point_bound: bool = False):
     """The tree whose leave branch writes off the target bit alone:
-    writing off its whole shift orbit must find exactly these reps."""
+    writing off its whole shift orbit must find exactly these reps.
+    It prunes with the counting bound, or with point_bound with the
+    per-point count at the column-0 points: the f_i free t-subsets
+    through (i, 0) leave room for f_i // C(k-1, t-1) more blocks through
+    it, and every orbit puts exactly k blocks through those points, so
+    the count is sound whether or not the free t-subsets are closed
+    under shifts."""
     total_t = len(index)
     per_block = v * comb(k, t)
+    if point_bound:
+        through: dict = {}  # row -> mask of the t-subsets through (row, 0)
+        for sub, i in index.items():
+            for p in sub:
+                if p % v == 0:
+                    through[p // v] = through.get(p // v, 0) | 1 << i
+        per_point = comb(k - 1, t - 1)
+        room = lambda free, n_used: sum(
+            (mask & free).bit_count() // per_point for mask in through.values()) // k
+    else:
+        room = lambda free, n_used: (total_t - n_used) // per_block
     full = (1 << total_t) - 1
     options_of = _candidates(v, t, orbits, index)
     best = len(incumbent)
@@ -281,8 +299,7 @@ def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
                 break
             else:
                 stack.pop()
-                forbidden = n_used - depth * per_block
-                if forbidden + 1 <= total_t - (best + 1) * per_block:
+                if depth + room(full ^ used ^ target, n_used + 1) > best:
                     del path[depth:]
                     call = (depth, used | target, n_used + 1)
             continue
@@ -300,7 +317,7 @@ def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
                     break
         elif cap is not None and best >= cap:
             break
-        elif depth + (total_t - n_used) // per_block > best:
+        elif depth + room(free, n_used) > best:
             target = free & -free
             stack.append([depth, used, n_used, target, options_of[target.bit_length() - 1], 0])
     return best_blocks, nodes, False
@@ -321,7 +338,8 @@ def test_orbit_leave_matches_reference(u, v, k, t):
         reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent,
                                                    cap, 10**7)
         ref_reps, ref_nodes, _ = _reference_branch_and_bound(v, k, t, orbits, index,
-                                                             incumbent, cap, 10**7)
+                                                             incumbent, cap, 10**7,
+                                                             point_bound=True)
         assert reps == ref_reps
         assert not exhausted and nodes <= ref_nodes
 
