@@ -77,8 +77,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def trivial_packing(u: int, v: int, k: int = 4, t: int = 3) -> CyclicPacking:
-    return CyclicPacking(u=u, v=v, k=k, t=t, base_blocks=())
+def trivial_packing(u: int, v: int) -> CyclicPacking:
+    return CyclicPacking(u=u, v=v, k=4, t=3, base_blocks=())
 
 
 def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):

@@ -21,6 +21,11 @@ counted twice, none wanting 0 is counted, and as many are counted as
 the closed form says want 1; only a failure walks all C(N, t) subsets
 in order to name the first miscounted one.
 
+Every entry point for a block of grid points takes its codes from one
+check, _block_codes: a non-integral or bool coordinate, a repeated
+point and a point out of range for the period get one text wherever
+the block enters, and 1.0 is read as 1.
+
 A u x v codeword matrix is kept as the sorted grid codes i * v + j of
 its ones (CodewordMatrix.cells) and rebuilds its rows only when asked,
 so codes reach the same kernel: a codeword rotated by r is its cells'
@@ -55,22 +60,14 @@ class Point(NamedTuple):
 Block = tuple  # tuple[Point, ...], sorted ascending
 
 
-def _int_points(points) -> list:
-    """(row, col) int pairs of points, refusing a bool and a coordinate
-    that int() would change, such as 1.9 or "1"."""
-    points = list(points)
-    pts = [(r, c) for r, c in points if type(r) is int is type(c)]
-    if len(pts) != len(points):
-        raw = [(r, c) for r, c in points]
-        pts = [(int(r), int(c)) for r, c in raw]
-        bad = [x for p, q in zip(raw, pts) for x, y in zip(p, q) if x != y or type(x) is bool]
-        if bad:
-            raise ValueError("block %r has a non-integral coordinate %r" % (raw, bad[0]))
-    return pts
-
-
 def as_block(points: Iterable) -> Block:
-    pts = tuple(sorted([Point._make(p) for p in _int_points(points)]))
+    """The sorted Points of (row, col) pairs, refusing a repeated point, a
+    bool and a coordinate that int() would change, such as 1.9 or "1"."""
+    raw = [(r, c) for r, c in points]
+    bad = [x for p in raw for x in p if type(x) is not int and (type(x) is bool or int(x) != x)]
+    if bad:
+        raise ValueError("block %r has a non-integral coordinate %r" % (raw, bad[0]))
+    pts = tuple(sorted([Point(int(r), int(c)) for r, c in raw]))
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point in block: %r" % (pts,))
     return pts
@@ -90,12 +87,6 @@ def _check_params(u: int, v: int, k: int, lam: int) -> None:
 def _check_t(k: int, t: int) -> None:
     if not (1 <= t <= k):
         raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (t, k))
-
-
-def check_block_range(block: Block, u: int, v: int) -> None:
-    for p in block:
-        if not (0 <= p.row < u and 0 <= p.col < v):
-            raise ValueError("point %r outside %dx%d grid" % (p, u, v))
 
 
 def _image(codes: tuple, delta: int, period: int) -> tuple:
@@ -149,10 +140,6 @@ def _cover_miss(counts: Counter, n: int, t: int, want, n_want: int, strays: bool
     raise AssertionError("cover count failed but every %d-subset has its count" % t)
 
 
-def _grid_codes(block, v: int) -> tuple:
-    return tuple(sorted(p[0] * v + p[1] for p in block))
-
-
 def _grid_block(codes, v: int) -> Block:
     return tuple([Point._make(divmod(e, v)) for e in codes])
 
@@ -183,39 +170,47 @@ def _kept(verify):
     return kept
 
 
-def _period_codes(block: Block, v: int) -> tuple:
-    """The grid codes of block under Z_v, refusing a period below 1 and a
-    point outside rows >= 0, columns 0 .. v - 1: its code would belong to
-    another point."""
+def _block_codes(points, v: int) -> tuple:
+    """Sorted grid codes of a block of (row, col) pairs, the one check of a
+    block of grid points.  It refuses, in this order, what as_block
+    refuses, no point, a period below 1, and a point with a row below 0
+    or a column outside 0 .. v - 1, whose code would belong to another
+    point.  Only a refused block or a float such as 1.0 walks its points."""
+    points = tuple(points)
+    codes = sorted([r * v + c for r, c in points
+                    if type(r) is int is type(c) and r >= 0 and 0 <= c < v])
+    if codes and len(codes) == len(points) == len(set(codes)):
+        return tuple(codes)
+    block = as_block(points)
+    if not block:
+        raise ValueError("cannot canonicalize an empty block")
     if v <= 0:
         raise ValueError("period v must be positive")
     for p in block:
-        if p[0] < 0 or not (0 <= p[1] < v):
+        if p.row < 0 or not 0 <= p.col < v:
             raise ValueError("point %r out of range for period %d" % (p, v))
-    return _grid_codes(block, v)
+    return tuple([r * v + c for r, c in block])
 
 
 def shift(block: Block, delta: int, v: int) -> Block:
     """Add delta to every column index modulo v and re-sort."""
-    return _grid_block(_image(_period_codes(block, v), delta, v), v)
+    return _grid_block(_image(_block_codes(block, v), delta, v), v)
 
 
 def canonicalize(block: Block, v: int) -> Block:
     """Lexicographically least among the v column shifts of the block."""
-    if not block:
-        raise ValueError("cannot canonicalize an empty block")
-    return _grid_block(_orbit(_period_codes(block, v), v)[0], v)
+    return _grid_block(_orbit(_block_codes(block, v), v)[0], v)
 
 
 def stabilizer_order(block: Block, v: int) -> int:
     """Order of the subgroup of Z_v fixing the block setwise."""
-    return _orbit(_period_codes(block, v), v)[1]
+    return _orbit(_block_codes(block, v), v)[1]
 
 
 def orbit(block: Block, v: int) -> list:
     """All distinct column shifts of the block, starting from the
     canonical representative."""
-    images, _, _ = _develop([_grid_codes(canonicalize(block, v), v)], v)
+    images, _, _ = _develop([_orbit(_block_codes(block, v), v)[0]], v)
     return [_grid_block(img, v) for img in images]
 
 
@@ -242,8 +237,8 @@ class CyclicPacking:
 
 def _check_blocks(p: CyclicPacking, orbits=None) -> None:
     """Check p's parameters, then each base block against its (canonical
-    codes, stabilizer order) in orbits, else its Points' codes: k points
-    on the grid, distinct, canonical, one block per orbit.  Keeps the
+    codes, stabilizer order) in orbits, else through _block_codes: k
+    Points of ints on the grid, canonical, one block per orbit.  Keeps the
     codes and stabilizer orders for packing; not fields, so ==, repr
     and hash ignore them."""
     u, v, k = p.u, p.v, p.k
@@ -253,18 +248,17 @@ def _check_blocks(p: CyclicPacking, orbits=None) -> None:
     for b, (rep, stab) in zip(p.base_blocks, repeat((None, None)) if orbits is None else orbits):
         if len(b) != k:
             raise ValueError("block %r has size %d, expected %d" % (b, len(b), k))
-        codes = rep
         if rep is None or rep[-1] >= n:  # the point by point walk names the first bad point
+            codes = _block_codes(b, v)
             if not all(type(q) is Point and type(q.row) is type(q.col) is int for q in b):
                 raise ValueError("block %r has a point that is not a Point of ints" % (b,))
-            check_block_range(b, u, v)
-            codes = tuple(q[0] * v + q[1] for q in b)
-            rep, stab = _orbit(tuple(sorted(codes)), v)
-        if len(set(codes)) != k:
-            raise ValueError("duplicate point in block: %r" % (b,))
-        if codes != rep:
-            raise ValueError("block %r is not the canonical representative %r"
-                             % (b, _grid_block(rep, v)))
+            if codes[-1] >= n:
+                raise ValueError("point %r outside %dx%d grid"
+                                 % (next(q for q in b if q.row >= u), u, v))
+            rep, stab = _orbit(codes, v)
+            if tuple(b) != _grid_block(rep, v):
+                raise ValueError("block %r is not the canonical representative %r"
+                                 % (b, _grid_block(rep, v)))
         if rep in reps:
             raise ValueError("two base blocks share the orbit of %r" % (_grid_block(rep, v),))
         reps[rep] = None
@@ -284,25 +278,13 @@ def _packing(u: int, v: int, k: int, t: int, blocks) -> CyclicPacking:
     return p
 
 
-def _block_codes(points, v: int) -> tuple:
-    """Sorted grid codes of a block of (row, col) pairs, refused as
-    as_block and canonicalize refuse it: a duplicate point, no point, or
-    a point out of range for period v, or a non-integral coordinate."""
-    pts = _int_points(points)
-    codes = sorted([r * v + c for r, c in pts if r >= 0 and 0 <= c < v])
-    if not codes or len(codes) != len(pts) or len(set(codes)) != len(codes):
-        canonicalize(as_block(pts), v)
-        raise AssertionError("block %r passed the checks it failed" % (pts,))
-    return tuple(codes)
-
-
 def make_packing(u: int, v: int, k: int, t: int, blocks: Iterable) -> CyclicPacking:
     """Build a CyclicPacking from arbitrary orbit representatives.
 
-    Each block is refused as as_block and canonicalize refuse it, and
-    the packing is built once from the blocks' sorted grid codes: its
-    base blocks are their canonical images, sorted, so equal packings
-    compare equal whichever orbit representatives the caller picked.
+    Each block is refused as _block_codes refuses it, and the packing
+    is built once from the blocks' sorted grid codes: its base blocks
+    are their canonical images, sorted, so equal packings compare equal
+    whichever orbit representatives the caller picked.
     """
     return _packing(u, v, k, t, [_block_codes(b, v) for b in blocks])
 

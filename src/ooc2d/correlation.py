@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import (Block, Code, CodewordMatrix, CyclicPacking, _cells_matrix, _cover_counts,
-                   _grid_block, _grid_codes, _image, _kept, _packing, check_block_range)
+from .core import (Block, Code, CodewordMatrix, CyclicPacking, _block_codes, _cells_matrix,
+                   _cover_counts, _grid_block, _image, _kept, _packing)
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,12 @@ def correlation(a: CodewordMatrix, b: CodewordMatrix, r: int) -> int:
 
 
 def block_to_matrix(block: Block, u: int, v: int) -> CodewordMatrix:
-    check_block_range(block, u, v)
-    codes = _grid_codes(block, v)
-    if len(set(codes)) != len(codes):
-        raise ValueError("duplicate point in block: %r" % (block,))
+    """The u x v matrix whose ones are block's points, refused as
+    make_packing refuses a block, or with a point below the grid."""
+    codes = _block_codes(block, v)
+    if codes[-1] >= u * v:
+        raise ValueError("point %r outside %dx%d grid"
+                         % (_grid_block([e for e in codes if e >= u * v], v)[0], u, v))
     return _cells_matrix(codes, u, v)
 
 

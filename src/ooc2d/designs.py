@@ -175,7 +175,7 @@ def _develop_codes(d: FanDesign, blocks, codes) -> tuple:
             return codes, (), "duplicate block in developed family"
         for b, c in zip(blocks, codes):
             if _image(c, 1, d.period) not in fam_set:
-                return codes, (), "family not closed under the action at %r" % (tuple(sorted(b)),)
+                return codes, (), "family not closed under the action at %r" % (b,)
         return codes, tuple(_orbit(c, d.period)[1] for c in codes), None
     images, stabs, clash = _develop(codes, d.period)
     problem = None if clash is None else "orbit collision at %r" % (
@@ -204,9 +204,8 @@ def _short_orbit(d: FanDesign, stabilizers) -> DesignReport | None:
     for idx, (fam, stabs) in enumerate(zip(d.families(), stabilizers)):
         for b, order in zip(fam, stabs):
             if order != 1:
-                shown = tuple(sorted(b)) if d.developed else b
                 return DesignReport(False, "family %d: block %r has stabilizer of order %d"
-                                    % (idx, shown, order))
+                                    % (idx, b, order))
     return None
 
 
@@ -387,6 +386,14 @@ def _with_inf(cyclic: tuple) -> tuple:
 
 
 def rosqs_shift(block, delta: int, m: int):
+    """block moved by delta under Z_m, INF fixed; refuses a point that is
+    neither INF nor an int in Z_m, and a repeated point."""
+    for x in block:
+        if type(x) is not int or not (x == INF or 0 <= x < m):
+            raise ValueError("block %r has point %r outside the universe of int points"
+                             % (block, x))
+    if len(set(block)) != len(block):
+        raise ValueError("block %r repeats a point" % (block,))
     cyclic = tuple(sorted(x for x in block if x != INF))
     return (INF,) * (len(block) - len(cyclic)) + _image(cyclic, delta, m)
 

@@ -92,3 +92,35 @@ def test_decode_failure_names_the_entry(monkeypatch):
             "catalog small-(2,3): malformed 'base_blocks': 0.5 is not an integer"
     finally:
         catalog_get.cache_clear()
+
+
+def _relabel_rule_missing_an_element(entries):
+    entries["fan-plain-3^3"]["source"]["relabel"]["groups"][0].remove(8)
+
+
+def _unknown_relabel_rule(entries):
+    entries["rosqs8"]["source"]["relabel"] = {"name": "shuffle"}
+
+
+def _wrong_base_count(entries):
+    entries["rosqs8"]["expected_base_count"] = 3
+
+
+@pytest.mark.parametrize("edit, entry_id, message", [
+    (_wrong_base_count, "rosqs8", "catalog rosqs8: 2 base blocks, expected 3"),
+    (_unknown_relabel_rule, "rosqs8", "catalog rosqs8: unknown relabel rule 'shuffle'"),
+    (_relabel_rule_missing_an_element, "fan-plain-3^3",
+     "catalog fan-plain-3^3: element 8 missing from group table"),
+], ids=["base count", "relabel rule", "group table"])
+def test_malformed_entry_names_the_entry(monkeypatch, edit, entry_id, message):
+    entries = copy.deepcopy(catalog._raw())
+    edit(entries)
+    monkeypatch.setattr(catalog, "_raw", lambda: entries)
+    catalog_get.cache_clear()
+    try:
+        with pytest.raises(ValueError) as info:
+            catalog_get(entry_id)
+        assert str(info.value) == message
+    finally:
+        catalog_get.cache_clear()
+

@@ -454,3 +454,14 @@ def test_missing_parameter_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--check", "packing"]) == 2
     assert capsys.readouterr().err == "error: cannot parse %s: missing parameter 'u'\n" % path
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "pipeline", "2x4"], ["search", "2", "3", "4", "3"], ["catalog", "emit", "rosqs8"],
+], ids=["construct", "search", "catalog"])
+def test_out_into_a_missing_directory_is_an_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ooc2d.core import (Code, CodewordMatrix, CyclicPacking, Point, as_block,
                         canonicalize, make_packing, orbit, shift,
                         stabilizer_order)
-from ooc2d.correlation import code_to_packing, packing_to_code
+from ooc2d.correlation import block_to_matrix, code_to_packing, packing_to_code
 
 
 def random_block(rng, u, v, k):
@@ -265,3 +265,64 @@ def test_code_rejects_a_codeword_that_is_not_a_matrix(codeword):
 def test_matrix_weight():
     m = CodewordMatrix(u=2, v=3, bits=((1, 0, 1), (0, 1, 1)))
     assert m.weight == 4
+
+
+# every entry point for a block of grid points, on the 2x2 grid; the
+# strict constructor is handed the block as Points
+GRID_BLOCK_ENTRIES = {
+    "shift": lambda b: shift(b, 1, 2),
+    "canonicalize": lambda b: canonicalize(b, 2),
+    "stabilizer_order": lambda b: stabilizer_order(b, 2),
+    "orbit": lambda b: orbit(b, 2),
+    "make_packing": lambda b: make_packing(2, 2, 2, 2, [b]),
+    "CyclicPacking": lambda b: CyclicPacking(u=2, v=2, k=2, t=2,
+                                             base_blocks=(tuple(map(Point._make, b)),)),
+    "block_to_matrix": lambda b: block_to_matrix(b, 2, 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(GRID_BLOCK_ENTRIES))
+@pytest.mark.parametrize("block, message", [
+    (((0, 0), (0, 1.5)), "block [(0, 0), (0, 1.5)] has a non-integral coordinate 1.5"),
+    (((0, 0), (0, True)), "block [(0, 0), (0, True)] has a non-integral coordinate True"),
+    (((0, 0), (0, "1")), "block [(0, 0), (0, '1')] has a non-integral coordinate '1'"),
+    (((0, 1), (0, 1)),
+     "duplicate point in block: (Point(row=0, col=1), Point(row=0, col=1))"),
+], ids=["float", "bool", "str", "repeat"])
+def test_grid_block_entry_points_refuse_as_make_packing(entry, block, message):
+    """shift and its kin once returned Point(row=0.0, col=0.5), read True
+    as 1, raised a TypeError or kept the repeated point, and
+    block_to_matrix raised an AttributeError on each"""
+    with pytest.raises(ValueError) as info:
+        GRID_BLOCK_ENTRIES[entry](block)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", [e for e in GRID_BLOCK_ENTRIES if e != "CyclicPacking"])
+def test_grid_block_entry_points_read_integral_floats_as_ints(entry):
+    """1.0 is 1 everywhere but in the strict constructor, which wants
+    Points of ints (test_packing_refuses_blocks_of_non_points)"""
+    got = GRID_BLOCK_ENTRIES[entry](((0, 0), (1, 1.0)))
+    want = GRID_BLOCK_ENTRIES[entry](((0, 0), (1, 1)))
+    assert got == want and repr(got) == repr(want)
+
+
+def test_block_to_matrix_takes_plain_tuples():
+    m = block_to_matrix(((0, 1), (1, 0), (1, 2)), 2, 3)
+    assert m == block_to_matrix((Point(0, 1), Point(1, 0), Point(1, 2)), 2, 3)
+    assert m.bits == ((0, 1, 0), (1, 0, 1))
+
+
+@pytest.mark.parametrize("entry", ["block_to_matrix", "CyclicPacking"])
+@pytest.mark.parametrize("block, message", [
+    (((0, 0), (0, 5)), "point Point(row=0, col=5) out of range for period 2"),
+    (((-1, 0), (0, 1)), "point Point(row=-1, col=0) out of range for period 2"),
+    (((0, 0), (2, 1)), "point Point(row=2, col=1) outside 2x2 grid"),
+], ids=["column", "negative row", "row"])
+def test_grid_block_range_refusals(entry, block, message):
+    """a bad column or a negative row is out of range for the period, as
+    in make_packing; only a row past the grid is outside it"""
+    with pytest.raises(ValueError) as info:
+        GRID_BLOCK_ENTRIES[entry](block)
+    assert str(info.value) == message
+

@@ -31,6 +31,13 @@ def test_block_matrix_roundtrip():
         assert block_to_matrix(matrix_to_block(m), u, v) == m
 
 
+def test_correlation_refuses_two_shapes():
+    a = CodewordMatrix(u=1, v=2, bits=((1, 0),))
+    b = CodewordMatrix(u=2, v=1, bits=((1,), (0,)))
+    with pytest.raises(ValueError, match="^matrices have different shapes$"):
+        correlation(a, b, 0)
+
+
 def test_correlation_symmetry():
     """shifting the other matrix by the negated offset gives the same sum."""
     rng = random.Random(4)

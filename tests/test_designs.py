@@ -8,7 +8,7 @@ import pytest
 
 from ooc2d.catalog import catalog_get
 from ooc2d.core import Point
-from ooc2d.designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign,
+from ooc2d.designs import (CYCLIC, INF, REGULAR, FanDesign, GroupType, HDesign,
                            RoSQSDesign, admissible_0fg, develop_family,
                            exists_0fg_quad, exists_h_design, fan_shift,
                            group_type, rosqs_shift, verify_fan,
@@ -145,6 +145,33 @@ def test_rosqs_shift_fixes_infinity():
     shifted = rosqs_shift(b, 3, 7)
     assert INF in shifted
     assert set(shifted) == {INF, 3, 5, 1}
+
+
+@pytest.mark.parametrize("block, message", [
+    ((INF, 0, 1, 9), "block (-1, 0, 1, 9) has point 9 outside the universe of int points"),
+    ((0, 1, True, 3), "block (0, 1, True, 3) has point True outside the universe of int points"),
+    ((0, 1.0, 2, 3), "block (0, 1.0, 2, 3) has point 1.0 outside the universe of int points"),
+    ((-2, 0, 1, 2), "block (-2, 0, 1, 2) has point -2 outside the universe of int points"),
+    ((0, 1, 1, 3), "block (0, 1, 1, 3) repeats a point"),
+    ((INF, INF, 0, 1), "block (-1, -1, 0, 1) repeats a point"),
+], ids=["outside", "bool", "float", "below", "repeat", "repeat inf"])
+def test_rosqs_shift_refuses_a_bad_point(block, message):
+    """once a point 10 outside Z_7, or True read as 1 and repeated"""
+    with pytest.raises(ValueError) as info:
+        rosqs_shift(block, 1, 7)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parts, message", [
+    (((0, 1),), "bad group type part (0, 1)"),
+    (((2, 0),), "bad group type part (2, 0)"),
+    (((2, 1), (3, 1)), "parts must be sorted descending with distinct sizes"),
+    (((2, 1), (2, 3)), "parts must be sorted descending with distinct sizes"),
+], ids=["size", "count", "ascending", "repeated size"])
+def test_group_type_refusals(parts, message):
+    with pytest.raises(ValueError) as info:
+        GroupType(parts=parts)
+    assert str(info.value) == message
 
 
 def test_rosqs_wrong_order_rejected():
