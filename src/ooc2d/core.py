@@ -292,7 +292,10 @@ def make_packing(u: int, v: int, k: int, t: int, blocks: Iterable) -> CyclicPack
 @dataclass(frozen=True, init=False, repr=False)
 class CodewordMatrix:
     """A u x v matrix over {0,1}, kept as the sorted grid codes
-    i * v + j of its ones; _bit_rows rebuilds its u rows of v ints."""
+    i * v + j of its ones; _bit_rows rebuilds its u rows of v ints.
+    The constructor accepts bits in one pass when the row count, every
+    row length and the set of entries are right; only a refusal walks
+    the rows, to name the first fault."""
 
     u: int
     v: int
@@ -301,13 +304,19 @@ class CodewordMatrix:
     def __init__(self, u: int, v: int, bits: tuple):
         if len(bits) != u:
             raise ValueError("expected %d rows, got %d" % (u, len(bits)))
-        for row in bits:
-            if len(row) != v:
-                raise ValueError("expected %d columns, got %d" % (v, len(row)))
-            for x in row:
-                if x not in (0, 1):
-                    raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
-        flat = tuple(chain.from_iterable(bits))
+        try:
+            flat = tuple(chain.from_iterable(bits))
+            ok = set(map(len, bits)) <= {v} and {0, 1}.issuperset(flat)
+        except TypeError:  # a row that is no sequence, or an unhashable entry
+            ok = False
+        if not ok:  # the row-by-row walk names the first fault
+            for row in bits:
+                if len(row) != v:
+                    raise ValueError("expected %d columns, got %d" % (v, len(row)))
+                for x in row:
+                    if x not in (0, 1):
+                        raise ValueError("matrix entries must be 0 or 1, got %r" % (x,))
+            flat = tuple(chain.from_iterable(bits))
         _set(self, u=u, v=v, cells=tuple(compress(range(len(flat)), flat)))
 
     @property
@@ -323,7 +332,8 @@ class CodewordMatrix:
 
 
 def _bit_rows(m: CodewordMatrix) -> list:
-    """The u rows of v 0/1 entries of m, as lists, straight from its cells."""
+    """The u rows of v 0/1 entries of m, as lists, straight from its
+    cells, for CodewordMatrix.bits and files.design_to_dict."""
     flat = [0] * (m.u * m.v)
     for e in m.cells:
         flat[e] = 1

@@ -17,7 +17,11 @@ verdict.  The reader always builds a new object, so a file that is
 read back is checked from scratch.
 
 The writer, design_json, gives one line of canonical JSON: sorted keys,
-no whitespace, built in one call of the C encoder.  save_design writes
+no whitespace.  A code's codewords span is written from its cells on
+_zeros, the all-zero text the reader checks the span against, with the
+digit of each cell set to 1, and only the short rest goes through json;
+every other kind is one call of the C encoder on design_to_dict.  Both
+give the bytes json gives for design_to_dict(obj).  save_design writes
 that line and a newline, and opens the file only once the text is
 built, so an object that cannot be written leaves the file as it was.
 The reader accepts any JSON layout, so indented files load as before.
@@ -45,6 +49,10 @@ from .packing import verify_packing
 SCHEMA_VERSION = 1
 
 
+def _code_parameters(c: Code) -> dict:
+    return {"u": c.u, "v": c.v, "k": c.k, "lambda": c.lam}
+
+
 def design_to_dict(obj) -> dict:
     points = lambda bs: [[list(p) for p in b] for b in bs]  # a Point lists as [row, col]
     if isinstance(obj, CyclicPacking):
@@ -64,16 +72,34 @@ def design_to_dict(obj) -> dict:
         kind, params = "rosqs", {"n": obj.n}
         body = {"base_blocks": [list(b) for b in obj.base_blocks]}
     elif isinstance(obj, Code):
-        kind, params = "code", {"u": obj.u, "v": obj.v, "k": obj.k, "lambda": obj.lam}
+        kind, params = "code", _code_parameters(obj)
         body = {"codewords": [_bit_rows(m) for m in obj.codewords]}
     else:
         raise ValueError("cannot serialize %r" % (type(obj).__name__,))
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "parameters": params, **body}
 
 
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def design_json(obj) -> str:
-    """obj as one line of canonical JSON: sorted keys, no whitespace."""
-    return json.dumps(design_to_dict(obj), sort_keys=True, separators=(",", ":"))
+    """obj as one line of canonical JSON, sorted keys and no whitespace:
+    the text json gives for design_to_dict(obj).  A code's codewords
+    span is _zeros, the text _code_line checks, with the digit of each
+    cell set to 1."""
+    if not isinstance(obj, Code):
+        return _canonical(design_to_dict(obj))
+    u, v = obj.u, obj.v
+    span = bytearray(_zeros(u, v, obj.size), "ascii")
+    step = len(_zeros(u, v, 1)) - 1  # one codeword and its comma
+    for c, m in enumerate(obj.codewords):
+        at = 3 + c * step  # codeword c's first digit
+        for e in m.cells:
+            span[at + 2 * e + 2 * (e // v)] = 49  # "1"
+    rest = _canonical({"schema_version": SCHEMA_VERSION, "kind": "code",
+                       "parameters": _code_parameters(obj)})
+    return _CODE_HEAD + span.decode() + "," + rest[1:]
 
 
 def block_count(obj) -> int:

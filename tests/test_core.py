@@ -267,6 +267,27 @@ def test_matrix_weight():
     assert m.weight == 4
 
 
+@pytest.mark.parametrize("u, bits, message", [
+    (2, ((1, 2, 0), (1, 0)), "matrix entries must be 0 or 1, got 2"),
+    (2, ((1, 0, 0), (1, 0), (0, 0, 0)), "expected 2 rows, got 3"),
+    (2, ((1, 0, 0), (0, 1)), "expected 3 columns, got 2"),
+    (2, ((1, [1], 0), (0, 0, 0)), "matrix entries must be 0 or 1, got [1]"),
+    (1, (("1", 0, 0),), "matrix entries must be 0 or 1, got '1'"),
+], ids=["entry before short row", "row count", "short row", "unhashable", "string"])
+def test_matrix_refusals_name_the_first_fault(u, bits, message):
+    """the one-pass accept leaves the row-by-row texts and their order
+    as they were"""
+    with pytest.raises(ValueError) as info:
+        CodewordMatrix(u=u, v=3, bits=bits)
+    assert str(info.value) == message
+
+
+def test_matrix_accepts_true_and_float_entries():
+    m = CodewordMatrix(u=2, v=3, bits=((True, 0, 1.0), (0.0, 1, False)))
+    assert m == CodewordMatrix(u=2, v=3, bits=((1, 0, 1), (0, 1, 0)))
+    assert m.cells == (0, 2, 4)
+
+
 # every entry point for a block of grid points, on the 2x2 grid; the
 # strict constructor is handed the block as Points
 GRID_BLOCK_ENTRIES = {

@@ -524,6 +524,40 @@ def test_code_line_reads_as_the_generic_path(name, broken, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def _dumped(obj) -> str:
+    """obj's line as json writes design_to_dict(obj)."""
+    return json.dumps(design_to_dict(obj), sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def codes(draw):
+    """a Code on a u x v grid, v = 1 and v >= 10 included, of 0-8
+    codewords of k distinct cells each"""
+    u, v = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    k = draw(st.integers(2, max(2, u * v)))
+    lam = draw(st.integers(1, k - 1))
+    words = draw(st.lists(st.lists(st.integers(0, u * v - 1), min_size=k, max_size=k,
+                                   unique=True), max_size=8)) if k <= u * v else []
+    return Code(u=u, v=v, k=k, lam=lam, codewords=tuple(CodewordMatrix(u=u, v=v, bits=tuple(
+        tuple(int(i * v + j in w) for j in range(v)) for i in range(u))) for w in words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes())
+def test_code_writer_is_json_of_the_dict(code):
+    """a code's line, written from its cells, is json's text of its dict
+    and reads back from its text as an equal code"""
+    text = design_json(code)
+    assert text == _dumped(code)
+    assert files._code_line(text) == code
+
+
+@pytest.mark.parametrize("name", CODE_FILES)
+def test_code_files_are_written_as_json_of_the_dict(name):
+    code = CODE_FILES[name]()
+    assert design_json(code) == _dumped(code)
+
+
 SMALL_PACKING = catalog_get("small-(3,3)").payload
 SMALL_LINE = design_json(packing_to_code(SMALL_PACKING)) + "\n"
 
