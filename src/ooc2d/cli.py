@@ -19,7 +19,7 @@ from .bounds import bound_report
 from .catalog import catalog_get, catalog_ids
 from .core import Code, CyclicPacking
 from .designs import FanDesign, HDesign, RoSQSDesign
-from .files import block_count, design_json, design_to_dict, save_design, verdict
+from .files import block_count, design_header, design_json, save_design, verdict
 from .packing import is_perfect, verify_packing
 from .pipelines import UsageError, as_kind, construct, load_source
 from .search import check_parameters, max_packing
@@ -33,8 +33,8 @@ def _emit(obj, out, as_json: bool) -> None:
 
 
 def _object_summary(obj) -> dict:
-    doc = design_to_dict(obj)
-    return {"kind": doc["kind"], "parameters": doc["parameters"], "count": block_count(obj)}
+    kind, params = design_header(obj)
+    return {"kind": kind, "parameters": params, "count": block_count(obj)}
 
 
 def cmd_bound(args) -> int:

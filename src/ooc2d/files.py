@@ -49,33 +49,37 @@ from .packing import verify_packing
 SCHEMA_VERSION = 1
 
 
-def _code_parameters(c: Code) -> dict:
-    return {"u": c.u, "v": c.v, "k": c.k, "lambda": c.lam}
+def design_header(obj) -> tuple:
+    """(kind, parameters) of obj as its file names them, without
+    touching its blocks or codewords."""
+    if isinstance(obj, CyclicPacking):
+        return "packing", {"u": obj.u, "v": obj.v, "k": obj.k, "t": obj.t}
+    if isinstance(obj, FanDesign):
+        universe = ({"g_list": list(obj.g_list)} if obj.shape == CYCLIC
+                    else {"u": obj.u, "v": obj.v})
+        return "fan", {"s": obj.s, "shape": obj.shape, "h": obj.h, **universe,
+                       "developed": obj.developed}
+    if isinstance(obj, HDesign):
+        return "hdesign", {"n": obj.n, "l": obj.l, "h": obj.h, "t": obj.t}
+    if isinstance(obj, RoSQSDesign):
+        return "rosqs", {"n": obj.n}
+    if isinstance(obj, Code):
+        return "code", {"u": obj.u, "v": obj.v, "k": obj.k, "lambda": obj.lam}
+    raise ValueError("cannot serialize %r" % (type(obj).__name__,))
 
 
 def design_to_dict(obj) -> dict:
+    kind, params = design_header(obj)
     points = lambda bs: [[list(p) for p in b] for b in bs]  # a Point lists as [row, col]
-    if isinstance(obj, CyclicPacking):
-        kind, params = "packing", {"u": obj.u, "v": obj.v, "k": obj.k, "t": obj.t}
-        body = {"base_blocks": points(obj.base_blocks)}
-    elif isinstance(obj, FanDesign):
-        universe = ({"g_list": list(obj.g_list)} if obj.shape == CYCLIC
-                    else {"u": obj.u, "v": obj.v})
-        kind, params = "fan", {"s": obj.s, "shape": obj.shape, "h": obj.h, **universe,
-                               "developed": obj.developed}
+    if kind == "fan":
         body = {"layers": [points(lay) for lay in obj.layers],
                 "base_blocks": points(obj.terminal)}
-    elif isinstance(obj, HDesign):
-        kind, params = "hdesign", {"n": obj.n, "l": obj.l, "h": obj.h, "t": obj.t}
-        body = {"base_blocks": points(obj.base_blocks)}
-    elif isinstance(obj, RoSQSDesign):
-        kind, params = "rosqs", {"n": obj.n}
+    elif kind == "rosqs":
         body = {"base_blocks": [list(b) for b in obj.base_blocks]}
-    elif isinstance(obj, Code):
-        kind, params = "code", _code_parameters(obj)
+    elif kind == "code":
         body = {"codewords": [_bit_rows(m) for m in obj.codewords]}
     else:
-        raise ValueError("cannot serialize %r" % (type(obj).__name__,))
+        body = {"base_blocks": points(obj.base_blocks)}
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "parameters": params, **body}
 
 
@@ -98,7 +102,7 @@ def design_json(obj) -> str:
         for e in m.cells:
             span[at + 2 * e + 2 * (e // v)] = 49  # "1"
     rest = _canonical({"schema_version": SCHEMA_VERSION, "kind": "code",
-                       "parameters": _code_parameters(obj)})
+                       "parameters": design_header(obj)[1]})
     return _CODE_HEAD + span.decode() + "," + rest[1:]
 
 

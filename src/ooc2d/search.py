@@ -5,7 +5,10 @@ points is one bit: its index in combinations(range(n), t), so bit
 order is lexicographic order.  A candidate orbit is kept as
 (rep, mask): its canonical representative and the int mask of the
 v*C(k, t) t-subsets its images cover.  Only strictly cyclic orbits
-whose images repeat no t-subset are candidates.
+whose images repeat no t-subset are candidates.  One table gives each
+t-subset index the mask of its orbit under column shifts: an orbit's
+mask is the OR of the table's entries for its rep's C(k, t) t-subsets,
+and it repeats none exactly when that OR has v*C(k, t) bits.
 
 Two stages.  A seeded ruin-and-recreate heuristic (Schrimpf et al.,
 J. Comput. Phys. 159, 2000) first tries to grow a packing to the
@@ -50,22 +53,33 @@ most slots // k further orbits fit.  At the root, for t in {2, 3},
 slots // k is johnson_bound(u, v, k, t - 1).
 
 A cover child has exactly slots - k.  Its orbit repeats no t-subset,
-so each of its r_i blocks through p takes exactly C(k-2, t-2) free
-t-subsets off each of its k-1 pairs: S_i falls by exactly (k-1) * r_i
+so each of its images through p and q holds exactly pp = C(k-2, t-2)
+free t-subsets through that pair, all its own: every g_q falls by a
+multiple of pp and keeps g_q mod pp, S_i falls by exactly (k-1) * r_i,
 and S_i mod (k-1) stays as it was.  Each frame therefore carries one
-residue S_i mod (k-1) per row, and cover children share their
-parent's residues.  Only a leave child recounts.  Its entry lists,
-per row that T's orbit meets, the (mask, lost) of each pair that the
-orbit's members through p hold: the mask of all t-subsets through the
-pair, and how many members hold it.  One popcount per pair gives g_q
-before the leave, and the fall of S_i updates slots and that row's
-residue.  For t = 1 there is no pair level: each row's point is its
-own one pair and the divisor is 1, the plain per-point count.  For
-t >= 2 the bound is at least as sharp as the per-point count
-f_i // C(k-1, t-1), f_i the free t-subsets through p, since the g_q
-sum to (t-1) * f_i; and that implies the plain counting bound depth +
-free // (v*C(k, t)), since t * free = v * sum f_i and C(k, t) =
-k * C(k-1, t-1) / t.
+residue S_i mod (k-1) per row and the residue ring below, and cover
+children share both with their parent.  Only a leave child recounts.
+Writing off T's orbit lowers g_q by lost, the number of its members
+through p and q, so g_q // pp falls by lost // pp, plus 1 when g_q mod
+pp < lost mod pp.  The ring is one int of pp classes of u*n bits: pair
+(p, q), p = (i, 0), is bit i*n + q of each class, and set in class c
+when g_q mod pp = c.  The table of t-subset orbits gives each orbit
+its leave entry: per row that the orbit meets, the sum of lost // pp
+over the row's pairs and the mask of class bits 0 to (lost mod pp) - 1
+of each of them, so one popcount of that mask and the ring gives the
+fall of S_i; and per r = lost mod pp > 0, the pairs that turn by r:
+the leave moves each of them from class c to class (c - r) mod pp, a
+rotation of their bits by r classes.  For (k, t) = (4, 3), pp = 2:
+class 0 holds the pairs with even g_q, the fall counts the pairs with
+odd lost among them, and a leave swaps the classes of those pairs.
+For pp = 1 (t = 1, t = 2 or t = k) no pair has a nonzero residue, the
+masks are empty and S_i falls by the sum of lost.  For t = 1 there is
+no pair level: each row's point is its own one pair and the divisor
+is 1, the plain per-point count.  For t >= 2 the bound is at least as
+sharp as the per-point count f_i // C(k-1, t-1), f_i the free
+t-subsets through p, since the g_q sum to (t-1) * f_i; and that
+implies the plain counting bound depth + free // (v*C(k, t)), since
+t * free = v * sum f_i and C(k, t) = k * C(k-1, t-1) / t.
 
 All pruning is against strictly-better-than-incumbent, so a finished
 run proves the incumbent maximal.  A sound bound, however sharp,
@@ -113,6 +127,19 @@ class SearchResult:
     upper_bound: int  # the cap both stages stop at, as max_packing says
 
 
+def _subset_orbits(v: int, index: dict) -> list:
+    """Per t-subset index, the int mask of its orbit under column
+    shifts; the members of an orbit share one int."""
+    table: list = [0] * len(index)
+    for sub, i in index.items():
+        if not table[i]:
+            members = [index[img] for img in {_image(sub, d, v) for d in range(v)}]
+            mask = sum(1 << b for b in members)
+            for b in members:
+                table[b] = mask
+    return table
+
+
 def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     """All orbit representatives whose orbit repeats no t-subset,
     paired with the bit mask of the t-subsets the orbit covers.
@@ -120,25 +147,36 @@ def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     k-subsets come in lexicographic order, so each orbit is first met
     at its representative, the least of its images.  That image's
     least point lies in column 0, so any other first point is skipped
-    before the subset is developed."""
+    before the subset is looked at.  The t-subsets the orbit covers are
+    the union of the shift orbits of the representative's own, so its
+    mask ORs C(k, t) entries of the orbit table, and the orbit repeats
+    no t-subset exactly when that union has all v * C(k, t) of them."""
+    orbit_of = _subset_orbits(v, index)
+    size = v * comb(k, t)
     orbits = []
     for c in combinations(range(u * v), k):
         if c[0] % v or _orbit(c, v) != (c, 1):
             continue
         mask = 0
-        ok = True
-        for d in range(v):
-            for sub in combinations(_image(c, d, v), t):
-                bit = 1 << index[sub]
-                if mask & bit:
-                    ok = False
-                    break
-                mask |= bit
-            if not ok:
-                break
-        if ok:
+        for sub in combinations(c, t):
+            mask |= orbit_of[index[sub]]
+        if mask.bit_count() == size:
             orbits.append((c, mask))
     return orbits
+
+
+def _bit_positions(mask: int) -> list:
+    """The positions of mask's set bits, highest first.  str.find over
+    bin(mask) reads them off faster than mask & -mask on the wide masks
+    of large grids."""
+    digits = bin(mask)
+    top = len(digits) - 1
+    found = []
+    c = digits.find("1", 2)
+    while c > 0:
+        found.append(top - c)
+        c = digits.find("1", c + 1)
+    return found
 
 
 def _conflicts(orbits: list) -> list:
@@ -148,15 +186,7 @@ def _conflicts(orbits: list) -> list:
     holders: dict = {}  # t-subset bit position -> bitset of the orbits covering it
     positions = []
     for i, (_, mask) in enumerate(orbits):
-        # str.find over bin(mask) reads off the set bits faster than
-        # mask & -mask on the wide masks of large grids
-        digits = bin(mask)
-        top = len(digits) - 1
-        mine = []
-        c = digits.find("1", 2)
-        while c > 0:
-            mine.append(top - c)
-            c = digits.find("1", c + 1)
+        mine = _bit_positions(mask)
         bit = 1 << i
         for p in mine:
             holders[p] = holders.get(p, 0) | bit
@@ -227,36 +257,44 @@ def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 
-def _leave_orbits(v: int, t: int, index: dict) -> list:
-    """Per t-subset index, the (mask, rows) of its orbit under column
-    shifts; all members of an orbit share one entry.  rows holds, for
-    each row i whose point p = (i, 0) the orbit's members meet, the
-    pair (i, pairs): per other point q of those members, the mask of
-    all t-subsets through p and q and how many members hold both.  For
-    t = 1, q is p itself."""
-    n = next(reversed(index))[-1] + 1  # the last t-subset ends at point uv - 1
-    through = [0] * n  # point -> mask of the t-subsets through it
-    for sub, i in index.items():
-        for x in sub:
-            through[x] |= 1 << i
+def _leave_orbits(v: int, t: int, per_pair: int, index: dict) -> list:
+    """Per t-subset index, the leave entry (mask, falls, turns) of its
+    orbit under column shifts, as the module docstring gives it; all
+    members of an orbit share one entry.  falls holds (i, fixed, below)
+    per row i that the members meet, and S_i falls by fixed plus the
+    popcount of ring & below.  turns holds (keep, shift) per r = lost
+    mod per_pair > 0: the bits in every class of the pairs that turn by
+    r, and r class widths.  For t = 1, q is p itself."""
+    n = next(reversed(index))[-1] + 1
+    width = n // v * n  # the bits of one class
+    every = sum(1 << c * width for c in range(per_pair))  # bit 0 of each class
+    subsets = list(index)
     table: list = [None] * len(index)
-    for sub, i in index.items():
+    for i, mask in enumerate(_subset_orbits(v, index)):
         if table[i] is None:
-            images = {_image(sub, d, v) for d in range(v)}
-            lost: dict = {}  # p in column 0 -> {q: members through p and q}
-            for img in images:
+            members = _bit_positions(mask)
+            lost: dict = {}  # bit of pair (p, q) -> members through p and q
+            for b in members:
+                img = subsets[b]
                 for p in img:
                     if p % v == 0:
-                        here = lost.setdefault(p, {})
                         for q in img:
                             if q != p or t == 1:
-                                here[q] = here.get(q, 0) + 1
-            entry = (sum(1 << index[img] for img in images),
-                     tuple((p // v, tuple((through[p] & through[q], m)
-                                          for q, m in sorted(here.items())))
-                           for p, here in sorted(lost.items())))
-            for img in images:
-                table[index[img]] = entry
+                                pair = p // v * n + q
+                                lost[pair] = lost.get(pair, 0) + 1
+            falls: dict = {}  # row -> [fixed, below]
+            turns: dict = {}  # r -> keep
+            for pair, m in sorted(lost.items()):
+                r = m % per_pair
+                fall = falls.setdefault(pair // n, [0, 0])
+                fall[0] += m // per_pair
+                fall[1] |= (every & (1 << r * width) - 1) << pair
+                if r:
+                    turns[r] = turns.get(r, 0) | every << pair
+            entry = (mask, tuple((row, *fall) for row, fall in falls.items()),
+                     tuple((keep, r * width) for r, keep in sorted(turns.items())))
+            for b in members:
+                table[b] = entry
     return table
 
 
@@ -280,32 +318,40 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
     pair_total, per_pair, per_block, root = _pair_level(n, k, t)
     full = (1 << len(index)) - 1
     options_of = _candidates(v, t, orbits, index)
-    leave_of = _leave_orbits(v, t, index)
+    leave_of = _leave_orbits(v, t, per_pair, index)
+    rows = n // v
+    width = rows * n  # the bits of one class of the residue ring
+    span = per_pair * width
+    everything = (1 << span) - 1
+    tracked = 0  # the pairs (p, q) of row i, as bits i * n + q; for t = 1 only q = p
+    for i in range(rows):
+        tracked |= (1 << i * v if t == 1 else (1 << n) - 1 ^ 1 << i * v) << i * n
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
-    # pending children (depth, used, slots, residues, chosen, leave),
-    # where used = covered | forbidden, slots and the per-row residues
-    # S_i mod per_block are those of the module docstring, chosen is
-    # the parent-linked tuple (rep, chosen) of the blocks on the way
-    # down and leave is the (mask, rows) a leave child still has to
-    # write off; at the root each of the n // v rows has S_i = root
-    stack: list = [(0, 0, n // v * (root // per_block), [root % per_block] * (n // v),
-                    None, None)]
+    # pending children (depth, used, slots, residues, ring, chosen, leave),
+    # where used = covered | forbidden, slots, the per-row residues
+    # S_i mod per_block and the residue ring are those of the module
+    # docstring, chosen is the parent-linked tuple (rep, chosen) of the
+    # blocks on the way down and leave is the leave entry a leave child
+    # still has to write off; at the root each row has S_i = root and
+    # each pair g_q = pair_total
+    stack: list = [(0, 0, rows * (root // per_block), [root % per_block] * rows,
+                    tracked << pair_total % per_pair * width, None, None)]
     while stack:
-        depth, used, slots, residues, chosen, leave = stack.pop()
+        depth, used, slots, residues, ring, chosen, leave = stack.pop()
         if leave is not None:
-            orbit, rows = leave
+            orbit, falls, turns = leave
             residues = residues[:]  # the parent's list is shared by its cover children
-            for row, pairs in rows:
-                left = residues[row]
-                for pair_mask, lost in pairs:
-                    free_here = pair_total - (pair_mask & used).bit_count()
-                    left -= free_here // per_pair - (free_here - lost) // per_pair
+            for row, fixed, below in falls:
+                left = residues[row] - fixed - (ring & below).bit_count()
                 slots += left // per_block
                 residues[row] = left % per_block
             if depth + slots // k <= best:
                 continue
+            for keep, shift in turns:  # class c -> (c - r) mod per_pair
+                moved = ring & keep
+                ring ^= moved ^ ((moved << span | moved) >> shift & everything)
             used |= orbit
         nodes += 1
         if nodes > node_budget:
@@ -324,11 +370,11 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
             break
         elif depth + slots // k > best:
             target = (free & -free).bit_length() - 1
-            stack.append((depth, used, slots, residues, chosen, leave_of[target]))
+            stack.append((depth, used, slots, residues, ring, chosen, leave_of[target]))
             for mask, rep in reversed(options_of[target]):
                 if not mask & used:
-                    stack.append((depth + 1, used | mask, slots - k, residues, (rep, chosen),
-                                  None))
+                    stack.append((depth + 1, used | mask, slots - k, residues, ring,
+                                  (rep, chosen), None))
     return best_blocks, nodes, False
 
 

@@ -18,7 +18,7 @@ from ooc2d.constructs import fold
 from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
-from ooc2d.core import _image
+from ooc2d.core import _image, _orbit
 from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _pair_level,
                           _ruin_recreate, max_packing)
 
@@ -100,6 +100,25 @@ def test_tree_witnesses_pinned(u, v, nodes, digest):
     assert _digest(result) == digest
 
 
+@pytest.mark.parametrize("u, v, k, t, nodes, digest", [
+    (3, 4, 5, 3, 1_666, "00474e52f46dfb7e"), (1, 12, 5, 4, 2_943, "d16730a458e0345f"),
+    (2, 7, 5, 3, 177, "f630132040cebe78"),
+])
+def test_five_point_trees_pinned(u, v, k, t, nodes, digest):
+    # C(k-2, t-2) = 3: a leave moves pair residues mod 3 by 1 or 2
+    result = max_packing(u, v, k, t, heuristic_iterations=0)
+    assert (result.nodes_explored, result.proof, result.budget_exhausted) == (
+        nodes, "exhausted", False)
+    assert _digest(result) == digest
+
+
+def test_five_point_budget_run_pinned():
+    result = max_packing(2, 6, 5, 4, node_budget=50, heuristic_iterations=0)
+    assert (result.max_blocks, result.nodes_explored, result.proof) == (10, 51, None)
+    assert result.budget_exhausted
+    assert _digest(result) == "5c20f576b7375830"
+
+
 def test_proof_reasons():
     # 6x2 is proved by the bound in test_heuristic_witnesses_pinned
     result = max_packing(2, 2, 4, 3)
@@ -172,6 +191,42 @@ def test_orbit_list_pinned(u, v, count, digest):
     orbits = _build_orbits(u, v, 4, 3, index)
     assert len(orbits) == count
     assert hashlib.sha256(repr(orbits).encode()).hexdigest()[:16] == digest
+
+
+def _reference_build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
+    """The orbit builder that develops all v images of each candidate
+    and sets their t-subsets' bits one at a time, stopping at the
+    first repeat."""
+    orbits = []
+    for c in combinations(range(u * v), k):
+        if c[0] % v or _orbit(c, v) != (c, 1):
+            continue
+        mask = 0
+        ok = True
+        for d in range(v):
+            for sub in combinations(_image(c, d, v), t):
+                bit = 1 << index[sub]
+                if mask & bit:
+                    ok = False
+                    break
+                mask |= bit
+            if not ok:
+                break
+        if ok:
+            orbits.append((c, mask))
+    return orbits
+
+
+@pytest.mark.parametrize("k, t", [(3, 2), (4, 2), (4, 3), (4, 4), (5, 3), (5, 4)])
+def test_orbit_builder_matches_reference(k, t):
+    """ORing the shift orbits of the representative's t-subsets keeps
+    the same orbits, with the same masks, as developing every image."""
+    for n in range(4, 17):
+        for u in (u for u in range(1, n + 1) if n % u == 0):
+            v = n // u
+            index = {sub: i for i, sub in enumerate(combinations(range(n), t))}
+            assert _build_orbits(u, v, k, t, index) == _reference_build_orbits(
+                u, v, k, t, index), (u, v)
 
 
 @pytest.mark.parametrize("u, v, k, t, best, nodes, proof, bound", [
