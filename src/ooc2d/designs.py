@@ -423,8 +423,12 @@ def _check_gn(g: int, n: int) -> None:
 
 def admissible_0fg(g: int, n: int, terminal_sizes=(4,)) -> bool:
     """Divisibility conditions necessary for a 0-layer fan design of
-    type g^n whose terminal blocks have sizes in terminal_sizes."""
+    type g^n whose terminal blocks have sizes in terminal_sizes, each
+    at least 2 and one at least 3 (without one, every gcd below is 0)."""
     _check_gn(g, n)
+    if any(k < 2 for k in terminal_sizes) or all(k < 3 for k in terminal_sizes):
+        raise ValueError("terminal sizes must be at least 2 with one at least 3, got %r"
+                         % (tuple(terminal_sizes),))
     alpha = gcd(*[k * (k - 1) * (k - 2) for k in terminal_sizes])
     beta = gcd(*[(k - 1) * (k - 2) for k in terminal_sizes])
     gamma = gcd(*[k - 2 for k in terminal_sizes])

@@ -171,6 +171,8 @@ def construct(recipe: str, args) -> tuple:
     if recipe == "fold":
         if len(args) != 2 or not args[1].isdecimal():
             raise UsageError("construct fold SOURCE V1")
+        if int(args[1]) < 1:
+            raise UsageError("fold needs V1 >= 1, got %s" % args[1])
         code = as_kind(load_source(args[0]), Code, "fold needs a code or packing")
         return fold(code, int(args[1]), input_label=_label(args[0]))
     if recipe == "remap":
@@ -185,6 +187,8 @@ def construct(recipe: str, args) -> tuple:
             h1 = mode[len("h1cyclic:"):]
             if not h1.isdecimal():
                 raise UsageError("remap h1cyclic:<h1> SOURCE")
+            if int(h1) < 1:
+                raise UsageError("remap h1cyclic needs h1 >= 1, got %s" % h1)
             return regular_to_h1cyclic(load_source(source, FanDesign), int(h1))
         if mode == "pairs":
             return add_cross_pairs_layer(load_source(source, FanDesign))

@@ -1,14 +1,18 @@
 """Search for maximum strictly cyclic packings.
 
-Grid point (i, j) is the int i*v + j, and each t-subset of the n = uv
-points is one bit: its index in combinations(range(n), t), so bit
-order is lexicographic order.  A candidate orbit is kept as
-(rep, mask): its canonical representative and the int mask of the
-v*C(k, t) t-subsets its images cover.  Only strictly cyclic orbits
-whose images repeat no t-subset are candidates.  One table gives each
-t-subset index the mask of its orbit under column shifts: an orbit's
-mask is the OR of the table's entries for its rep's C(k, t) t-subsets,
-and it repeats none exactly when that OR has v*C(k, t) bits.
+Grid point (i, j) is the int i*v + j.  Column shifts split the
+t-subsets of the n = uv points into orbits, and each orbit is one bit:
+orbits are numbered in the order of their least members.  One table,
+built once per search, maps each t-subset to its orbit's number and
+lists each orbit's members, least first.  A candidate orbit is kept
+as (rep, mask): its canonical representative and the int mask of the
+t-subset orbits its images cover.  Only strictly cyclic orbits whose
+images repeat no t-subset are candidates: those whose rep's C(k, t)
+t-subsets lie in C(k, t) distinct orbits, none of them short (of
+fewer than v members).  Every set of t-subsets the search handles is
+a union of whole orbits, so a mask loses nothing by holding one bit
+per orbit, and two candidate orbits share a t-subset exactly when
+they share a t-subset orbit.
 
 Two stages.  A seeded ruin-and-recreate heuristic (Schrimpf et al.,
 J. Comput. Phys. 159, 2000) first tries to grow a packing to the
@@ -29,28 +33,30 @@ witness on each of them.
 Otherwise the heuristic's best packing becomes the incumbent for an
 exhaustive branch and bound, Knuth's Algorithm X with the leave as
 optional cover ("Dancing Links", arXiv cs/0011047).  It branches on
-the lowest t-subset T that is neither covered nor written off
-(free & -free), either covering it with one of the orbits that hold
-it, in the order of the other points of the image that holds it, or
-writing off T's whole shift orbit into the leave.  The leave is
-closed under column shifts: an orbit that covers a shift of T covers
-T itself, so once T is left no shift of T can be covered.  Writing
-off the orbit at once, rather than T alone, saves the nodes whose
-only child would be a forced leave of each shift of T.
+the lowest t-subset orbit that is neither covered nor written off
+(free & -free) and on its least member T, which is the least free
+t-subset: either covering T with one of the orbits that hold it, in
+the order of the other points of the image that holds it, or writing
+off T's orbit, its one bit, into the leave.  There is no bit for T
+alone: the leave is a set of whole orbits, closed under column shifts
+by construction.  Nothing is lost, since an orbit that covers a shift
+of T covers T itself, so once T is left no shift of T can be covered.
+Writing off the orbit at once saves the nodes whose only child would
+be a forced leave of each shift of T.
 
 A node is expanded only while depth + slots // k beats the
 incumbent: the second level of Johnson's bound (IRE Trans. Inf.
 Theory 8, 1962), counted per row.  The t-subsets used (covered or
-written off) are closed under column shifts, so every point of row i
-counts as p = (i, 0) does.  For each other point q, let g_q be the
-number of free t-subsets through both p and q.  A block through p and
-q covers C(k-2, t-2) of them, so each further block through p lowers
-S_i, the sum of g_q // C(k-2, t-2) over q, by exactly k-1, and at
-most S_i // (k-1) such blocks fit: these are row i's slots, and slots
-is their sum over the rows.  An orbit has one block through (i, 0) for
-each of its rep's r_i points in row i, so it fills k slots, and at
-most slots // k further orbits fit.  At the root, for t in {2, 3},
-slots // k is johnson_bound(u, v, k, t - 1).
+written off) are whole orbits, closed under column shifts, so every
+point of row i counts as p = (i, 0) does.  For each other point q,
+let g_q be the number of free t-subsets through both p and q.  A
+block through p and q covers C(k-2, t-2) of them, so each further
+block through p lowers S_i, the sum of g_q // C(k-2, t-2) over q, by
+exactly k-1, and at most S_i // (k-1) such blocks fit: these are row
+i's slots, and slots is their sum over the rows.  An orbit has one
+block through (i, 0) for each of its rep's r_i points in row i, so it
+fills k slots, and at most slots // k further orbits fit.  At the
+root, for t in {2, 3}, slots // k is johnson_bound(u, v, k, t - 1).
 
 A cover child has exactly slots - k.  Its orbit repeats no t-subset,
 so each of its images through p and q holds exactly pp = C(k-2, t-2)
@@ -127,69 +133,61 @@ class SearchResult:
     upper_bound: int  # the cap both stages stop at, as max_packing says
 
 
-def _subset_orbits(v: int, index: dict) -> list:
-    """Per t-subset index, the int mask of its orbit under column
-    shifts; the members of an orbit share one int."""
-    table: list = [0] * len(index)
-    for sub, i in index.items():
-        if not table[i]:
-            members = [index[img] for img in {_image(sub, d, v) for d in range(v)}]
-            mask = sum(1 << b for b in members)
-            for b in members:
-                table[b] = mask
-    return table
+def _subset_orbits(n: int, v: int, t: int) -> tuple:
+    """(orbit_of, members) for the t-subsets of n points under column
+    shifts: orbit_of maps each t-subset to its orbit's number, orbits
+    numbered in the order of their least members, and members[j] lists
+    orbit j's t-subsets, least first."""
+    orbit_of: dict = {}
+    members: list = []
+    for sub in combinations(range(n), t):
+        if sub not in orbit_of:
+            group = sorted({_image(sub, d, v) for d in range(v)})
+            for img in group:
+                orbit_of[img] = len(members)
+            members.append(group)
+    return orbit_of, members
 
 
-def _build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
+def _build_orbits(u: int, v: int, k: int, t: int, orbit_of: dict, members: list) -> list:
     """All orbit representatives whose orbit repeats no t-subset,
-    paired with the bit mask of the t-subsets the orbit covers.
+    paired with the bit mask of the t-subset orbits the orbit covers.
 
     k-subsets come in lexicographic order, so each orbit is first met
     at its representative, the least of its images.  That image's
     least point lies in column 0, so any other first point is skipped
     before the subset is looked at.  The t-subsets the orbit covers are
-    the union of the shift orbits of the representative's own, so its
-    mask ORs C(k, t) entries of the orbit table, and the orbit repeats
-    no t-subset exactly when that union has all v * C(k, t) of them."""
-    orbit_of = _subset_orbits(v, index)
-    size = v * comb(k, t)
+    the shift orbits of the representative's own, and it repeats none
+    exactly when those C(k, t) t-subsets lie in C(k, t) distinct
+    orbits, none of them short."""
+    short = sum(1 << j for j, group in enumerate(members) if len(group) < v)
+    size = comb(k, t)
     orbits = []
     for c in combinations(range(u * v), k):
         if c[0] % v or _orbit(c, v) != (c, 1):
             continue
         mask = 0
         for sub in combinations(c, t):
-            mask |= orbit_of[index[sub]]
-        if mask.bit_count() == size:
+            mask |= 1 << orbit_of[sub]
+        if mask.bit_count() == size and not mask & short:
             orbits.append((c, mask))
     return orbits
 
 
-def _bit_positions(mask: int) -> list:
-    """The positions of mask's set bits, highest first.  str.find over
-    bin(mask) reads them off faster than mask & -mask on the wide masks
-    of large grids."""
-    digits = bin(mask)
-    top = len(digits) - 1
-    found = []
-    c = digits.find("1", 2)
-    while c > 0:
-        found.append(top - c)
-        c = digits.find("1", c + 1)
-    return found
-
-
 def _conflicts(orbits: list) -> list:
     """Per orbit, the int bitset over orbit indices whose bit j is set
-    when orbit j's mask shares a t-subset with its own; its own bit is
-    set too."""
-    holders: dict = {}  # t-subset bit position -> bitset of the orbits covering it
+    when orbit j's mask shares a t-subset orbit with its own; its own
+    bit is set too."""
+    holders: dict = {}  # t-subset orbit number -> bitset of the orbits covering it
     positions = []
     for i, (_, mask) in enumerate(orbits):
-        mine = _bit_positions(mask)
-        bit = 1 << i
-        for p in mine:
-            holders[p] = holders.get(p, 0) | bit
+        mine = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            holders[j] = holders.get(j, 0) | 1 << i
+            mine.append(j)
         positions.append(mine)
     return [reduce(or_, map(holders.__getitem__, mine), 0) for mine in positions]
 
@@ -243,58 +241,53 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
     return [orbits[i] for i in best]
 
 
-def _candidates(v: int, t: int, orbits: list, index: dict) -> list:
-    """Per t-subset index, the (mask, rep) of every orbit covering it,
-    ordered by the other points of the image that holds the t-subset:
-    all images in one list hold it, so they sort as those points do."""
-    keyed: list = [[] for _ in range(len(index))]
+def _candidates(v: int, t: int, orbits: list, orbit_of: dict, members: list) -> list:
+    """Per t-subset orbit, the (mask, rep) of every orbit covering its
+    least member, ordered by the other points of the image that holds
+    that member: all images in one list hold it, so they sort as those
+    points do."""
+    keyed: list = [[] for _ in members]
     for rep, mask in orbits:
         entry = (mask, rep)
         for d in range(v):
             img = _image(rep, d, v)
             for sub in combinations(img, t):
-                keyed[index[sub]].append((img, entry))
+                j = orbit_of[sub]
+                if members[j][0] == sub:
+                    keyed[j].append((img, entry))
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 
-def _leave_orbits(v: int, t: int, per_pair: int, index: dict) -> list:
-    """Per t-subset index, the leave entry (mask, falls, turns) of its
-    orbit under column shifts, as the module docstring gives it; all
-    members of an orbit share one entry.  falls holds (i, fixed, below)
-    per row i that the members meet, and S_i falls by fixed plus the
-    popcount of ring & below.  turns holds (keep, shift) per r = lost
-    mod per_pair > 0: the bits in every class of the pairs that turn by
-    r, and r class widths.  For t = 1, q is p itself."""
-    n = next(reversed(index))[-1] + 1
+def _leave_orbits(n: int, v: int, t: int, per_pair: int, members: list) -> list:
+    """Per t-subset orbit j, its leave entry (1 << j, falls, turns) on
+    n points, as the module docstring gives it.  falls holds (i, fixed,
+    below) per row i that the members meet, and S_i falls by fixed plus
+    the popcount of ring & below.  turns holds (keep, shift) per r =
+    lost mod per_pair > 0: the bits in every class of the pairs that
+    turn by r, and r class widths.  For t = 1, q is p itself."""
     width = n // v * n  # the bits of one class
     every = sum(1 << c * width for c in range(per_pair))  # bit 0 of each class
-    subsets = list(index)
-    table: list = [None] * len(index)
-    for i, mask in enumerate(_subset_orbits(v, index)):
-        if table[i] is None:
-            members = _bit_positions(mask)
-            lost: dict = {}  # bit of pair (p, q) -> members through p and q
-            for b in members:
-                img = subsets[b]
-                for p in img:
-                    if p % v == 0:
-                        for q in img:
-                            if q != p or t == 1:
-                                pair = p // v * n + q
-                                lost[pair] = lost.get(pair, 0) + 1
-            falls: dict = {}  # row -> [fixed, below]
-            turns: dict = {}  # r -> keep
-            for pair, m in sorted(lost.items()):
-                r = m % per_pair
-                fall = falls.setdefault(pair // n, [0, 0])
-                fall[0] += m // per_pair
-                fall[1] |= (every & (1 << r * width) - 1) << pair
-                if r:
-                    turns[r] = turns.get(r, 0) | every << pair
-            entry = (mask, tuple((row, *fall) for row, fall in falls.items()),
-                     tuple((keep, r * width) for r, keep in sorted(turns.items())))
-            for b in members:
-                table[b] = entry
+    table = []
+    for j, group in enumerate(members):
+        lost: dict = {}  # bit of pair (p, q) -> members through p and q
+        for img in group:
+            for p in img:
+                if p % v == 0:
+                    for q in img:
+                        if q != p or t == 1:
+                            pair = p // v * n + q
+                            lost[pair] = lost.get(pair, 0) + 1
+        falls: dict = {}  # row -> [fixed, below]
+        turns: dict = {}  # r -> keep
+        for pair, m in sorted(lost.items()):
+            r = m % per_pair
+            fall = falls.setdefault(pair // n, [0, 0])
+            fall[0] += m // per_pair
+            fall[1] |= (every & (1 << r * width) - 1) << pair
+            if r:
+                turns[r] = turns.get(r, 0) | every << pair
+        table.append((1 << j, tuple((row, *fall) for row, fall in falls.items()),
+                      tuple((keep, r * width) for r, keep in sorted(turns.items()))))
     return table
 
 
@@ -310,21 +303,20 @@ def _pair_level(n: int, k: int, t: int) -> tuple:
     return pair_total, per_pair, k - 1, (n - 1) * (pair_total // per_pair)
 
 
-def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
-                      incumbent: list, cap, node_budget: int):
+def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: dict,
+                      members: list, incumbent: list, cap, node_budget: int):
     """Exhaustive search from the incumbent.  Returns (best reps,
     nodes visited, whether the node budget ran out)."""
-    n = next(reversed(index))[-1] + 1
+    n = u * v
     pair_total, per_pair, per_block, root = _pair_level(n, k, t)
-    full = (1 << len(index)) - 1
-    options_of = _candidates(v, t, orbits, index)
-    leave_of = _leave_orbits(v, t, per_pair, index)
-    rows = n // v
-    width = rows * n  # the bits of one class of the residue ring
+    full = (1 << len(members)) - 1
+    options_of = _candidates(v, t, orbits, orbit_of, members)
+    leave_of = _leave_orbits(n, v, t, per_pair, members)
+    width = u * n  # the bits of one class of the residue ring
     span = per_pair * width
     everything = (1 << span) - 1
     tracked = 0  # the pairs (p, q) of row i, as bits i * n + q; for t = 1 only q = p
-    for i in range(rows):
+    for i in range(u):
         tracked |= (1 << i * v if t == 1 else (1 << n) - 1 ^ 1 << i * v) << i * n
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
@@ -336,7 +328,7 @@ def _branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
     # blocks on the way down and leave is the leave entry a leave child
     # still has to write off; at the root each row has S_i = root and
     # each pair g_q = pair_total
-    stack: list = [(0, 0, rows * (root // per_block), [root % per_block] * rows,
+    stack: list = [(0, 0, u * (root // per_block), [root % per_block] * u,
                     tracked << pair_total % per_pair * width, None, None)]
     while stack:
         depth, used, slots, residues, ring, chosen, leave = stack.pop()
@@ -404,13 +396,13 @@ def max_packing(u: int, v: int, k: int, t: int,
     None.  The witness passes files.verdict with strict, or ValueError
     is raised."""
     check_parameters(u, v, k, t, node_budget)
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    orbit_of, members = _subset_orbits(u * v, v, t)
     # developed blocks share at most t - 1 points, and a full orbit of a
     # 1-packing fills k rows.  The heuristic keeps strict improvements
     # only, so stopping it at cap leaves its best packing unchanged.
     cap = (jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1) if t >= 2
            else u // k)
-    orbits = _build_orbits(u, v, k, t, index)
+    orbits = _build_orbits(u, v, k, t, orbit_of, members)
     incumbent: list = []
     if heuristic_iterations > 0 and orbits and cap != 0:
         rng = random.Random(20210 + 31 * u + v)
@@ -418,7 +410,7 @@ def max_packing(u: int, v: int, k: int, t: int,
     reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
     if not incumbent or len(incumbent) < cap:
         reps, nodes, exhausted = _branch_and_bound(
-            v, k, t, orbits, index, incumbent, cap, node_budget)
+            u, v, k, t, orbits, orbit_of, members, incumbent, cap, node_budget)
 
     witness = _packing(u, v, k, t, reps)
     detail = verdict(witness, strict=True)

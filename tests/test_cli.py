@@ -307,6 +307,9 @@ def test_pairfan_below_two_is_usage_error(n, capsys):
     (["construct", "fold", "catalog:small-(2,3)", "\u00b3"], "error: construct fold SOURCE V1"),
     (["construct", "remap", "h1cyclic:\u00b2", "catalog:fg-(2,2)reg-4^2"],
      "error: remap h1cyclic:<h1> SOURCE"),
+    (["construct", "fold", "catalog:small-(2,3)", "0"], "error: fold needs V1 >= 1, got 0"),
+    (["construct", "remap", "h1cyclic:0", "catalog:fg-(2,2)reg-4^2"],
+     "error: remap h1cyclic needs h1 >= 1, got 0"),
     (["construct", "filling1", "catalog:fg-6^2-s3c", "\u00b2=catalog:small-(2,3)"],
      "error: filler wants SIZE=SOURCE"),
     (["bound", "0", "3", "4", "2"], "error: grid dimensions must be positive"),
@@ -333,17 +336,29 @@ def test_pairfan_below_two_is_usage_error(n, capsys):
     (["construct", "hartman", "no-such-dir/missing.json"],
      "error: cannot read no-such-dir/missing.json: "),
     (["catalog", "emit"], "error: catalog emit needs an id"),
-], ids=["pairfan superscript", "fold superscript", "h1cyclic superscript",
+], ids=["pairfan superscript", "fold superscript", "h1cyclic superscript", "fold by zero",
+        "h1cyclic zero",
         "size superscript", "bound zero rows", "search zero rows", "search t above k",
         "search too few points", "search zero budget",
         "hartman usage", "filling1 usage", "filling2 usage", "weighting1 usage",
         "weighting ingredient token", "weighting3 usage", "remap usage", "unknown remap mode",
         "pipeline usage", "unknown pipeline", "unreadable file", "emit without id"])
 def test_malformed_argument_is_usage_error(argv, message, capsys):
-    """a superscript digit is not a number, a zero grid, a recipe with too
-    few tokens, an unknown name and an unreadable file are bad usage:
-    exit 2 with the usage text, never a failed verification"""
+    """a superscript digit is not a number, a zero grid, a zero divisor, a
+    recipe with too few tokens, an unknown name and an unreadable file are
+    bad usage: exit 2 with the usage text, never a failed verification"""
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "fold", "catalog:small-(2,3)", "2"], "FAIL: v1 must divide v"),
+    (["construct", "remap", "h1cyclic:3", "catalog:fg-(2,2)reg-4^2"], "FAIL: h1 must divide h"),
+])
+def test_non_dividing_divisor_fails_construction(argv, message, capsys):
+    """a positive divisor that does not divide the grid is well-formed
+    usage whose construction fails: exit 1, not 2"""
+    assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)
 
 

@@ -191,6 +191,21 @@ def test_admissibility_predicates():
     assert not exists_0fg_quad(2, 3)
 
 
+@pytest.mark.parametrize("sizes", [(), (1,), (2,), (2, 2), (1, 4), (0, 3)])
+def test_admissible_0fg_refuses_bad_terminal_sizes(sizes):
+    """a size below 2, or no size of 3 or more, makes every gcd 0"""
+    with pytest.raises(ValueError, match=r"^terminal sizes must be .*, got %s$"
+                       % re.escape(repr(sizes))):
+        admissible_0fg(6, 3, sizes)
+
+
+def test_admissible_0fg_keeps_its_answers():
+    grids = [(6, 3), (1, 4), (3, 3), (2, 5), (1, 8), (4, 4)]
+    assert all(admissible_0fg(g, n, (3,)) for g, n in grids)
+    assert [admissible_0fg(g, n, (2, 4)) for g, n in grids] == [True, True, False, True,
+                                                                 True, True]
+
+
 def test_h_design_existence_predicate():
     assert exists_h_design(4, 4)
     assert exists_h_design(4, 1)

@@ -19,8 +19,8 @@ from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
 from ooc2d.core import _image, _orbit
-from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _pair_level,
-                          _ruin_recreate, max_packing)
+from ooc2d.search import (_branch_and_bound, _build_orbits, _pair_level, _ruin_recreate,
+                          _subset_orbits, max_packing)
 
 
 def test_small_grids_proved():
@@ -183,20 +183,44 @@ def test_johnson_bound_stops_heuristic(u, v, k, t, best, digest):
     assert elapsed < 0.5
 
 
+def _orbits(u: int, v: int, k: int, t: int) -> tuple:
+    """(orbits, orbit_of, members) as max_packing builds them."""
+    orbit_of, members = _subset_orbits(u * v, v, t)
+    return _build_orbits(u, v, k, t, orbit_of, members), orbit_of, members
+
+
+def _reps(orbits: list) -> list:
+    return [rep for rep, _ in orbits]
+
+
 @pytest.mark.parametrize("u, v, count, digest", [
-    (3, 5, 270, "61872ed8066189c0"), (2, 9, 324, "9b286a0a76b92448"),
+    (3, 5, 270, "2640f95ea9c1a1a7"), (2, 9, 324, "a7db297ea56b0a2c"),
 ])
 def test_orbit_list_pinned(u, v, count, digest):
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), 3))}
-    orbits = _build_orbits(u, v, 4, 3, index)
-    assert len(orbits) == count
-    assert hashlib.sha256(repr(orbits).encode()).hexdigest()[:16] == digest
+    reps = _reps(_orbits(u, v, 4, 3)[0])
+    assert len(reps) == count
+    assert hashlib.sha256(repr(reps).encode()).hexdigest()[:16] == digest
+
+
+def test_orbit_table_built_once(monkeypatch):
+    """one max_packing call builds the t-subset orbit table once, for
+    the orbit builder, the heuristic and the tree alike"""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _subset_orbits(*args)
+
+    monkeypatch.setattr(search, "_subset_orbits", counted)
+    result = max_packing(4, 3, 4, 3, heuristic_iterations=20)
+    assert result.nodes_explored > 0
+    assert calls == [(12, 3, 3)]
 
 
 def _reference_build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
     """The orbit builder that develops all v images of each candidate
-    and sets their t-subsets' bits one at a time, stopping at the
-    first repeat."""
+    and sets their t-subsets' bits one at a time, one bit per t-subset,
+    stopping at the first repeat."""
     orbits = []
     for c in combinations(range(u * v), k):
         if c[0] % v or _orbit(c, v) != (c, 1):
@@ -217,16 +241,44 @@ def _reference_build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list
     return orbits
 
 
+def _reference_orbits(u: int, v: int, k: int, t: int) -> tuple:
+    """(orbits, index) with one mask bit per t-subset, its index in
+    combinations(range(uv), t)."""
+    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    return _reference_build_orbits(u, v, k, t, index), index
+
+
+def _reference_candidates(v: int, t: int, orbits: list, index: dict) -> list:
+    """Per t-subset index, the (mask, rep) of every orbit covering it,
+    ordered by the other points of the image that holds the t-subset."""
+    keyed: list = [[] for _ in range(len(index))]
+    for rep, mask in orbits:
+        entry = (mask, rep)
+        for d in range(v):
+            img = _image(rep, d, v)
+            for sub in combinations(img, t):
+                keyed[index[sub]].append((img, entry))
+    return [[entry for _, entry in sorted(options)] for options in keyed]
+
+
 @pytest.mark.parametrize("k, t", [(3, 2), (4, 2), (4, 3), (4, 4), (5, 3), (5, 4)])
 def test_orbit_builder_matches_reference(k, t):
-    """ORing the shift orbits of the representative's t-subsets keeps
-    the same orbits, with the same masks, as developing every image."""
+    """The orbit table keeps the same orbits as developing every image,
+    and each mask is the reference's full mask condensed to one bit per
+    t-subset orbit: each t-subset becomes its least image, and least
+    images are numbered in order.  Short t-subset orbits occur here:
+    3 | v for t = 3, 2 | v for t = 2 and t = 4."""
     for n in range(4, 17):
         for u in (u for u in range(1, n + 1) if n % u == 0):
             v = n // u
-            index = {sub: i for i, sub in enumerate(combinations(range(n), t))}
-            assert _build_orbits(u, v, k, t, index) == _reference_build_orbits(
-                u, v, k, t, index), (u, v)
+            orbits = _orbits(u, v, k, t)[0]
+            reference, index = _reference_orbits(u, v, k, t)
+            assert _reps(orbits) == _reps(reference), (u, v)
+            least = [min(_image(sub, d, v) for d in range(v)) for sub in index]
+            number = {sub: j for j, sub in enumerate(sorted(set(least)))}
+            for (_, mask), (_, full) in zip(orbits, reference):
+                condensed = {1 << number[least[b]] for b in range(len(index)) if full >> b & 1}
+                assert mask == sum(condensed), (u, v)
 
 
 @pytest.mark.parametrize("u, v, k, t, best, nodes, proof, bound", [
@@ -274,14 +326,15 @@ def _reference_ruin_recreate(orbits: list, cap, iterations: int, rng: random.Ran
 def test_ruin_recreate_matches_reference(u, v, k, t):
     # 300 iterations stop short of the cap everywhere but 2x6 and
     # (4, 2) on 3x5, which meet it within them; on 2x10 (474 orbits)
-    # and 5x4 (1,200) the free bitset spans many 30-bit int digits
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
+    # and 5x4 (1,200) the free bitset spans many 30-bit int digits.
+    # The reference grows on its own masks of one bit per t-subset.
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1)
-    orbits = _build_orbits(u, v, k, t, index)
+    orbits = _orbits(u, v, k, t)[0]
+    full = _reference_orbits(u, v, k, t)[0]
     for seed in (1, 2, 3, 20210 + 31 * u + v):
         ours, reference = random.Random(seed), random.Random(seed)
         best = _ruin_recreate(orbits, cap, 300, ours)
-        assert best == _reference_ruin_recreate(orbits, cap, 300, reference)
+        assert _reps(best) == _reps(_reference_ruin_recreate(full, cap, 300, reference))
         assert ours.getstate() == reference.getstate()
 
 
@@ -294,23 +347,24 @@ _SMALL_CASES = [(u, n // u, k, t) for n in range(3, 11) for u in range(1, n + 1)
 def test_ruin_recreate_matches_reference_property(case, seed, iterations):
     """Any seed and iteration count, stopped where max_packing stops it."""
     u, v, k, t = case
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     if (k, t) == (4, 3):
         cap = jstar(u, v)[0]
     else:
         cap = None if t < 2 else johnson_bound(u, v, k, t - 1)
-    orbits = _build_orbits(u, v, k, t, index)
+    orbits = _orbits(u, v, k, t)[0]
+    full = _reference_orbits(u, v, k, t)[0]
     ours, reference = random.Random(seed), random.Random(seed)
     best = _ruin_recreate(orbits, cap, iterations, ours)
-    assert best == _reference_ruin_recreate(orbits, cap, iterations, reference)
+    assert _reps(best) == _reps(_reference_ruin_recreate(full, cap, iterations, reference))
     assert ours.getstate() == reference.getstate()
 
 
 def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dict,
                                 incumbent: list, cap, node_budget: int,
                                 point_bound: bool = False):
-    """The tree whose leave branch writes off the target bit alone:
-    writing off its whole shift orbit must find exactly these reps.
+    """The tree whose leave branch writes off the target t-subset alone,
+    on orbits with one mask bit per t-subset: writing off its whole
+    shift orbit must find exactly these reps.
     It prunes with the counting bound, or with point_bound with the
     per-point count at the column-0 points: the f_i free t-subsets
     through (i, 0) leave room for f_i // C(k-1, t-1) more blocks through
@@ -331,7 +385,7 @@ def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
     else:
         room = lambda free, n_used: (total_t - n_used) // per_block
     full = (1 << total_t) - 1
-    options_of = _candidates(v, t, orbits, index)
+    options_of = _reference_candidates(v, t, orbits, index)
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
@@ -385,14 +439,14 @@ def _reference_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
 def test_orbit_leave_matches_reference(u, v, k, t):
     # the heuristic incumbent is one greedy grow; on the t = 3 grids
     # but 1x13 it falls short of the optimum, so both trees improve on it
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    orbits = _build_orbits(u, v, k, t, index)
+    orbits, orbit_of, members = _orbits(u, v, k, t)
+    full, index = _reference_orbits(u, v, k, t)
     grown = _ruin_recreate(orbits, cap, 0, random.Random(20210 + 31 * u + v))
     for incumbent in ([], grown):
-        reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent,
-                                                   cap, 10**7)
-        ref_reps, ref_nodes, _ = _reference_branch_and_bound(v, k, t, orbits, index,
+        reps, nodes, exhausted = _branch_and_bound(u, v, k, t, orbits, orbit_of, members,
+                                                   incumbent, cap, 10**7)
+        ref_reps, ref_nodes, _ = _reference_branch_and_bound(v, k, t, full, index,
                                                              incumbent, cap, 10**7,
                                                              point_bound=True)
         assert reps == ref_reps
@@ -407,14 +461,15 @@ def test_slot_bound_matches_reference(case, seed):
     walk starts from no incumbent or from a greedy grow of some seed.
     A reference that runs out of its budget decides nothing."""
     u, v, k, t = case
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    orbits = _build_orbits(u, v, k, t, index)
+    orbits, orbit_of, members = _orbits(u, v, k, t)
+    full, index = _reference_orbits(u, v, k, t)
     incumbent = [] if seed is None else _ruin_recreate(orbits, cap, 0, random.Random(seed))
     ref_reps, ref_nodes, ref_exhausted = _reference_branch_and_bound(
-        v, k, t, orbits, index, incumbent, cap, 50_000)
+        v, k, t, full, index, incumbent, cap, 50_000)
     assume(not ref_exhausted)
-    reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent, cap, 50_000)
+    reps, nodes, exhausted = _branch_and_bound(u, v, k, t, orbits, orbit_of, members,
+                                               incumbent, cap, 50_000)
     assert reps == ref_reps
     assert not exhausted and nodes <= ref_nodes
 
@@ -454,7 +509,7 @@ def _row_bound_branch_and_bound(v: int, k: int, t: int, orbits: list, index: dic
     per_point = comb(k - 1, t - 1)
     through_point = comb(n - 1, t - 1)
     full = (1 << len(index)) - 1
-    options_of = _candidates(v, t, orbits, index)
+    options_of = _reference_candidates(v, t, orbits, index)
     leave_of = _row_leave_orbits(v, t, index)
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
@@ -501,13 +556,14 @@ def test_pair_bound_matches_row_bound(case, seed):
     sound: the same reps in no more nodes, from no incumbent or from a
     greedy grow of some seed, t = 1 (no pair level) included."""
     u, v, k, t = case
-    index = {sub: i for i, sub in enumerate(combinations(range(u * v), t))}
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    orbits = _build_orbits(u, v, k, t, index)
+    orbits, orbit_of, members = _orbits(u, v, k, t)
+    full, index = _reference_orbits(u, v, k, t)
     incumbent = [] if seed is None else _ruin_recreate(orbits, cap, 0, random.Random(seed))
     ref_reps, ref_nodes, ref_exhausted = _row_bound_branch_and_bound(
-        v, k, t, orbits, index, incumbent, cap, 10**6)
-    reps, nodes, exhausted = _branch_and_bound(v, k, t, orbits, index, incumbent, cap, 10**6)
+        v, k, t, full, index, incumbent, cap, 10**6)
+    reps, nodes, exhausted = _branch_and_bound(u, v, k, t, orbits, orbit_of, members,
+                                               incumbent, cap, 10**6)
     assert not ref_exhausted and not exhausted
     assert reps == ref_reps
     assert nodes <= ref_nodes
