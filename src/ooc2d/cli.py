@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one verifier against a design")
     p.add_argument("target")
     p.add_argument("--check", required=True,
-                   choices=["ooc", "packing", "perfect", "fan", "hdesign", "rosqs"])
+                   choices=list(_CHECK_KINDS))
     p.add_argument("--strict", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

@@ -305,6 +305,8 @@ class HDesign:
     base_blocks: tuple
 
     def __post_init__(self):
+        if self.t < 1:
+            raise ValueError("need t >= 1, got t=%d" % self.t)
         if self.n < self.t or self.l < 1 or self.h < 1:
             raise ValueError("bad H design parameters")
         _check_universe(self, (self.base_blocks,))

@@ -3,8 +3,10 @@
 Grid point (i, j) is the int i*v + j.  Column shifts split the
 t-subsets of the n = uv points into orbits, and each orbit is one bit:
 orbits are numbered in the order of their least members.  One table,
-built once per search, maps each t-subset to its orbit's number and
-lists each orbit's members, least first.  A candidate orbit is kept
+built once per search by core._develop, maps each t-subset to its
+orbit's number and lists each orbit's members in shift order: member d
+is the least member moved by d.  It is the search's one record of an
+orbit's shifts.  A candidate orbit is kept
 as (rep, mask): its canonical representative and the int mask of the
 t-subset orbits its images cover.  Only strictly cyclic orbits whose
 images repeat no t-subset are candidates: those whose rep's C(k, t)
@@ -37,7 +39,9 @@ the lowest t-subset orbit that is neither covered nor written off
 (free & -free) and on its least member T, which is the least free
 t-subset: either covering T with one of the orbits that hold it, in
 the order of the other points of the image that holds it, or writing
-off T's orbit, its one bit, into the leave.  There is no bit for T
+off T's orbit, its one bit, into the leave.  That image is read from
+the table, not developed: a rep's t-subset that is member d of its
+orbit puts T in the rep's image by -d.  There is no bit for T
 alone: the leave is a set of whole orbits, closed under column shifts
 by construction.  Nothing is lost, since an orbit that covers a shift
 of T covers T itself, so once T is left no shift of T can be covered.
@@ -118,7 +122,7 @@ from math import comb
 from operator import or_
 
 from .bounds import johnson_bound, jstar
-from .core import CyclicPacking, _check_grid, _check_t, _image, _orbit, _packing
+from .core import CyclicPacking, _check_grid, _check_t, _develop, _image, _orbit, _packing
 from .files import verdict
 
 
@@ -137,12 +141,13 @@ def _subset_orbits(n: int, v: int, t: int) -> tuple:
     """(orbit_of, members) for the t-subsets of n points under column
     shifts: orbit_of maps each t-subset to its orbit's number, orbits
     numbered in the order of their least members, and members[j] lists
-    orbit j's t-subsets, least first."""
+    orbit j's t-subsets in shift order, as core._develop develops them:
+    members[j][d] is its least member moved by d."""
     orbit_of: dict = {}
     members: list = []
     for sub in combinations(range(n), t):
         if sub not in orbit_of:
-            group = sorted({_image(sub, d, v) for d in range(v)})
+            group = _develop([sub], v)[0]
             for img in group:
                 orbit_of[img] = len(members)
             members.append(group)
@@ -245,16 +250,15 @@ def _candidates(v: int, t: int, orbits: list, orbit_of: dict, members: list) -> 
     """Per t-subset orbit, the (mask, rep) of every orbit covering its
     least member, ordered by the other points of the image that holds
     that member: all images in one list hold it, so they sort as those
-    points do."""
+    points do.  A rep's t-subset sub, d shifts past its orbit's least
+    member, puts that member in the rep's image by -d, the only one
+    that holds it, since the orbit repeats no t-subset."""
     keyed: list = [[] for _ in members]
     for rep, mask in orbits:
         entry = (mask, rep)
-        for d in range(v):
-            img = _image(rep, d, v)
-            for sub in combinations(img, t):
-                j = orbit_of[sub]
-                if members[j][0] == sub:
-                    keyed[j].append((img, entry))
+        for sub in combinations(rep, t):
+            j = orbit_of[sub]
+            keyed[j].append((_image(rep, -members[j].index(sub), v), entry))
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 

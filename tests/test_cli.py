@@ -70,6 +70,15 @@ def test_verify_kind_mismatch(capsys):
     assert main(["verify", "catalog:rosqs8", "--check", "fan"]) == 2
 
 
+def test_verify_refuses_an_h_design_with_t_below_one(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "hdesign",
+                                "parameters": {"n": 4, "l": 1, "h": 1, "t": -1},
+                                "base_blocks": []}))
+    assert main(["verify", str(path), "--check", "hdesign"]) == 2
+    assert capsys.readouterr().err.endswith("need t >= 1, got t=-1\n")
+
+
 def test_construct_hartman_roundtrip(tmp_path, capsys):
     out = tmp_path / "h13.json"
     assert main(["construct", "hartman", "catalog:rosqs8",

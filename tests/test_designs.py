@@ -291,3 +291,11 @@ def test_design_constructor_refuses_block(make, block):
 def test_fan_design_refuses_shape_fields(fields, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         FanDesign(**dict(dict(s=0, h=1, layers=(), terminal=()), **fields))
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_h_design_refuses_t_below_one(t):
+    """t = 0 would verify against the one empty t-subset, and a negative
+    t would fail in math.comb with a message that names no field"""
+    with pytest.raises(ValueError, match="^need t >= 1, got t=%d$" % t):
+        HDesign(n=4, l=1, h=1, t=t, base_blocks=())

@@ -19,8 +19,8 @@ from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
 from ooc2d.core import _image, _orbit
-from ooc2d.search import (_branch_and_bound, _build_orbits, _pair_level, _ruin_recreate,
-                          _subset_orbits, max_packing)
+from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _pair_level,
+                          _ruin_recreate, _subset_orbits, max_packing)
 
 
 def test_small_grids_proved():
@@ -261,24 +261,60 @@ def _reference_candidates(v: int, t: int, orbits: list, index: dict) -> list:
     return [[entry for _, entry in sorted(options)] for options in keyed]
 
 
-@pytest.mark.parametrize("k, t", [(3, 2), (4, 2), (4, 3), (4, 4), (5, 3), (5, 4)])
+def _bits(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+# every grid with 4 <= uv <= 16
+_SMALL_GRIDS = [(u, n // u) for n in range(4, 17) for u in range(1, n + 1) if n % u == 0]
+_BUILDER_KT = [(3, 2), (4, 2), (4, 3), (4, 4), (5, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("k, t", _BUILDER_KT)
 def test_orbit_builder_matches_reference(k, t):
     """The orbit table keeps the same orbits as developing every image,
     and each mask is the reference's full mask condensed to one bit per
     t-subset orbit: each t-subset becomes its least image, and least
     images are numbered in order.  Short t-subset orbits occur here:
     3 | v for t = 3, 2 | v for t = 2 and t = 4."""
-    for n in range(4, 17):
-        for u in (u for u in range(1, n + 1) if n % u == 0):
-            v = n // u
-            orbits = _orbits(u, v, k, t)[0]
-            reference, index = _reference_orbits(u, v, k, t)
-            assert _reps(orbits) == _reps(reference), (u, v)
-            least = [min(_image(sub, d, v) for d in range(v)) for sub in index]
-            number = {sub: j for j, sub in enumerate(sorted(set(least)))}
-            for (_, mask), (_, full) in zip(orbits, reference):
-                condensed = {1 << number[least[b]] for b in range(len(index)) if full >> b & 1}
-                assert mask == sum(condensed), (u, v)
+    for u, v in _SMALL_GRIDS:
+        orbits = _orbits(u, v, k, t)[0]
+        reference, index = _reference_orbits(u, v, k, t)
+        assert _reps(orbits) == _reps(reference), (u, v)
+        least = [min(_image(sub, d, v) for d in range(v)) for sub in index]
+        number = {sub: j for j, sub in enumerate(sorted(set(least)))}
+        for (_, mask), (_, full) in zip(orbits, reference):
+            condensed = {1 << number[least[b]] for b in _bits(full)}
+            assert mask == sum(condensed), (u, v)
+
+
+def _developed_candidates(v: int, t: int, orbits: list, orbit_of: dict, members: list) -> list:
+    """Per t-subset orbit, the (mask, rep) of every orbit covering its
+    least member, found by developing all v images of each orbit and
+    keeping the one that holds that member, sorted by that image."""
+    keyed: list = [[] for _ in members]
+    for rep, mask in orbits:
+        for d in range(v):
+            img = _image(rep, d, v)
+            for sub in combinations(img, t):
+                j = orbit_of[sub]
+                if members[j][0] == sub:
+                    keyed[j].append((img, (mask, rep)))
+    return [[entry for _, entry in sorted(options)] for options in keyed]
+
+
+@pytest.mark.parametrize("k, t", _BUILDER_KT)
+def test_candidates_match_developed_images(k, t):
+    """Reading each branching image from the shift-ordered table finds
+    the same options, masks and order as developing every image."""
+    for u, v in _SMALL_GRIDS + [(2, 11)]:
+        orbits, orbit_of, members = _orbits(u, v, k, t)
+        assert (_candidates(v, t, orbits, orbit_of, members)
+                == _developed_candidates(v, t, orbits, orbit_of, members)), (u, v)
 
 
 @pytest.mark.parametrize("u, v, k, t, best, nodes, proof, bound", [
