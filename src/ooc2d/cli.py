@@ -131,6 +131,9 @@ def cmd_convert(args) -> int:
         obj = as_kind(obj, Code, "convert --to matrix needs a packing or code")
     else:
         obj = as_kind(obj, CyclicPacking, "convert --to blocks needs a code or packing")
+    detail = verdict(obj)
+    if detail is not None:  # main prints it as FAIL and exits 1; nothing is written
+        raise ValueError("%s as %s fails its check: %s" % (args.src, args.to, detail))
     _emit(obj, args.out, True)
     return 0
 

@@ -445,14 +445,14 @@ def perfect_to_regular_1fg(p: CyclicPacking):
     got_pairs = len(out.layers[0])
     _require(got_pairs == expected_pairs,
              "expected %d pair orbits, got %d" % (expected_pairs, got_pairs))
-    # add_cross_pairs_layer has verified out and checked the steps
-    return out, ConstructionTrace(("perfect packing",), trace.steps)
+    return _finish("perfect_to_regular_1fg", ["perfect packing"], trace.steps, out)
 
 
-def complete_pair_fan(n: int = 4) -> FanDesign:
+def complete_pair_fan(n: int = 4):
     """The trivial one-layer fan design on n singleton groups: all
     pairs form the layer, the whole point set is the terminal block."""
     pts = [(x, 0, 0) for x in range(n)]
     layer = tuple(tuple(sorted(pq)) for pq in combinations(pts, 2))
-    return FanDesign(s=1, shape=CYCLIC, h=1, layers=(layer,),
-                     terminal=(tuple(pts),), g_list=(1,) * n)
+    out = FanDesign(s=1, shape=CYCLIC, h=1, layers=(layer,),
+                    terminal=(tuple(pts),), g_list=(1,) * n)
+    return _finish("complete_pair_fan", [], (("pair and quadruple blocks", len(layer) + 1),), out)

@@ -34,7 +34,7 @@ developed codewords.  A CyclicPacking is built from its codes once:
 make_packing, code_to_packing, the constructions and the search witness
 take each orbit once, check the canonical images on ints and decode
 them with one Point per distinct code.  It keeps the checked codes and
-stabilizer orders, which packing develops without encoding a Point.
+stabilizer orders; every orbit, a packing's too, is developed by _develop.
 
 A verifier's report is computed once per object and kept beside its
 codes (_kept): the constructions, the catalog and the command line ask
@@ -73,18 +73,29 @@ def as_block(points: Iterable) -> Block:
     return pts
 
 
+def _check_ints(**params) -> None:
+    """Refuse a parameter that is not an int, a float or a bool included,
+    with the text the file reader gives."""
+    for name, x in params.items():
+        if type(x) is not int:
+            raise ValueError("parameter %r must be an integer, got %r" % (name, x))
+
+
 def _check_grid(u: int, v: int) -> None:
+    _check_ints(u=u, v=v)
     if u < 1 or v < 1:
         raise ValueError("grid dimensions must be positive")
 
 
 def _check_params(u: int, v: int, k: int, lam: int) -> None:
     _check_grid(u, v)
+    _check_ints(k=k, **{"lambda": lam})
     if lam < 1 or k <= lam:
         raise ValueError("need k > lambda >= 1")
 
 
 def _check_t(k: int, t: int) -> None:
+    _check_ints(k=k, t=t)
     if not (1 <= t <= k):
         raise ValueError("need 1 <= t <= k, got t=%d k=%d" % (t, k))
 
@@ -108,18 +119,21 @@ def _orbit(codes: tuple, period: int) -> tuple:
 
 
 def _develop(blocks, period: int) -> tuple:
-    """(images, stabilizer orders, clash) for sorted blocks of codes:
-    each orbit in shift order for its own length, stopping at the first
-    image an earlier orbit produced (clash, else None)."""
+    """(images, stabilizer orders, clash) for sorted blocks of codes: each
+    block's shifts until an image repeats, the block itself after L shifts
+    (stabilizer period // L) or an earlier orbit's image (clash, else None)."""
     images, seen, stabs = [], set(), []
     for codes in blocks:
-        stabs.append(_orbit(codes, period)[1])
-        for d in range(period // stabs[-1]):
-            img = _image(codes, d, period)
-            if img in seen:
-                return images, stabs, img
+        img, d = codes, 0
+        while img not in seen:
             seen.add(img)
             images.append(img)
+            d += 1
+            img = _image(codes, d, period)
+        if not d or img != codes:  # only a clashing block asks _orbit
+            stabs.append(_orbit(codes, period)[1])
+            return images, stabs, img
+        stabs.append(period // d)
     return images, stabs, None
 
 

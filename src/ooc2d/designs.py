@@ -35,7 +35,8 @@ from itertools import chain, combinations
 from math import comb, gcd
 from typing import NamedTuple
 
-from .core import Point, _cover_counts, _cover_miss, _develop, _image, _kept, _orbit, _set
+from .core import (Point, _check_ints, _cover_counts, _cover_miss, _develop, _image, _kept,
+                   _orbit, _set)
 
 CYCLIC = "cyclic"
 REGULAR = "regular"
@@ -87,6 +88,9 @@ class FanDesign:
     def __post_init__(self):
         if self.shape not in (CYCLIC, REGULAR):
             raise ValueError("unknown universe shape %r" % (self.shape,))
+        _check_ints(s=self.s, h=self.h, u=self.u, v=self.v)
+        for g in self.g_list:
+            _check_ints(g_list=g)
         if self.s != len(self.layers):
             raise ValueError("s=%d but %d layers given" % (self.s, len(self.layers)))
         if self.h < 1:
@@ -305,6 +309,7 @@ class HDesign:
     base_blocks: tuple
 
     def __post_init__(self):
+        _check_ints(n=self.n, l=self.l, h=self.h, t=self.t)
         if self.t < 1:
             raise ValueError("need t >= 1, got t=%d" % self.t)
         if self.n < self.t or self.l < 1 or self.h < 1:
@@ -362,6 +367,7 @@ class RoSQSDesign:
     base_blocks: tuple
 
     def __post_init__(self):
+        _check_ints(n=self.n)
         if self.n < 4:
             raise ValueError("need at least 4 points")
         _check_universe(self, (self.base_blocks,))

@@ -40,7 +40,7 @@ import json
 from itertools import chain, compress
 
 from .core import (Code, CodewordMatrix, CyclicPacking, Point, _bit_rows, _cells_matrix,
-                   make_packing)
+                   _check_ints, make_packing)
 from .correlation import verify_ooc
 from .designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_fan,
                       verify_h_design, verify_rosqs)
@@ -243,8 +243,7 @@ def _param(params: dict, name: str):
 
 def _ints(params: dict, *names) -> list:
     for name in names:
-        if type(_param(params, name)) is not int:
-            raise ValueError("parameter %r must be an integer, got %r" % (name, params[name]))
+        _check_ints(**{name: _param(params, name)})
     return [params[name] for name in names]
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import CyclicPacking, _cover_counts, _grid_block, _image, _kept
+from .core import CyclicPacking, _cover_counts, _develop, _grid_block, _kept
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,10 @@ class PackingReport:
 
 
 def _developed(p: CyclicPacking) -> list:
-    """Every developed block as codes, each orbit in shift order for its
-    own length, from the codes and stabilizer orders CyclicPacking
-    checked.  Base blocks are distinct canonical representatives, so no
-    orbits clash."""
-    return [_image(codes, d, p.v) for codes, s in zip(p._codes, p._stabs)
-            for d in range(p.v // s)]
+    """Every developed block as codes, orbit by orbit in shift order, by
+    core._develop from the codes CyclicPacking checked: base blocks are
+    distinct canonical representatives, so no orbits clash."""
+    return _develop(p._codes, p.v)[0]
 
 
 def develop(p: CyclicPacking) -> list:

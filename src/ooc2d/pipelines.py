@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .catalog import catalog_get
 from .constructs import (
-    ConstructionTrace,
     add_cross_pairs_layer,
     as_semicyclic,
     complete_pair_fan,
@@ -43,7 +42,7 @@ from .constructs import (
 from .core import Code, CyclicPacking
 from .correlation import code_to_packing, packing_to_code
 from .designs import FanDesign, HDesign, RoSQSDesign
-from .files import block_count, load_design
+from .files import load_design
 
 
 class UsageError(Exception):
@@ -200,9 +199,7 @@ def construct(recipe: str, args) -> tuple:
             raise UsageError("construct pairfan N")
         if int(args[0]) < 2:
             raise UsageError("pairfan needs N >= 2, got %s" % args[0])
-        fan = complete_pair_fan(int(args[0]))
-        return fan, ConstructionTrace(inputs=(),
-                                      steps=(("pair and quadruple blocks", block_count(fan)),))
+        return complete_pair_fan(int(args[0]))
     if recipe == "pipeline":
         if len(args) != 1:
             raise UsageError("construct pipeline NAME")
@@ -230,7 +227,7 @@ def _grid_8x2():
     2x2 fibres, filled trivially.
     """
     terminal_h, _ = run_pipeline("h44-2cyc")
-    fan, _ = weighting_1(complete_pair_fan(4), {2: load_source("catalog:fg-4^2-s2c")},
+    fan, _ = weighting_1(complete_pair_fan(4)[0], {2: load_source("catalog:fg-4^2-s2c")},
                          {4: terminal_h})
     return filling_1(fan, {2: load_source("trivial:2x2")},
                      input_labels=["weighted 4^4 fan", "trivial 2x2"])

@@ -122,7 +122,8 @@ from math import comb
 from operator import or_
 
 from .bounds import johnson_bound, jstar
-from .core import CyclicPacking, _check_grid, _check_t, _develop, _image, _orbit, _packing
+from .core import (CyclicPacking, _check_grid, _check_ints, _check_t, _develop, _image, _orbit,
+                   _packing)
 from .files import verdict
 
 
@@ -380,6 +381,7 @@ def check_parameters(u: int, v: int, k: int, t: int, node_budget: int) -> None:
     _check_t(k, t)
     if u * v < k:
         raise ValueError("grid has fewer than k points")
+    _check_ints(node_budget=node_budget)
     if node_budget < 1:
         raise ValueError("node budget must be positive")
 

@@ -126,7 +126,7 @@ def test_criterion_3_filling_pipelines():
 
 def test_criterion_4_weighting_pipelines():
     h2, _ = run_pipeline("h44-2cyc")
-    fan, _ = weighting_1(complete_pair_fan(4),
+    fan, _ = weighting_1(complete_pair_fan(4)[0],
                          {2: catalog_get("fg-4^2-s2c").payload}, {4: h2})
     assert fan.shape == CYCLIC and fan.h == 2
     assert fan.group_sizes() == group_type([4, 4, 4, 4])

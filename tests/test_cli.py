@@ -141,6 +141,26 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert load_design(str(b)) == catalog_get("small-(3,2)").payload
 
 
+DOUBLE = ('{"schema_version": 1, "kind": "packing", "parameters": {"u": 2, "v": 3, "k": 4, '
+          '"t": 3}, "base_blocks": [[[0, 0], [0, 1], [1, 0], [1, 1]], '
+          '[[0, 0], [0, 1], [1, 0], [1, 2]]]}')
+
+
+@pytest.mark.parametrize("to, detail", [
+    ("matrix", "correlation 3 at ((0, 1), 0)"), ("blocks", "covered twice"),
+])
+def test_convert_refuses_an_object_that_fails_its_check(tmp_path, capsys, to, detail):
+    """a double-covered packing converts to nothing, in either form"""
+    src, out = tmp_path / "double.json", tmp_path / "out.json"
+    src.write_text(DOUBLE)
+    assert main(["convert", str(src), "--to", to, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: ") and detail in err
+    assert not out.exists()
+    assert main(["convert", str(src), "--to", to]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out

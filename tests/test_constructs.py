@@ -68,7 +68,7 @@ def test_filling_2_counts():
 
 
 def test_weighting_glue_on_pairs():
-    fan, _ = weighting_1(complete_pair_fan(4), {2: _cat("fg-4^2-s2c")},
+    fan, _ = weighting_1(complete_pair_fan(4)[0], {2: _cat("fg-4^2-s2c")},
                          {4: _h44_2cyc()})
     assert fan.shape == CYCLIC
     assert tuple(fan.g_list) == (2, 2, 2, 2)
@@ -83,7 +83,7 @@ def test_weighting_layered_ingredient():
     block, so the output keeps the master's layer"""
     quadruple = HDesign(n=4, l=1, h=1, t=3,
                         base_blocks=(tuple((x, 0, 0) for x in range(4)),))
-    fan, trace = weighting_1(complete_pair_fan(4), {2: complete_pair_fan(2)}, {4: quadruple})
+    fan, trace = weighting_1(complete_pair_fan(4)[0], {2: complete_pair_fan(2)[0]}, {4: quadruple})
     pairs = tuple(combinations([(x, 0, 0) for x in range(4)], 2))
     assert (fan.s, fan.layers) == (1, (pairs,))
     assert sorted(fan.terminal) == sorted(pairs + quadruple.base_blocks)
@@ -128,7 +128,7 @@ def test_weighting_wrong_kind_ingredient(op, args, message):
     """a library caller passing the wrong kind of ingredient gets a
     ValueError naming the size, not an AttributeError"""
     master, *slots = args
-    master = complete_pair_fan(4) if master == "pairfan" else _cat(master)
+    master = complete_pair_fan(4)[0] if master == "pairfan" else _cat(master)
     slots = [{size: _cat(entry) for size, entry in slot.items()} for slot in slots]
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         op(master, *slots)
@@ -265,7 +265,8 @@ def test_perfect_to_regular_1fg():
 
 
 def test_complete_pair_fan():
-    fan = complete_pair_fan(4)
+    fan, trace = complete_pair_fan(4)
+    assert trace.inputs == () and trace.steps == (("pair and quadruple blocks", 7),)
     assert fan.s == 1
     assert len(fan.layers[0]) == 6
     assert len(fan.terminal) == 1

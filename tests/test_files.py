@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ooc2d import catalog, files
+from ooc2d.bounds import bound_report, jstar
 from ooc2d.catalog import catalog_get
 from ooc2d.cli import main
 from ooc2d.constructs import filling_2, fold, hartman
@@ -20,14 +21,53 @@ from ooc2d.core import (Code, CodewordMatrix, CyclicPacking, Point, as_block, ca
                         make_packing)
 from ooc2d.correlation import (block_to_matrix, code_to_packing, matrix_to_block,
                                packing_to_code, verify_ooc)
-from ooc2d.designs import (FanDesign, HDesign, verify_fan, verify_h_cyclic, verify_h_design,
-                           verify_rosqs)
+from ooc2d.designs import (CYCLIC, REGULAR, FanDesign, HDesign, RoSQSDesign, verify_fan,
+                           verify_h_cyclic, verify_h_design, verify_rosqs)
 from ooc2d.files import (SCHEMA_VERSION, design_from_dict, design_json, design_to_dict,
                          load_design, save_design, verdict)
 from ooc2d.packing import verify_packing
 from ooc2d.pipelines import run_pipeline
+from ooc2d.search import max_packing
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "semicyclic-6x2.json")
+
+
+SQUARE = [[(0, 0), (0, 1), (1, 0), (1, 1)]]
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (lambda: make_packing(2.0, 3, 4, 3, SQUARE), "u", 2.0),
+    (lambda: make_packing(2, 3, 4, True, SQUARE), "t", True),
+    (lambda: Code(1, 2, 2, True, ()), "lambda", True),
+    (lambda: jstar(2.5, 3), "u", 2.5),
+    (lambda: bound_report(2, 3.5, 4, 2), "v", 3.5),
+    (lambda: max_packing(2, 3, 4, 3, node_budget=True), "node_budget", True),
+    (lambda: HDesign(4, 1.5, 1, 3, ()), "l", 1.5),
+    (lambda: RoSQSDesign(8.0, ()), "n", 8.0),
+    (lambda: FanDesign(s=0, shape=CYCLIC, h=1.0, layers=(), terminal=(), g_list=(2, 2)),
+     "h", 1.0),
+    (lambda: FanDesign(s=0, shape=CYCLIC, h=1, layers=(), terminal=(), g_list=(2, 2.0)),
+     "g_list", 2.0),
+    (lambda: FanDesign(s=0, shape=REGULAR, h=1, layers=(), terminal=(), u=2, v=True),
+     "v", True),
+], ids=["packing u", "packing t", "code lambda", "jstar", "bound_report", "node budget",
+        "hdesign", "rosqs", "fan h", "fan g_list", "fan v"])
+def test_a_parameter_that_is_not_an_int_is_refused(build, name, value):
+    """floats and bools are refused where the object is made, with the
+    reader's text, so no file holds a parameter the reader refuses"""
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == "parameter %r must be an integer, got %r" % (name, value)
+
+
+def test_the_reader_and_the_constructor_refuse_a_float_with_one_text():
+    doc = design_to_dict(make_packing(2, 3, 4, 3, SQUARE))
+    doc["parameters"]["u"] = 2.0
+    with pytest.raises(ValueError) as from_file:
+        design_from_dict(doc)
+    with pytest.raises(ValueError) as built:
+        make_packing(2.0, 3, 4, 3, SQUARE)
+    assert str(from_file.value) == str(built.value)
 
 
 def test_fixture_loads_and_verifies():

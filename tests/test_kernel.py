@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from ooc2d.catalog import catalog_get
 from ooc2d.constructs import add_cross_pairs_layer, complete_pair_fan
-from ooc2d.core import Point, as_block, canonicalize, make_packing, orbit, stabilizer_order
+from ooc2d.core import (Point, _develop, _image, _orbit, as_block, canonicalize, make_packing,
+                        orbit, stabilizer_order)
 from ooc2d.correlation import packing_to_code, verify_ooc
 from ooc2d.designs import (CYCLIC, INF, REGULAR, DesignReport, FanDesign, HDesign,
                            RoSQSDesign, develop_family, verify_fan, verify_h_cyclic,
@@ -294,7 +295,7 @@ def _developed_copy(d: FanDesign) -> FanDesign:
 FANS = [catalog_get(i).payload for i in
         ("fan-plain-3^3", "fan-plain-4^2", "fg-4^2-s2c", "fg-6^3-s3c",
          "fg-(2,2)reg-4^2", "fg-(2,4)reg-8^2", "fg-(3,2)reg-6^5")]
-FANS += [complete_pair_fan(4), add_cross_pairs_layer(catalog_get("fg-(2,2)reg-4^2").payload)[0]]
+FANS += [complete_pair_fan(4)[0], add_cross_pairs_layer(catalog_get("fg-(2,2)reg-4^2").payload)[0]]
 FANS += [_developed_copy(FANS[2]), _developed_copy(FANS[4]), _developed_copy(FANS[8])]
 H_DESIGNS = [catalog_get("h-4-2-4-3").payload, run_pipeline("h44-2cyc")[0]]
 MUTATIONS = ("none", "drop", "duplicate", "move", "shift", "add", "one group")
@@ -403,3 +404,81 @@ def test_mutations_reach_failures():
     assert verify_fan(doubled).detail.startswith("family 0: orbit collision at (Point(")
     r = catalog_get("rosqs8").payload
     assert verify_rosqs(RoSQSDesign(n=8, base_blocks=r.b2())).detail.startswith("triple (-1, ")
+
+
+# ---- the develop walk -------------------------------------------------------
+
+def ref_develop_codes(blocks, period):
+    """core._develop as it was when it asked _orbit for every block's
+    stabilizer before walking its period // stabilizer shifts."""
+    images, seen, stabs = [], set(), []
+    for codes in blocks:
+        stabs.append(_orbit(codes, period)[1])
+        for d in range(period // stabs[-1]):
+            img = _image(codes, d, period)
+            if img in seen:
+                return images, stabs, img
+            seen.add(img)
+            images.append(img)
+    return images, stabs, None
+
+
+def test_develop_with_period_1():
+    assert _develop([(0, 1), (2, 3)], 1) == ([(0, 1), (2, 3)], [1, 1], None)
+    assert _develop([(0, 1), (0, 1)], 1) == ([(0, 1)], [1, 1], (0, 1))
+
+
+def test_develop_reads_stabilizers_2_and_3_off_the_walk():
+    """(0, 3) on a row of 6 closes after 3 shifts, (6, 8, 10) on the next
+    row after 2."""
+    assert _develop([(0, 3), (6, 8, 10)], 6) == (
+        [(0, 3), (1, 4), (2, 5), (6, 8, 10), (7, 9, 11)], [2, 3], None)
+
+
+def test_develop_a_duplicate_orbit_clashes_at_shift_0():
+    """(1, 2) is (0, 1) moved by 1, so it is met at d = 0; its stabilizer
+    is reported too."""
+    assert _develop([(0, 1), (1, 2)], 3) == ([(0, 1), (1, 2), (0, 2)], [1, 1], (1, 2))
+
+
+def test_develop_a_clash_in_the_middle_of_the_walk():
+    """Shifts act as a group, so a sorted block clashes at d = 0 or not at
+    all; the clash here stops the walk over the blocks after the first
+    two orbits, each in shift order from its own block, and (4, 7) is
+    never developed."""
+    assert _develop([(0, 2), (5, 7), (4, 6), (4, 7)], 4) == (
+        [(0, 2), (1, 3), (5, 7), (4, 6)], [2, 2, 2], (4, 6))
+
+
+@st.composite
+def code_blocks(draw):
+    """(sorted blocks of codes, period), some of them shifts of an earlier
+    block and some unions of cosets, so clashes and short orbits are
+    common."""
+    rows, period = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    codes = st.lists(st.integers(0, rows * period - 1), min_size=1, max_size=4, unique=True)
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "cosets"] + ["shift"] * bool(blocks)))
+        if kind == "shift":
+            block = _image(draw(st.sampled_from(blocks)), draw(st.integers(0, period)), period)
+        elif kind == "cosets":
+            step = draw(st.sampled_from([s for s in range(1, period + 1) if period % s == 0]))
+            block = tuple(sorted({e - e % period + (e % period + m * step) % period
+                                  for e in draw(codes) for m in range(period // step)}))
+        else:
+            block = tuple(sorted(draw(codes)))
+        blocks.append(block)
+    return blocks, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_blocks())
+def test_develop_matches_the_walk_over_orbit_stabilizers(case):
+    blocks, period = case
+    images, stabs, clash = _develop(blocks, period)
+    assert (images, stabs, clash) == ref_develop_codes(blocks, period)
+    assert stabs == [_orbit(b, period)[1] for b in blocks[:len(stabs)]]
+    walked = [_image(b, d, period) for b, s in zip(blocks, stabs) for d in range(period // s)]
+    assert images == walked[:len(images)]
+    assert (clash is None) == (len(stabs) == len(blocks) and images == walked)
