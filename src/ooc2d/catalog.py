@@ -3,7 +3,7 @@
 catalog.json stores each entry as a design document in its original
 integer labels plus a declared relabeling rule.  The loader applies the
 rule, decodes the result with files.design_from_dict, the same decoder
-that reads design files, and verifies it in full with files.verdict
+that reads design files, and passes it through the gate files.require
 before handing it out, so a transcription error cannot propagate
 silently.  The report is computed once and kept beside the payload's
 codes, so a construction that checks a catalog payload again gets it
@@ -19,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .designs import CYCLIC, REGULAR, FanDesign
-from .files import SCHEMA_VERSION, block_count, design_from_dict, verdict
+from .files import SCHEMA_VERSION, block_count, design_from_dict, require
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,7 @@ def _verify_payload(entry_id: str, payload, action: dict) -> None:
     if isinstance(payload, FanDesign) and action["form"] != payload.shape:
         raise ValueError("catalog %s: declared form %s, but the payload uses the %s shape"
                          % (entry_id, action["form"], payload.shape))
-    detail = verdict(payload, action.get("strict", False))
-    if detail is not None:
-        raise ValueError("catalog %s: %s" % (entry_id, detail))
+    require(payload, "catalog %s" % entry_id, strict=action.get("strict", False))
 
 
 @lru_cache(maxsize=None)

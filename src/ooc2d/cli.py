@@ -19,7 +19,7 @@ from .bounds import bound_report
 from .catalog import catalog_get, catalog_ids
 from .core import Code, CyclicPacking
 from .designs import FanDesign, HDesign, RoSQSDesign
-from .files import block_count, design_header, design_json, save_design, verdict
+from .files import block_count, design_header, design_json, require, save_design, verdict
 from .packing import is_perfect, verify_packing
 from .pipelines import UsageError, as_kind, construct, load_source
 from .search import check_parameters, max_packing
@@ -131,9 +131,8 @@ def cmd_convert(args) -> int:
         obj = as_kind(obj, Code, "convert --to matrix needs a packing or code")
     else:
         obj = as_kind(obj, CyclicPacking, "convert --to blocks needs a code or packing")
-    detail = verdict(obj)
-    if detail is not None:  # main prints it as FAIL and exits 1; nothing is written
-        raise ValueError("%s as %s fails its check: %s" % (args.src, args.to, detail))
+    # a refusal is printed by main as FAIL with exit 1, and nothing is written
+    require(obj, "%s as %s fails its check" % (args.src, args.to), strict=False)
     _emit(obj, args.out, True)
     return 0
 

@@ -1,16 +1,18 @@
 """Recursive constructions.
 
-Every operation verifies its inputs, builds the output, and returns
-(output, trace) through _finish, which verifies the output.  Each
-verification asks files.verdict, the one verifier of every design
-kind, so a failure reads "<label>: <detail>" with the detail the
-command line prints.  A report is computed once per object and kept
-beside its codes, so an input the catalog or an earlier step has
-checked is not developed again; a file that is read back is a new
-object and is checked from scratch.  The trace records labelled block
-count contributions that must sum to the output's base block count.
-_finish counts the output itself (files.block_count) and raises
-AssertionError on a mismatch.  The constructions compute on the
+Every operation passes each input through the gate files.require once,
+before its other preconditions, builds the output, and returns
+(output, trace) through _finish, which passes the output through the
+same gate.  The gate refuses the wrong kind with "<label> is a <Type>,
+not <a kind>" and a failing verdict with "<label>: <detail>", the
+detail the command line prints, so an input that fails both its verdict
+and a precondition is refused for its verdict.  A report is computed
+once per object and kept beside its codes, so an input the catalog or
+an earlier step has checked is not developed again; a file that is read
+back is a new object and is checked from scratch.  The trace records
+labelled block count contributions that must sum to the output's base
+block count.  _finish counts the output itself (files.block_count) and
+raises AssertionError on a mismatch.  The constructions compute on the
 kernel codes of core: a design's blocks are read as the codes its
 constructor checked and kept, core._packing takes grid codes, design
 blocks are decoded last, and only _glue writes Points.
@@ -24,7 +26,7 @@ from itertools import accumulate, combinations
 from .core import Code, CyclicPacking, Point, _cells_matrix, _grid_block, _image, _orbit, _packing
 from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign,
                       _fan_development, _fibre_points)
-from .files import block_count, verdict
+from .files import block_count, require
 from .packing import is_perfect
 
 
@@ -37,7 +39,7 @@ class ConstructionTrace:
 def _finish(name: str, inputs, steps, output):
     """Verify the output of construction name, check its trace, and
     return both."""
-    _require_valid(output, "%s output" % name)
+    require(output, "%s output" % name)
     total, count = sum(delta for _, delta in steps), block_count(output)
     if total != count:
         raise AssertionError("trace steps sum to %d, output has %d" % (total, count))
@@ -47,23 +49,6 @@ def _finish(name: str, inputs, steps, output):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-# what each kind is called when an input of another kind is refused
-_KIND_NAMES = {CyclicPacking: "a packing", Code: "a code", FanDesign: "a fan design",
-               HDesign: "an H design", RoSQSDesign: "a rotational system"}
-
-
-def _require_kind(obj, label: str, kind: type) -> None:
-    """Refuse obj unless it is a kind; called before any attribute is read."""
-    _require(isinstance(obj, kind),
-             "%s is a %s, not %s" % (label, type(obj).__name__, _KIND_NAMES[kind]))
-
-
-def _require_valid(obj, label: str, strict: bool = True) -> None:
-    detail = verdict(obj, strict)
-    if detail is not None:
-        raise ValueError("%s: %s" % (label, detail))
 
 
 def _is_prime(n: int) -> bool:
@@ -91,8 +76,7 @@ def hartman(r: RoSQSDesign, input_label: str = "rotational quadruple system"):
     row 1 spaced by the pair difference.  Finally everything is
     mirrored through (i, x) -> (1 - i, -x).
     """
-    _require_kind(r, "hartman input", RoSQSDesign)
-    _require_valid(r, "hartman input")
+    require(r, "hartman input", RoSQSDesign)
     p = r.n - 1
     _require(_is_prime(p) and p % 6 == 1, "need n - 1 = %d to be a prime 1 mod 6" % p)
 
@@ -140,18 +124,16 @@ def filling_1(master: FanDesign, fillers: dict, input_labels=None):
     fillers maps fibre size to the packing used for every group of
     that size.  A missing filler is only allowed when the group is too
     small to hold any block."""
-    _require_kind(master, "filling_1 master", FanDesign)
+    require(master, "filling_1 master", FanDesign)
     _require(master.shape == CYCLIC, "filling_1 master must use the cyclic shape")
     _require(master.s == 0, "filling_1 master must have no layers")
-    _require_valid(master, "filling_1 master")
     k = 4
     for g, filler in fillers.items():
-        _require_kind(filler, "filling_1 filler for fibre %d" % g, CyclicPacking)
+        require(filler, "filling_1 filler for fibre %d" % g, CyclicPacking)
         _require((filler.u, filler.v) == (g, master.h),
                  "filler for fibre %d must live on %dx%d, got %dx%d"
                  % (g, g, master.h, filler.u, filler.v))
         _require((filler.k, filler.t) == (k, 3), "filler must have k=4, t=3")
-        _require_valid(filler, "filling_1 filler for fibre %d" % g)
     for g in set(master.g_list):
         if g not in fillers:
             _require(g * master.h < k,
@@ -175,17 +157,15 @@ def filling_2(master: FanDesign, filler: CyclicPacking, input_labels=None):
     with one strictly h-cyclic packing, dilated into the subgroup of
     index v / h.  The full orbit of each dilated block sweeps the
     filler through every column class."""
-    _require_kind(master, "filling_2 master", FanDesign)
+    require(master, "filling_2 master", FanDesign)
     _require(master.shape == REGULAR, "filling_2 master must use the regular shape")
     _require(master.s == 0, "filling_2 master must have no layers")
     _require(master.u * master.h >= 4, "group size %d is too small" % (master.u * master.h))
-    _require_valid(master, "filling_2 master")
-    _require_kind(filler, "filling_2 filler", CyclicPacking)
+    require(filler, "filling_2 filler", CyclicPacking)
     _require((filler.u, filler.v) == (master.u, master.h),
              "filler must live on %dx%d, got %dx%d"
              % (master.u, master.h, filler.u, filler.v))
     _require((filler.k, filler.t) == (4, 3), "filler must have k=4, t=3")
-    _require_valid(filler, "filling_2 filler")
 
     step, h, v = master.v // master.h, master.h, master.v
     # a regular fan's code row * v + col is its grid code
@@ -206,11 +186,10 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict, t: i
     for size in sorted(layer_sizes):
         _require(size in layer_fans, "no ingredient fan for layer blocks of size %d" % size)
         fan = layer_fans[size]
-        _require_kind(fan, "ingredient for layer blocks of size %d" % size, FanDesign)
+        require(fan, "ingredient for layer blocks of size %d" % size, FanDesign)
         _require(fan.shape == CYCLIC, "ingredient fans must use the cyclic shape")
         _require(len(fan.g_list) == size and len(set(fan.g_list)) == 1,
                  "ingredient fan for size %d must have %d equal groups" % (size, size))
-        _require_valid(fan, "ingredient fan for size %d" % size)
         sig = (fan.g_list[0], fan.h, fan.s)
         _require(shape is None or sig == shape,
                  "ingredient fans disagree on (g2, h2, s): %r vs %r" % (sig, shape))
@@ -218,10 +197,9 @@ def _check_weighting_ingredients(sizes, layer_fans: dict, terminal_h: dict, t: i
     for size in sorted(terminal_sizes):
         _require(size in terminal_h, "no ingredient H design for size %d" % size)
         hd = terminal_h[size]
-        _require_kind(hd, "H ingredient for size %d" % size, HDesign)
+        require(hd, "H ingredient for size %d" % size, HDesign)
         _require(hd.n == size and hd.t == t,
                  "H ingredient for size %d has n=%d, t=%d" % (size, hd.n, hd.t))
-        _require_valid(hd, "H ingredient for size %d" % size)
         shape = shape or (hd.l, hd.h, 0)
         _require((hd.l, hd.h) == shape[:2], "H ingredient (g2, h2) %r disagrees with %r"
                  % ((hd.l, hd.h), shape[:2]))
@@ -245,7 +223,7 @@ def _weighting(name: str, shape: str, master: FanDesign, layer_fans: dict, termi
                input_labels):
     """weighting_1 and weighting_2: the shape fixes the master's
     (g1, h1), the column step of the glue and the output universe."""
-    _require_kind(master, "%s master" % name, FanDesign)
+    require(master, "%s master" % name, FanDesign)
     _require(master.shape == shape, "%s master must use the %s shape" % (name, shape))
     _require(master.s == 1, "%s master must have exactly one layer" % name)
     if shape == CYCLIC:
@@ -253,7 +231,6 @@ def _weighting(name: str, shape: str, master: FanDesign, layer_fans: dict, termi
         g1, step, n = master.g_list[0], master.h, len(master.g_list)
     else:
         g1, step, n = master.u, master.v, master.v // master.h
-    _require_valid(master, "%s master" % name)
     h1 = master.h
 
     layer_sizes = {len(b) for b in master.layers[0]}
@@ -299,8 +276,7 @@ def weighting_2(master: FanDesign, layer_fans: dict, terminal_h: dict, input_lab
 def weighting_3(master: HDesign, ingredients: dict, input_labels=None):
     """Inflate every point of an h1-cyclic H design by g2 x h2 points,
     replacing each block by an h2-cyclic H design on its point set."""
-    _require_kind(master, "weighting_3 master", HDesign)
-    _require_valid(master, "weighting_3 master")
+    require(master, "weighting_3 master", HDesign)
     g1, h1 = master.l, master.h
     g2, h2, _ = _check_weighting_ingredients(((), {len(b) for b in master.base_blocks}),
                                              {}, ingredients, master.t)
@@ -333,9 +309,8 @@ def as_semicyclic(d: HDesign):
     """Reread a plain H design whose groups are I_l as one with
     cyclic groups Z_l, then present it by base blocks under that
     action.  Fails if any block orbit is short."""
-    _require_kind(d, "as_semicyclic input", HDesign)
+    require(d, "as_semicyclic input", HDesign)
     _require(d.h == 1, "input must be a plain H design")
-    _require_valid(d, "as_semicyclic input")
     # the plain code x * l + y of (x, y, 0) is the code of (x, 0, y) under Z_l
     reps = _orbit_representatives(d._codes[0], (1,) * d.n, d.l, "")
     out = HDesign(n=d.n, l=1, h=d.l, t=d.t, base_blocks=reps)
@@ -347,9 +322,8 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     """Trade period for rows: each codeword yields v1 translated
     copies read on the (u * v1) x (v / v1) grid, sending (i, x) to
     (i + u * (x mod v1), x div v1)."""
-    _require_kind(code, "fold input", Code)
+    require(code, "fold input", Code)
     _require(v1 >= 1 and code.v % v1 == 0, "v1 must divide v")
-    _require_valid(code, "fold input")
     u, v = code.u, code.v
     u2, v2 = u * v1, v // v1
 
@@ -367,11 +341,10 @@ def fold(code: Code, v1: int, input_label: str = "code"):
 def semicyclic_to_vcyclic(d: FanDesign):
     """Reread a two-group fan design over Z_{2v}, v odd, as one over
     I_2 x Z_v, re-extracting base blocks under the smaller action."""
-    _require_kind(d, "semicyclic_to_vcyclic input", FanDesign)
+    require(d, "semicyclic_to_vcyclic input", FanDesign, strict=False)
     _require(d.shape == CYCLIC and d.s == 0, "input must be a 0-layer cyclic fan")
     _require(tuple(d.g_list) == (1, 1), "input must have two fibres of size 1")
     _require(d.h % 2 == 0 and (d.h // 2) % 2 == 1, "period must be 2v with v odd")
-    _require_valid(d, "semicyclic_to_vcyclic input", strict=False)
     v = d.h // 2
 
     # the check above developed the terminal family: (x, 0, i), code
@@ -390,10 +363,9 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     h1-cyclic one for any divisor h1 of its h.  Columns split as
     j = i + (a + b * (h / h1)) * (v / h); the point moves to group i,
     fibre row + u * a, cyclic coordinate b."""
-    _require_kind(d, "regular_to_h1cyclic input", FanDesign)
+    require(d, "regular_to_h1cyclic input", FanDesign)
     _require(d.shape == REGULAR, "input must use the regular shape")
     _require(h1 >= 1 and d.h % h1 == 0, "h1 must divide h")
-    _require_valid(d, "regular_to_h1cyclic input")
     step = d.v // d.h
     ratio = d.h // h1
 
@@ -415,9 +387,8 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
 def add_cross_pairs_layer(d: FanDesign):
     """Turn a 0-layer regular fan design into a 1-layer one by adding
     the orbit representatives of all cross-group point pairs."""
-    _require_kind(d, "add_cross_pairs_layer input", FanDesign)
+    require(d, "add_cross_pairs_layer input", FanDesign)
     _require(d.shape == REGULAR and d.s == 0, "input must be a 0-layer regular fan")
-    _require_valid(d, "add_cross_pairs_layer input")
     step = d.v // d.h  # divides v, so a code's column class is its class modulo step
     layer = tuple([_grid_block(pq, d.v) for pq in sorted(
         {_orbit(pq, d.v)[0] for pq in combinations(range(d.u * d.v), 2)
@@ -434,7 +405,7 @@ def perfect_to_regular_1fg(p: CyclicPacking):
     regular one-layer fan design with singleton column groups: the
     packing blocks are the terminal class and the cross-column pair
     orbits form the layer."""
-    _require_kind(p, "perfect_to_regular_1fg input", CyclicPacking)
+    require(p, "perfect_to_regular_1fg input", CyclicPacking)
     _require(p.u == 2 and (p.k, p.t) == (4, 3), "input must be a 2 x v packing with k=4")
     _require(p.v % 6 in (1, 5), "need v = 1 or 5 mod 6, got %d" % p.v)
     _require(is_perfect(p), "input packing must be perfect")

@@ -1,4 +1,5 @@
-"""JSON design files, and the one verdict on every design kind.
+"""JSON design files, the one verdict on every design kind, and the
+one gate on every object the package takes in or hands out.
 
 One self-describing format for every object kind so constructions can
 be chained through the command line.  One reader, one writer, one
@@ -14,7 +15,12 @@ verdict asks the verifier of obj's kind, which computes its report once
 per object and keeps it beside the object's codes, so the catalog, the
 constructions and the command line may all ask for one object's
 verdict.  The reader always builds a new object, so a file that is
-read back is checked from scratch.
+read back is checked from scratch.  require is the gate: it refuses an
+object of the wrong kind before reading any attribute, then an object
+whose verdict fails, each with a ValueError that starts with the
+caller's label.  Every construction input and output, every catalog
+payload, every search witness and every conversion passes it; only the
+verify command asks verdict directly, to report rather than refuse.
 
 The writer, design_json, gives one line of canonical JSON: sorted keys,
 no whitespace.  A code's codewords span is written from its cells on
@@ -141,6 +147,22 @@ def verdict(obj, strict: bool = False) -> str | None:
     else:
         raise ValueError("cannot verify %r" % (type(obj).__name__,))
     return None if report.ok else report.detail
+
+
+# what each kind is called when an object of another kind is refused
+_KIND_NAMES = {CyclicPacking: "a packing", Code: "a code", FanDesign: "a fan design",
+               HDesign: "an H design", RoSQSDesign: "a rotational system"}
+
+
+def require(obj, label: str, kind: type = object, strict: bool = True) -> None:
+    """Refuse obj unless it is a kind, checked before any attribute is
+    read, and passes verdict(obj, strict); a refusal is a ValueError
+    naming label."""
+    if not isinstance(obj, kind):
+        raise ValueError("%s is a %s, not %s" % (label, type(obj).__name__, _KIND_NAMES[kind]))
+    detail = verdict(obj, strict)
+    if detail is not None:
+        raise ValueError("%s: %s" % (label, detail))
 
 
 def _field(doc: dict, name: str, decode, default=None):

@@ -124,7 +124,7 @@ from operator import or_
 from .bounds import johnson_bound, jstar
 from .core import (CyclicPacking, _check_grid, _check_ints, _check_t, _develop, _image, _orbit,
                    _packing)
-from .files import verdict
+from .files import require
 
 
 @dataclass(frozen=True)
@@ -399,8 +399,8 @@ def max_packing(u: int, v: int, k: int, t: int,
     at: jstar(u, v) for (k, t) = (4, 3), else johnson_bound(u, v, k,
     t - 1) for t >= 2 and u // k for t = 1.  proof is "bound" when the
     witness meets it, "exhausted" when the tree search finished, else
-    None.  The witness passes files.verdict with strict, or ValueError
-    is raised."""
+    None.  The witness passes the gate files.require, strict, or
+    ValueError is raised."""
     check_parameters(u, v, k, t, node_budget)
     orbit_of, members = _subset_orbits(u * v, v, t)
     # developed blocks share at most t - 1 points, and a full orbit of a
@@ -414,14 +414,12 @@ def max_packing(u: int, v: int, k: int, t: int,
         rng = random.Random(20210 + 31 * u + v)
         incumbent = _ruin_recreate(orbits, cap, heuristic_iterations, rng)
     reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
-    if not incumbent or len(incumbent) < cap:
+    if len(incumbent) < cap:
         reps, nodes, exhausted = _branch_and_bound(
             u, v, k, t, orbits, orbit_of, members, incumbent, cap, node_budget)
 
     witness = _packing(u, v, k, t, reps)
-    detail = verdict(witness, strict=True)
-    if detail is not None:
-        raise ValueError("search witness: " + detail)
+    require(witness, "search witness")
 
     proof = "bound" if len(reps) >= cap else None if exhausted else "exhausted"
     return SearchResult(

@@ -12,7 +12,7 @@ from ooc2d.constructs import (add_cross_pairs_layer, as_semicyclic,
                               perfect_to_regular_1fg, regular_to_h1cyclic,
                               semicyclic_to_vcyclic, trivial_packing, weighting_1,
                               weighting_2, weighting_3)
-from ooc2d.core import Point, as_block, canonicalize
+from ooc2d.core import Point, as_block, canonicalize, make_packing
 from ooc2d.correlation import packing_to_code, verify_ooc
 from ooc2d.designs import (CYCLIC, FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_cyclic,
                            verify_h_design)
@@ -111,9 +111,43 @@ def test_weighting_master_messages(op, entry, message):
 
 
 def test_weighting_1_unequal_fibres():
-    master = FanDesign(s=1, shape=CYCLIC, h=1, layers=((),), terminal=(), g_list=(1, 2))
+    a, b, c = (0, 0, 0), (1, 0, 0), (1, 1, 0)
+    master = FanDesign(s=1, shape=CYCLIC, h=1, layers=(((a, b), (a, c)),),
+                       terminal=((a, b, c),), g_list=(1, 2))
     with pytest.raises(ValueError, match="^master groups must share one fibre size$"):
         weighting_1(master, {}, {})
+
+
+def _unequal_empty_master():
+    return weighting_1(FanDesign(s=1, shape=CYCLIC, h=1, layers=((),), terminal=(),
+                                 g_list=(1, 2)), {}, {})
+
+
+def _empty_layer_ingredient():
+    empty = FanDesign(s=0, shape=CYCLIC, h=1, layers=(), terminal=(), g_list=(2, 2))
+    return weighting_1(complete_pair_fan(4)[0], {2: empty}, {})
+
+
+def _double_covered_perfect_input():
+    return perfect_to_regular_1fg(make_packing(2, 7, 4, 3, [
+        [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (0, 1), (1, 0), (1, 2)]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    # unequal fibres break a precondition and the missing blocks break
+    # the verdict: the gate runs first, so the verdict is reported
+    (_unequal_empty_master,
+     "weighting_1 master: triple ((0, 0, 0), (1, 0, 0), (1, 1, 0)) covered 0 times, expected 1"),
+    (_empty_layer_ingredient,
+     "ingredient for layer blocks of size 2: triple ((0, 0, 0), (0, 1, 0), (1, 0, 0))"
+     " covered 0 times, expected 1"),
+    (_double_covered_perfect_input,
+     "perfect_to_regular_1fg input: covered twice: ((Point(row=0, col=0), Point(row=0, col=1),"
+     " Point(row=1, col=0)), 2)"),
+])
+def test_construction_input_is_refused_for_its_verdict(build, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("op, args, message", [

@@ -206,6 +206,37 @@ def test_admissible_0fg_keeps_its_answers():
                                                                  True, True]
 
 
+@pytest.mark.parametrize("n, l, h", [(2, 1, 1), (4, 0, 1), (4, 1, 0)])
+def test_h_design_refuses_bad_parameters(n, l, h):
+    """n below t, or an empty group or period"""
+    with pytest.raises(ValueError, match="^bad H design parameters$"):
+        HDesign(n=n, l=l, h=h, t=3, base_blocks=())
+
+
+def test_rosqs_refuses_fewer_than_4_points():
+    with pytest.raises(ValueError, match="^need at least 4 points$"):
+        RoSQSDesign(3, ())
+
+
+@pytest.mark.parametrize("predicate, args", [
+    (admissible_0fg, (0, 3)), (exists_0fg_quad, (1, 2)), (exists_h_design, (1, 2))])
+def test_existence_predicates_refuse_small_grids(predicate, args):
+    with pytest.raises(ValueError, match="^need g >= 1 and n >= 3$"):
+        predicate(*args)
+
+
+def test_admissible_0fg_second_divisibility_test():
+    # both pass the first test, g^2 n (n-1) (gn+g-3) = 0 mod 24, and fail
+    # the second, g (n-1) (gn+g-3) = 0 mod 6
+    assert not admissible_0fg(1, 6)
+    assert not admissible_0fg(2, 3)
+
+
+def test_existence_implies_admissibility():
+    found = [(g, n) for g in range(1, 31) for n in range(3, 31) if exists_0fg_quad(g, n)]
+    assert found and all(admissible_0fg(g, n) for g, n in found)
+
+
 def test_h_design_existence_predicate():
     assert exists_h_design(4, 4)
     assert exists_h_design(4, 1)

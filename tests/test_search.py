@@ -131,6 +131,19 @@ def test_proof_reasons():
     assert not result.proved_optimal
 
 
+@pytest.mark.parametrize("u, v, k, t", [(1, 5, 5, 5), (2, 2, 4, 4), (2, 2, 4, 3)])
+def test_zero_bound_walks_no_tree(u, v, k, t, monkeypatch):
+    """the empty incumbent already meets a cap of 0, so no node is walked"""
+    def walk(*args):
+        raise AssertionError("the tree ran with a cap of 0")
+
+    monkeypatch.setattr(search, "_branch_and_bound", walk)
+    for iterations in (0, 30_000):
+        result = max_packing(u, v, k, t, heuristic_iterations=iterations)
+        assert (result.upper_bound, result.max_blocks, result.nodes_explored) == (0, 0, 0)
+        assert (result.proof, result.budget_exhausted) == ("bound", False)
+
+
 def test_witness_failures_read_as_verdict(monkeypatch):
     """a witness that fails its check raises verdict's strict detail"""
     def overlapping(orbits, cap, iterations, rng):
