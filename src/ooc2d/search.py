@@ -102,14 +102,25 @@ at one cap (max_packing), which proves a witness that meets it; for
 t = 1 that cap, u // k, is the root's slots // k.
 
 The tree is walked from one stack of pending children, so its depth
-is not limited by Python's recursion limit.  Expanding a node pushes
-its leave child, then each orbit that still fits, last first: children
-pop in branching order, each subtree done before the next sibling
-pops.  A cover child carries its blocks as a parent-linked tuple,
-unwound only when a leaf beats the incumbent.  The leave child pops
-after all its siblings' subtrees, and its bound check runs then, so
-it sees the same incumbent as a walk that decides the leave after
-the last cover; a leave that fails the check is not a node.
+is not limited by Python's recursion limit.  Each frame also carries
+fit, the bitset over orbit indices of the candidate orbits that share
+no t-subset orbit with used.  The heuristic's builder gives both
+tables it narrows by: an orbit's conflicts, and each t-subset orbit's
+holders, the orbits that cover it.  A cover child by orbit o keeps
+fit & ~conflicts[o], the leave child fit & ~holders[target].  So
+expanding a node reads its options as fit & holders[target] and walks
+only those set bits, never an orbit already blocked; it pushes them
+last first by their rank in the branching order: children pop in
+branching order, each subtree done before the next sibling pops.  A
+cover child carries its blocks as a parent-linked tuple, unwound only
+when a leaf beats the incumbent.  The leave child's fall is counted
+when its parent is expanded, and a leave that fails the bound then is
+not pushed: the incumbent only grows, so it would fail when it popped.
+A pushed leave pops after all its siblings' subtrees and its bound
+check runs again then, so it sees the same incumbent as a walk that
+decides the leave after the last cover; a leave that fails the check
+is not a node.  A leave that is its parent's only child, since no
+orbit fits, is walked in place, without a push and a pop.
 """
 
 from __future__ import annotations
@@ -180,10 +191,11 @@ def _build_orbits(u: int, v: int, k: int, t: int, orbit_of: dict, members: list)
     return orbits
 
 
-def _conflicts(orbits: list) -> list:
-    """Per orbit, the int bitset over orbit indices whose bit j is set
-    when orbit j's mask shares a t-subset orbit with its own; its own
-    bit is set too."""
+def _conflicts(orbits: list) -> tuple:
+    """(conflicts, holders): per orbit, the int bitset over orbit
+    indices whose bit j is set when orbit j's mask shares a t-subset
+    orbit with its own, its own bit included; and per t-subset orbit
+    number that some orbit covers, the bitset of the orbits covering it."""
     holders: dict = {}  # t-subset orbit number -> bitset of the orbits covering it
     positions = []
     for i, (_, mask) in enumerate(orbits):
@@ -195,14 +207,14 @@ def _conflicts(orbits: list) -> list:
             holders[j] = holders.get(j, 0) | 1 << i
             mine.append(j)
         positions.append(mine)
-    return [reduce(or_, map(holders.__getitem__, mine), 0) for mine in positions]
+    return [reduce(or_, map(holders.__getitem__, mine), 0) for mine in positions], holders
 
 
 def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> list:
     """Grow a packing greedily, then repeatedly drop 2 to 6 random
     blocks and regrow, keeping the best.  Stops early at cap.  Blocks
     are orbit indices and the draws those of the module docstring."""
-    conflicts = _conflicts(orbits)
+    conflicts = _conflicts(orbits)[0]
     everything = (1 << len(orbits)) - 1
     getrandbits = rng.getrandbits
     width_of = [n.bit_length() for n in range(len(orbits) + 1)]
@@ -315,7 +327,13 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: di
     n = u * v
     pair_total, per_pair, per_block, root = _pair_level(n, k, t)
     full = (1 << len(members)) - 1
-    options_of = _candidates(v, t, orbits, orbit_of, members)
+    conflicts, holders = _conflicts(orbits)
+    index_of = {rep: i for i, (rep, _) in enumerate(orbits)}
+    # per t-subset orbit, the orbits that cover it, as a bitset over
+    # orbit indices and as each one's rank in the branching order
+    holders_of = [holders.get(j, 0) for j in range(len(members))]
+    rank_of = [{index_of[rep]: r for r, (_, rep) in enumerate(options)}
+               for options in _candidates(v, t, orbits, orbit_of, members)]
     leave_of = _leave_orbits(n, v, t, per_pair, members)
     width = u * n  # the bits of one class of the residue ring
     span = per_pair * width
@@ -326,52 +344,74 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: di
     best = len(incumbent)
     best_blocks = [rep for rep, _ in incumbent]
     nodes = 0
-    # pending children (depth, used, slots, residues, ring, chosen, leave),
-    # where used = covered | forbidden, slots, the per-row residues
-    # S_i mod per_block and the residue ring are those of the module
-    # docstring, chosen is the parent-linked tuple (rep, chosen) of the
-    # blocks on the way down and leave is the leave entry a leave child
-    # still has to write off; at the root each row has S_i = root and
-    # each pair g_q = pair_total
-    stack: list = [(0, 0, u * (root // per_block), [root % per_block] * u,
-                    tracked << pair_total % per_pair * width, None, None)]
+    # pending children (depth, used, fit, slots, residues, ring, chosen,
+    # leave), where used = covered | forbidden, fit is the bitset of the
+    # orbits that share no t-subset orbit with used, slots, the per-row
+    # residues S_i mod per_block and the residue ring are those of the
+    # module docstring, chosen is the parent-linked tuple (rep, chosen)
+    # of the blocks on the way down and leave marks a leave child, whose
+    # bound is checked again when it pops; at the root each row has
+    # S_i = root and each pair g_q = pair_total
+    stack: list = [(0, 0, (1 << len(orbits)) - 1, u * (root // per_block),
+                    [root % per_block] * u, tracked << pair_total % per_pair * width, None,
+                    False)]
     while stack:
-        depth, used, slots, residues, ring, chosen, leave = stack.pop()
-        if leave is not None:
-            orbit, falls, turns = leave
-            residues = residues[:]  # the parent's list is shared by its cover children
-            for row, fixed, below in falls:
-                left = residues[row] - fixed - (ring & below).bit_count()
-                slots += left // per_block
-                residues[row] = left % per_block
+        depth, used, fit, slots, residues, ring, chosen, leave = stack.pop()
+        if leave and depth + slots // k <= best:
+            continue
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                return best_blocks, nodes, True
+            free = full ^ used
+            if not free:
+                if depth > best:
+                    best, best_blocks = depth, []
+                    while chosen is not None:
+                        rep, chosen = chosen
+                        best_blocks.append(rep)
+                    best_blocks.reverse()
+                    if cap is not None and best >= cap:
+                        return best_blocks, nodes, False
+                break
+            if cap is not None and best >= cap:
+                return best_blocks, nodes, False
             if depth + slots // k <= best:
-                continue
-            for keep, shift in turns:  # class c -> (c - r) mod per_pair
-                moved = ring & keep
-                ring ^= moved ^ ((moved << span | moved) >> shift & everything)
-            used |= orbit
-        nodes += 1
-        if nodes > node_budget:
-            return best_blocks, nodes, True
-        free = full ^ used
-        if not free:
-            if depth > best:
-                best, best_blocks = depth, []
-                while chosen is not None:
-                    rep, chosen = chosen
-                    best_blocks.append(rep)
-                best_blocks.reverse()
-                if cap is not None and best >= cap:
-                    break
-        elif cap is not None and best >= cap:
-            break
-        elif depth + slots // k > best:
+                break
             target = (free & -free).bit_length() - 1
-            stack.append((depth, used, slots, residues, ring, chosen, leave_of[target]))
-            for mask, rep in reversed(options_of[target]):
-                if not mask & used:
-                    stack.append((depth + 1, used | mask, slots - k, residues, ring,
-                                  (rep, chosen), None))
+            fits = fit & holders_of[target]
+            orbit, falls, turns = leave_of[target]
+            left_slots, left_residues, left_ring = slots, residues[:], ring
+            for row, fixed, below in falls:
+                left = left_residues[row] - fixed - (ring & below).bit_count()
+                left_slots += left // per_block
+                left_residues[row] = left % per_block
+            child = None
+            if depth + left_slots // k > best:
+                for keep, shift in turns:  # class c -> (c - r) mod per_pair
+                    moved = left_ring & keep
+                    left_ring ^= moved ^ ((moved << span | moved) >> shift & everything)
+                child = (depth, used | orbit, fit ^ fits, left_slots, left_residues, left_ring,
+                         chosen, True)
+            if not fits:  # the leave is the only child: walk it in place
+                if child is None:
+                    break
+                depth, used, fit, slots, residues, ring, chosen, _ = child
+                continue
+            if child is not None:
+                stack.append(child)
+            picks = []
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                picks.append(low.bit_length() - 1)
+            if len(picks) > 1:
+                picks.sort(key=rank_of[target].__getitem__, reverse=True)
+            for i in picks:
+                rep, mask = orbits[i]
+                stack.append((depth + 1, used | mask, fit & ~conflicts[i], slots - k, residues,
+                              ring, (rep, chosen), False))
+            break
     return best_blocks, nodes, False
 
 
@@ -392,16 +432,19 @@ def max_packing(u: int, v: int, k: int, t: int,
     """The largest strictly cyclic packing of k-subsets of the u x v
     grid that covers no t-subset twice.
 
-    heuristic_iterations bounds the ruin-and-recreate rounds, seeded
-    from (u, v); 0 starts the tree search from no incumbent.  When
-    node_budget tree nodes run out, the best packing found is returned
-    with budget_exhausted set.  upper_bound is the cap both stages stop
-    at: jstar(u, v) for (k, t) = (4, 3), else johnson_bound(u, v, k,
-    t - 1) for t >= 2 and u // k for t = 1.  proof is "bound" when the
-    witness meets it, "exhausted" when the tree search finished, else
-    None.  The witness passes the gate files.require, strict, or
-    ValueError is raised."""
+    heuristic_iterations, an int >= 0, bounds the ruin-and-recreate
+    rounds, seeded from (u, v); 0 starts the tree search from no
+    incumbent.  When node_budget tree nodes run out, the best packing
+    found is returned with budget_exhausted set.  upper_bound is the cap
+    both stages stop at: jstar(u, v) for (k, t) = (4, 3), else
+    johnson_bound(u, v, k, t - 1) for t >= 2 and u // k for t = 1.
+    proof is "bound" when the witness meets it, "exhausted" when the
+    tree search finished, else None.  The witness passes the gate
+    files.require, strict, or ValueError is raised."""
     check_parameters(u, v, k, t, node_budget)
+    _check_ints(heuristic_iterations=heuristic_iterations)
+    if heuristic_iterations < 0:
+        raise ValueError("heuristic iterations must not be negative")
     orbit_of, members = _subset_orbits(u * v, v, t)
     # developed blocks share at most t - 1 points, and a full orbit of a
     # 1-packing fills k rows.  The heuristic keeps strict improvements
@@ -410,7 +453,7 @@ def max_packing(u: int, v: int, k: int, t: int,
            else u // k)
     orbits = _build_orbits(u, v, k, t, orbit_of, members)
     incumbent: list = []
-    if heuristic_iterations > 0 and orbits and cap != 0:
+    if heuristic_iterations and orbits and cap != 0:
         rng = random.Random(20210 + 31 * u + v)
         incumbent = _ruin_recreate(orbits, cap, heuristic_iterations, rng)
     reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False

@@ -42,6 +42,9 @@ SQUARE = [[(0, 0), (0, 1), (1, 0), (1, 1)]]
     (lambda: jstar(2.5, 3), "u", 2.5),
     (lambda: bound_report(2, 3.5, 4, 2), "v", 3.5),
     (lambda: max_packing(2, 3, 4, 3, node_budget=True), "node_budget", True),
+    (lambda: max_packing(2, 3, 4, 3, heuristic_iterations=1.5), "heuristic_iterations", 1.5),
+    (lambda: max_packing(2, 3, 4, 3, heuristic_iterations="10"), "heuristic_iterations", "10"),
+    (lambda: max_packing(2, 3, 4, 3, heuristic_iterations=True), "heuristic_iterations", True),
     (lambda: HDesign(4, 1.5, 1, 3, ()), "l", 1.5),
     (lambda: RoSQSDesign(8.0, ()), "n", 8.0),
     (lambda: FanDesign(s=0, shape=CYCLIC, h=1.0, layers=(), terminal=(), g_list=(2, 2)),
@@ -51,6 +54,7 @@ SQUARE = [[(0, 0), (0, 1), (1, 0), (1, 1)]]
     (lambda: FanDesign(s=0, shape=REGULAR, h=1, layers=(), terminal=(), u=2, v=True),
      "v", True),
 ], ids=["packing u", "packing t", "code lambda", "jstar", "bound_report", "node budget",
+        "heuristic iterations float", "heuristic iterations str", "heuristic iterations bool",
         "hdesign", "rosqs", "fan h", "fan g_list", "fan v"])
 def test_a_parameter_that_is_not_an_int_is_refused(build, name, value):
     """floats and bools are refused where the object is made, with the

@@ -92,7 +92,7 @@ def test_heuristic_witnesses_pinned(u, v, digest):
     (4, 3, 1_986, "41210ef277b459e1"), (9, 1, 13_261, "54493c71be697e66"),
     (2, 7, 52, "4534c107055ba340"), (2, 4, 6, "096db74a5019c7bf"),
     (3, 3, 13, "096affacdee76913"), (3, 4, 8_402, "9b425edfd80e8fb8"),
-    (1, 16, 194, "22555a938b70bcd7"),
+    (1, 16, 194, "22555a938b70bcd7"), (1, 21, 28_837, "f93574c2947a554b"),
 ])
 def test_tree_witnesses_pinned(u, v, nodes, digest):
     result = max_packing(u, v, 4, 3, heuristic_iterations=0)
@@ -117,6 +117,20 @@ def test_five_point_budget_run_pinned():
     assert (result.max_blocks, result.nodes_explored, result.proof) == (10, 51, None)
     assert result.budget_exhausted
     assert _digest(result) == "5c20f576b7375830"
+
+
+def test_long_option_budget_run_pinned():
+    # the 1x21 tree's targets each hold many options, most of them
+    # blocked by the time a node reads them
+    result = max_packing(1, 21, 4, 3, node_budget=10_000, heuristic_iterations=0)
+    assert (result.max_blocks, result.nodes_explored, result.proof) == (14, 10_001, None)
+    assert result.budget_exhausted
+    assert _digest(result) == "1805e086dafe2416"
+
+
+def test_negative_heuristic_iterations_are_refused():
+    with pytest.raises(ValueError, match="^heuristic iterations must not be negative$"):
+        max_packing(2, 3, 4, 3, heuristic_iterations=-1)
 
 
 def test_proof_reasons():
