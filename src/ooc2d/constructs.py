@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
-from .core import Code, CyclicPacking, Point, _cells_matrix, _grid_block, _image, _orbit, _packing
+from .core import (Code, CyclicPacking, Point, _cells_matrix, _check_ints, _grid_block, _image,
+                   _orbit, _packing)
 from .designs import (CYCLIC, INF, REGULAR, FanDesign, HDesign, RoSQSDesign,
                       _fan_development, _fibre_points)
 from .files import block_count, require
@@ -323,6 +324,7 @@ def fold(code: Code, v1: int, input_label: str = "code"):
     copies read on the (u * v1) x (v / v1) grid, sending (i, x) to
     (i + u * (x mod v1), x div v1)."""
     require(code, "fold input", Code)
+    _check_ints(v1=v1)
     _require(v1 >= 1 and code.v % v1 == 0, "v1 must divide v")
     u, v = code.u, code.v
     u2, v2 = u * v1, v // v1
@@ -364,6 +366,7 @@ def regular_to_h1cyclic(d: FanDesign, h1: int):
     j = i + (a + b * (h / h1)) * (v / h); the point moves to group i,
     fibre row + u * a, cyclic coordinate b."""
     require(d, "regular_to_h1cyclic input", FanDesign)
+    _check_ints(h1=h1)
     _require(d.shape == REGULAR, "input must use the regular shape")
     _require(h1 >= 1 and d.h % h1 == 0, "h1 must divide h")
     step = d.v // d.h
@@ -422,6 +425,8 @@ def perfect_to_regular_1fg(p: CyclicPacking):
 def complete_pair_fan(n: int = 4):
     """The trivial one-layer fan design on n singleton groups: all
     pairs form the layer, the whole point set is the terminal block."""
+    _check_ints(n=n)
+    _require(n >= 2, "need n >= 2, got %d" % n)
     pts = [(x, 0, 0) for x in range(n)]
     layer = tuple(tuple(sorted(pq)) for pq in combinations(pts, 2))
     out = FanDesign(s=1, shape=CYCLIC, h=1, layers=(layer,),

@@ -23,8 +23,8 @@ in order to name the first miscounted one.
 
 Every entry point for a block of grid points takes its codes from one
 check, _block_codes: a non-integral or bool coordinate, a repeated
-point and a point out of range for the period get one text wherever
-the block enters, and 1.0 is read as 1.
+point, a period that is not an int and a point out of range for the
+period get one text wherever the block enters, and 1.0 is read as 1.
 
 A u x v codeword matrix is kept as the sorted grid codes i * v + j of
 its ones (CodewordMatrix.cells) and rebuilds its rows only when asked,
@@ -187,17 +187,19 @@ def _kept(verify):
 def _block_codes(points, v: int) -> tuple:
     """Sorted grid codes of a block of (row, col) pairs, the one check of a
     block of grid points.  It refuses, in this order, what as_block
-    refuses, no point, a period below 1, and a point with a row below 0
-    or a column outside 0 .. v - 1, whose code would belong to another
-    point.  Only a refused block or a float such as 1.0 walks its points."""
+    refuses, no point, a period that is not an int or is below 1, and
+    a point with a row below 0 or a column outside 0 .. v - 1, whose
+    code would belong to another point.  Only a refused block or a
+    float such as 1.0 walks its points."""
     points = tuple(points)
     codes = sorted([r * v + c for r, c in points
                     if type(r) is int is type(c) and r >= 0 and 0 <= c < v])
-    if codes and len(codes) == len(points) == len(set(codes)):
+    if codes and len(codes) == len(points) == len(set(codes)) and type(v) is int:
         return tuple(codes)
     block = as_block(points)
     if not block:
         raise ValueError("cannot canonicalize an empty block")
+    _check_ints(v=v)
     if v <= 0:
         raise ValueError("period v must be positive")
     for p in block:
@@ -208,6 +210,7 @@ def _block_codes(points, v: int) -> tuple:
 
 def shift(block: Block, delta: int, v: int) -> Block:
     """Add delta to every column index modulo v and re-sort."""
+    _check_ints(delta=delta)
     return _grid_block(_image(_block_codes(block, v), delta, v), v)
 
 

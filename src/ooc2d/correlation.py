@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (Block, Code, CodewordMatrix, CyclicPacking, _block_codes, _cells_matrix,
-                   _cover_counts, _grid_block, _image, _kept, _packing)
+                   _check_ints, _cover_counts, _grid_block, _image, _kept, _packing)
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ def correlation(a: CodewordMatrix, b: CodewordMatrix, r: int) -> int:
 def block_to_matrix(block: Block, u: int, v: int) -> CodewordMatrix:
     """The u x v matrix whose ones are block's points, refused as
     make_packing refuses a block, or with a point below the grid."""
+    _check_ints(u=u)
     codes = _block_codes(block, v)
     if codes[-1] >= u * v:
         raise ValueError("point %r outside %dx%d grid"

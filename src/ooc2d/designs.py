@@ -167,6 +167,7 @@ def _check_universe(d, families) -> None:
 
 
 def fan_shift(d: FanDesign, block, delta: int = 1):
+    _check_ints(delta=delta)
     return tuple(d._points[e] for e in _image(_encode(d, tuple(sorted(block))), delta, d.period))
 
 
@@ -394,8 +395,10 @@ def _with_inf(cyclic: tuple) -> tuple:
 
 
 def rosqs_shift(block, delta: int, m: int):
-    """block moved by delta under Z_m, INF fixed; refuses a point that is
-    neither INF nor an int in Z_m, and a repeated point."""
+    """block moved by delta under Z_m, INF fixed; refuses a delta or m
+    that is not an int, a point that is neither INF nor an int in Z_m,
+    and a repeated point."""
+    _check_ints(delta=delta, m=m)
     for x in block:
         if type(x) is not int or not (x == INF or 0 <= x < m):
             raise ValueError("block %r has point %r outside the universe of int points"
@@ -425,6 +428,7 @@ def verify_rosqs(d: RoSQSDesign) -> DesignReport:
 
 
 def _check_gn(g: int, n: int) -> None:
+    _check_ints(g=g, n=n)
     if g < 1 or n < 3:
         raise ValueError("need g >= 1 and n >= 3")
 

@@ -19,18 +19,21 @@ they share a t-subset orbit.
 Two stages.  A seeded ruin-and-recreate heuristic (Schrimpf et al.,
 J. Comput. Phys. 159, 2000) first tries to grow a packing to the
 sharpened counting bound; reaching it is already a proof of
-optimality, no tree search needed.  The heuristic refers to an orbit
-by its index in the orbit list and gives each orbit a conflict bitset
-over those indices: bit j is set when orbit j shares a t-subset with
-it, its own bit included.  The orbits still free beside a partial
-packing form the bitset free: all orbits less the OR of its blocks'
-conflicts.  A pick with draw r is the r-th lowest set bit of free.
-Its draws are defined as follows: a draw below n repeats
-rng.getrandbits(n.bit_length()) until the value is below n, and a
-shuffle is Fisher-Yates from the last position down, each swap
-partner such a draw.  These are the draws rng.randrange and
-rng.shuffle make on CPython 3.10 to 3.13, so a seed picks the same
-witness on each of them.
+optimality, no tree search needed.  Both stages refer to an orbit by
+its index in the orbit list and read one conflict table, built once
+per search (_conflicts): each orbit's conflict bitset over those
+indices, whose bit j is set when orbit j shares a t-subset with it,
+its own bit included, and each t-subset orbit's holders, the bitset
+of the orbits that cover it.  Each stage takes and returns orbit
+indices; max_packing maps them to reps once, for the witness.  The
+orbits still free beside a partial packing form the bitset free: all
+orbits less the OR of its blocks' conflicts.  A pick with draw r is
+the r-th lowest set bit of free.  Its draws are defined as follows: a
+draw below n repeats rng.getrandbits(n.bit_length()) until the value
+is below n, and a shuffle is Fisher-Yates from the last position
+down, each swap partner such a draw.  These are the draws
+rng.randrange and rng.shuffle make on CPython 3.10 to 3.13, so a seed
+picks the same witness on each of them.
 
 Otherwise the heuristic's best packing becomes the incumbent for an
 exhaustive branch and bound, Knuth's Algorithm X with the leave as
@@ -104,15 +107,14 @@ t = 1 that cap, u // k, is the root's slots // k.
 The tree is walked from one stack of pending children, so its depth
 is not limited by Python's recursion limit.  Each frame also carries
 fit, the bitset over orbit indices of the candidate orbits that share
-no t-subset orbit with used.  The heuristic's builder gives both
-tables it narrows by: an orbit's conflicts, and each t-subset orbit's
-holders, the orbits that cover it.  A cover child by orbit o keeps
-fit & ~conflicts[o], the leave child fit & ~holders[target].  So
-expanding a node reads its options as fit & holders[target] and walks
-only those set bits, never an orbit already blocked; it pushes them
-last first by their rank in the branching order: children pop in
-branching order, each subtree done before the next sibling pops.  A
-cover child carries its blocks as a parent-linked tuple, unwound only
+no t-subset orbit with used, narrowed by the conflict table the
+heuristic read: a cover child by orbit o keeps fit & ~conflicts[o],
+the leave child fit & ~holders[target].  So expanding a node reads
+its options as fit & holders[target] and walks only those set bits,
+never an orbit already blocked; it pushes them last first by their
+rank in the branching order: children pop in branching order, each
+subtree done before the next sibling pops.  A cover child carries
+its blocks' orbit indices as a parent-linked tuple, unwound only
 when a leaf beats the incumbent.  The leave child's fall is counted
 when its parent is expanded, and a leave that fails the bound then is
 not pushed: the incumbent only grows, so it would fail when it popped.
@@ -191,12 +193,13 @@ def _build_orbits(u: int, v: int, k: int, t: int, orbit_of: dict, members: list)
     return orbits
 
 
-def _conflicts(orbits: list) -> tuple:
-    """(conflicts, holders): per orbit, the int bitset over orbit
-    indices whose bit j is set when orbit j's mask shares a t-subset
-    orbit with its own, its own bit included; and per t-subset orbit
-    number that some orbit covers, the bitset of the orbits covering it."""
-    holders: dict = {}  # t-subset orbit number -> bitset of the orbits covering it
+def _conflicts(orbits: list, count: int) -> tuple:
+    """(conflicts, holders), the one conflict table of a search: per
+    orbit, the int bitset over orbit indices whose bit j is set when
+    orbit j's mask shares a t-subset orbit with its own, its own bit
+    included; and per t-subset orbit number below count, the bitset of
+    the orbits covering it."""
+    holders = [0] * count
     positions = []
     for i, (_, mask) in enumerate(orbits):
         mine = []
@@ -204,20 +207,20 @@ def _conflicts(orbits: list) -> tuple:
             low = mask & -mask
             mask ^= low
             j = low.bit_length() - 1
-            holders[j] = holders.get(j, 0) | 1 << i
+            holders[j] |= 1 << i
             mine.append(j)
         positions.append(mine)
     return [reduce(or_, map(holders.__getitem__, mine), 0) for mine in positions], holders
 
 
-def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> list:
+def _ruin_recreate(conflicts: list, cap, iterations: int, rng: random.Random) -> list:
     """Grow a packing greedily, then repeatedly drop 2 to 6 random
-    blocks and regrow, keeping the best.  Stops early at cap.  Blocks
-    are orbit indices and the draws those of the module docstring."""
-    conflicts = _conflicts(orbits)[0]
-    everything = (1 << len(orbits)) - 1
+    blocks and regrow, keeping the best, the orbit indices it returns.
+    Stops early at cap.  Blocks are orbit indices and the draws those
+    of the module docstring."""
+    everything = (1 << len(conflicts)) - 1
     getrandbits = rng.getrandbits
-    width_of = [n.bit_length() for n in range(len(orbits) + 1)]
+    width_of = [n.bit_length() for n in range(len(conflicts) + 1)]
 
     def grow(blocks: list) -> list:
         blocked = 0
@@ -256,23 +259,22 @@ def _ruin_recreate(orbits: list, cap, iterations: int, rng: random.Random) -> li
         cur = grow(cur[:keep])
         if len(cur) > len(best):
             best = list(cur)
-    return [orbits[i] for i in best]
+    return best
 
 
 def _candidates(v: int, t: int, orbits: list, orbit_of: dict, members: list) -> list:
-    """Per t-subset orbit, the (mask, rep) of every orbit covering its
-    least member, ordered by the other points of the image that holds
-    that member: all images in one list hold it, so they sort as those
-    points do.  A rep's t-subset sub, d shifts past its orbit's least
-    member, puts that member in the rep's image by -d, the only one
-    that holds it, since the orbit repeats no t-subset."""
+    """Per t-subset orbit, {orbit index: rank} of every orbit covering
+    its least member, ranked by the other points of the image that holds
+    that member: all images of one t-subset orbit hold it, so they sort
+    as those points do.  A rep's t-subset sub, d shifts past its orbit's
+    least member, puts that member in the rep's image by -d, the only
+    one that holds it, since the orbit repeats no t-subset."""
     keyed: list = [[] for _ in members]
-    for rep, mask in orbits:
-        entry = (mask, rep)
+    for i, (rep, _) in enumerate(orbits):
         for sub in combinations(rep, t):
             j = orbit_of[sub]
-            keyed[j].append((_image(rep, -members[j].index(sub), v), entry))
-    return [[entry for _, entry in sorted(options)] for options in keyed]
+            keyed[j].append((_image(rep, -members[j].index(sub), v), i))
+    return [{i: r for r, (_, i) in enumerate(sorted(options))} for options in keyed]
 
 
 def _leave_orbits(n: int, v: int, t: int, per_pair: int, members: list) -> list:
@@ -321,19 +323,15 @@ def _pair_level(n: int, k: int, t: int) -> tuple:
 
 
 def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: dict,
-                      members: list, incumbent: list, cap, node_budget: int):
-    """Exhaustive search from the incumbent.  Returns (best reps,
-    nodes visited, whether the node budget ran out)."""
+                      members: list, conflicts: list, holders: list, incumbent: list, cap,
+                      node_budget: int):
+    """Exhaustive search from the incumbent, a list of orbit indices,
+    on the conflict table (conflicts, holders) of _conflicts.  Returns
+    (best orbit indices, nodes visited, whether the node budget ran out)."""
     n = u * v
     pair_total, per_pair, per_block, root = _pair_level(n, k, t)
     full = (1 << len(members)) - 1
-    conflicts, holders = _conflicts(orbits)
-    index_of = {rep: i for i, (rep, _) in enumerate(orbits)}
-    # per t-subset orbit, the orbits that cover it, as a bitset over
-    # orbit indices and as each one's rank in the branching order
-    holders_of = [holders.get(j, 0) for j in range(len(members))]
-    rank_of = [{index_of[rep]: r for r, (_, rep) in enumerate(options)}
-               for options in _candidates(v, t, orbits, orbit_of, members)]
+    rank_of = _candidates(v, t, orbits, orbit_of, members)
     leave_of = _leave_orbits(n, v, t, per_pair, members)
     width = u * n  # the bits of one class of the residue ring
     span = per_pair * width
@@ -341,14 +339,13 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: di
     tracked = 0  # the pairs (p, q) of row i, as bits i * n + q; for t = 1 only q = p
     for i in range(u):
         tracked |= (1 << i * v if t == 1 else (1 << n) - 1 ^ 1 << i * v) << i * n
-    best = len(incumbent)
-    best_blocks = [rep for rep, _ in incumbent]
+    best, best_blocks = len(incumbent), incumbent
     nodes = 0
     # pending children (depth, used, fit, slots, residues, ring, chosen,
     # leave), where used = covered | forbidden, fit is the bitset of the
     # orbits that share no t-subset orbit with used, slots, the per-row
     # residues S_i mod per_block and the residue ring are those of the
-    # module docstring, chosen is the parent-linked tuple (rep, chosen)
+    # module docstring, chosen is the parent-linked tuple (index, chosen)
     # of the blocks on the way down and leave marks a leave child, whose
     # bound is checked again when it pops; at the root each row has
     # S_i = root and each pair g_q = pair_total
@@ -368,8 +365,8 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: di
                 if depth > best:
                     best, best_blocks = depth, []
                     while chosen is not None:
-                        rep, chosen = chosen
-                        best_blocks.append(rep)
+                        i, chosen = chosen
+                        best_blocks.append(i)
                     best_blocks.reverse()
                     if cap is not None and best >= cap:
                         return best_blocks, nodes, False
@@ -379,7 +376,7 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: di
             if depth + slots // k <= best:
                 break
             target = (free & -free).bit_length() - 1
-            fits = fit & holders_of[target]
+            fits = fit & holders[target]
             orbit, falls, turns = leave_of[target]
             left_slots, left_residues, left_ring = slots, residues[:], ring
             for row, fixed, below in falls:
@@ -408,9 +405,8 @@ def _branch_and_bound(u: int, v: int, k: int, t: int, orbits: list, orbit_of: di
             if len(picks) > 1:
                 picks.sort(key=rank_of[target].__getitem__, reverse=True)
             for i in picks:
-                rep, mask = orbits[i]
-                stack.append((depth + 1, used | mask, fit & ~conflicts[i], slots - k, residues,
-                              ring, (rep, chosen), False))
+                stack.append((depth + 1, used | orbits[i][1], fit & ~conflicts[i], slots - k,
+                              residues, ring, (i, chosen), False))
             break
     return best_blocks, nodes, False
 
@@ -452,15 +448,18 @@ def max_packing(u: int, v: int, k: int, t: int,
     cap = (jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1) if t >= 2
            else u // k)
     orbits = _build_orbits(u, v, k, t, orbit_of, members)
-    incumbent: list = []
-    if heuristic_iterations and orbits and cap != 0:
-        rng = random.Random(20210 + 31 * u + v)
-        incumbent = _ruin_recreate(orbits, cap, heuristic_iterations, rng)
-    reps, nodes, exhausted = [rep for rep, _ in incumbent], 0, False
-    if len(incumbent) < cap:
-        reps, nodes, exhausted = _branch_and_bound(
-            u, v, k, t, orbits, orbit_of, members, incumbent, cap, node_budget)
+    best, nodes, exhausted = [], 0, False
+    if cap:  # both stages stop at once at a cap of 0
+        conflicts, holders = _conflicts(orbits, len(members))
+        if heuristic_iterations and orbits:
+            rng = random.Random(20210 + 31 * u + v)
+            best = _ruin_recreate(conflicts, cap, heuristic_iterations, rng)
+        if len(best) < cap:
+            best, nodes, exhausted = _branch_and_bound(
+                u, v, k, t, orbits, orbit_of, members, conflicts, holders, best, cap,
+                node_budget)
 
+    reps = [orbits[i][0] for i in best]
     witness = _packing(u, v, k, t, reps)
     require(witness, "search witness")
 

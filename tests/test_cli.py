@@ -242,9 +242,8 @@ def test_search_json_proof_keys(capsys):
 
 
 def test_search_refuses_bad_witness(tmp_path, monkeypatch, capsys):
-    def overlapping(orbits, cap, iterations, rng):
-        first = orbits[0]
-        return [first, next(o for o in orbits[1:] if o[1] & first[1])]
+    def overlapping(conflicts, cap, iterations, rng):
+        return [0, next(j for j in range(1, len(conflicts)) if conflicts[0] >> j & 1)]
 
     monkeypatch.setattr(search, "_ruin_recreate", overlapping)
     out = tmp_path / "w.json"

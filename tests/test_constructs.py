@@ -14,7 +14,8 @@ from ooc2d.constructs import (add_cross_pairs_layer, as_semicyclic,
                               weighting_2, weighting_3)
 from ooc2d.core import Point, as_block, canonicalize, make_packing
 from ooc2d.correlation import packing_to_code, verify_ooc
-from ooc2d.designs import (CYCLIC, FanDesign, HDesign, RoSQSDesign, verify_fan, verify_h_cyclic,
+from ooc2d.designs import (CYCLIC, FanDesign, HDesign, RoSQSDesign, admissible_0fg,
+                           exists_0fg_quad, exists_h_design, verify_fan, verify_h_cyclic,
                            verify_h_design)
 from ooc2d.packing import is_perfect, verify_packing
 
@@ -277,6 +278,29 @@ def test_fold_rejects_bad_divisor():
     p = _cat("small-(2,3)")
     with pytest.raises(ValueError):
         fold(packing_to_code(p), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fold(packing_to_code(_cat("small-(2,3)")), 2.0),
+     "parameter 'v1' must be an integer, got 2.0"),
+    (lambda: fold(packing_to_code(_cat("small-(2,3)")), True),
+     "parameter 'v1' must be an integer, got True"),
+    (lambda: regular_to_h1cyclic(_cat("fg-(2,4)reg-8^2"), 2.0),
+     "parameter 'h1' must be an integer, got 2.0"),
+    (lambda: complete_pair_fan(2.0), "parameter 'n' must be an integer, got 2.0"),
+    (lambda: complete_pair_fan(1), "need n >= 2, got 1"),
+    (lambda: exists_h_design(4, 2.5), "parameter 'g' must be an integer, got 2.5"),
+    (lambda: admissible_0fg(2.0, 4), "parameter 'g' must be an integer, got 2.0"),
+    (lambda: exists_0fg_quad(True, 4), "parameter 'g' must be an integer, got True"),
+], ids=["fold float", "fold bool", "h1cyclic", "pair fan float", "pair fan 1",
+        "h design", "admissible", "0fg quad"])
+def test_construction_factors_and_existence_arguments_are_ints(call, message):
+    """fold, regular_to_h1cyclic and complete_pair_fan once raised
+    TypeError on a float, fold read True as 1, complete_pair_fan(1) named
+    a block, not n, and the existence checks answered True"""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_regular_to_h1cyclic():

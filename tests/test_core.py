@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ooc2d.core import (Code, CodewordMatrix, CyclicPacking, Point, as_block,
                         canonicalize, make_packing, orbit, shift,
                         stabilizer_order)
+from ooc2d.catalog import catalog_get
 from ooc2d.correlation import block_to_matrix, code_to_packing, packing_to_code
+from ooc2d.designs import INF, fan_shift, rosqs_shift
 
 
 def random_block(rng, u, v, k):
@@ -326,6 +328,33 @@ def test_grid_block_entry_points_read_integral_floats_as_ints(entry):
     got = GRID_BLOCK_ENTRIES[entry](((0, 0), (1, 1.0)))
     want = GRID_BLOCK_ENTRIES[entry](((0, 0), (1, 1)))
     assert got == want and repr(got) == repr(want)
+
+
+B2 = ((0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: shift(B2, 1.5, 3), "delta", 1.5),
+    (lambda: shift(B2, True, 3), "delta", True),
+    (lambda: canonicalize(B2, 3.0), "v", 3.0),
+    (lambda: orbit(B2, 3.0), "v", 3.0),
+    (lambda: stabilizer_order(B2, 2.0), "v", 2.0),
+    (lambda: block_to_matrix(B2, 2.0, 3), "u", 2.0),
+    (lambda: block_to_matrix(B2, 2, 3.0), "v", 3.0),
+    (lambda: fan_shift(catalog_get("fg-4^2-s2c").payload, ((0, 0, 0), (1, 0, 0)), 1.5),
+     "delta", 1.5),
+    (lambda: rosqs_shift((INF, 0, 1, 3), 1.5, 7), "delta", 1.5),
+    (lambda: rosqs_shift((INF, 0, 1, 3), 1, 7.0), "m", 7.0),
+], ids=["shift", "shift bool", "canonicalize", "orbit", "stabilizer_order",
+        "block_to_matrix u", "block_to_matrix v", "fan_shift", "rosqs_shift delta",
+        "rosqs_shift m"])
+def test_a_period_or_shift_that_is_not_an_int_is_refused(call, name, value):
+    """shift once returned Point(row=0.0, col=1.5), canonicalize and
+    orbit float Points, stabilizer_order an answer and block_to_matrix a
+    matrix whose bits raised TypeError"""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == "parameter %r must be an integer, got %r" % (name, value)
 
 
 def test_block_to_matrix_takes_plain_tuples():

@@ -19,8 +19,8 @@ from ooc2d.correlation import packing_to_code
 from ooc2d.files import design_to_dict
 from ooc2d.packing import is_perfect, verify_packing
 from ooc2d.core import _image, _orbit
-from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _pair_level,
-                          _ruin_recreate, _subset_orbits, max_packing)
+from ooc2d.search import (_branch_and_bound, _build_orbits, _candidates, _conflicts,
+                          _pair_level, _ruin_recreate, _subset_orbits, max_packing)
 
 
 def test_small_grids_proved():
@@ -147,11 +147,13 @@ def test_proof_reasons():
 
 @pytest.mark.parametrize("u, v, k, t", [(1, 5, 5, 5), (2, 2, 4, 4), (2, 2, 4, 3)])
 def test_zero_bound_walks_no_tree(u, v, k, t, monkeypatch):
-    """the empty incumbent already meets a cap of 0, so no node is walked"""
+    """the empty incumbent already meets a cap of 0, so no node is
+    walked and no conflict table is built"""
     def walk(*args):
-        raise AssertionError("the tree ran with a cap of 0")
+        raise AssertionError("a search stage ran with a cap of 0")
 
     monkeypatch.setattr(search, "_branch_and_bound", walk)
+    monkeypatch.setattr(search, "_conflicts", walk)
     for iterations in (0, 30_000):
         result = max_packing(u, v, k, t, heuristic_iterations=iterations)
         assert (result.upper_bound, result.max_blocks, result.nodes_explored) == (0, 0, 0)
@@ -160,15 +162,16 @@ def test_zero_bound_walks_no_tree(u, v, k, t, monkeypatch):
 
 def test_witness_failures_read_as_verdict(monkeypatch):
     """a witness that fails its check raises verdict's strict detail"""
-    def overlapping(orbits, cap, iterations, rng):
-        first = orbits[0]
-        return [first, next(o for o in orbits[1:] if o[1] & first[1])]
+    def overlapping(conflicts, cap, iterations, rng):
+        return [0, next(j for j in range(1, len(conflicts)) if conflicts[0] >> j & 1)]
 
     monkeypatch.setattr(search, "_ruin_recreate", overlapping)
     with pytest.raises(ValueError, match=r"^search witness: covered twice: "):
         max_packing(2, 3, 4, 3)
-    # row 0 of 2x4 is fixed by every column shift
-    monkeypatch.setattr(search, "_branch_and_bound", lambda *args: ([(0, 1, 2, 3)], 1, False))
+    # row 0 of 2x4 is fixed by every column shift; an index names only
+    # a candidate orbit, so the short orbit enters as the only candidate
+    monkeypatch.setattr(search, "_build_orbits", lambda *args: [((0, 1, 2, 3), 1)])
+    monkeypatch.setattr(search, "_branch_and_bound", lambda *args: ([0], 1, False))
     with pytest.raises(ValueError, match=r"^search witness: block .* has a short orbit$"):
         max_packing(2, 4, 4, 3, heuristic_iterations=0)
 
@@ -216,8 +219,20 @@ def _orbits(u: int, v: int, k: int, t: int) -> tuple:
     return _build_orbits(u, v, k, t, orbit_of, members), orbit_of, members
 
 
+def _tables(u: int, v: int, k: int, t: int) -> tuple:
+    """(orbits, orbit_of, members, conflicts, holders) as max_packing
+    builds them."""
+    orbits, orbit_of, members = _orbits(u, v, k, t)
+    return (orbits, orbit_of, members, *_conflicts(orbits, len(members)))
+
+
 def _reps(orbits: list) -> list:
     return [rep for rep, _ in orbits]
+
+
+def _at(orbits: list, indices: list) -> list:
+    """The orbits at the indices a search stage returns."""
+    return [orbits[i] for i in indices]
 
 
 @pytest.mark.parametrize("u, v, count, digest", [
@@ -242,6 +257,32 @@ def test_orbit_table_built_once(monkeypatch):
     result = max_packing(4, 3, 4, 3, heuristic_iterations=20)
     assert result.nodes_explored > 0
     assert calls == [(12, 3, 3)]
+
+
+def test_conflict_table_built_once(monkeypatch):
+    """the heuristic stops short of the cap here, and the tree reads
+    the conflict table it read"""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _conflicts(*args)
+
+    monkeypatch.setattr(search, "_conflicts", counted)
+    result = max_packing(2, 7, 4, 3, heuristic_iterations=1)
+    assert result.nodes_explored > 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("u, v, iterations, best, nodes, digest", [
+    (2, 11, 30_000, 35, 1_668, "349a48c0be81c233"), (4, 3, 20, 17, 1_957, "41210ef277b459e1"),
+])
+def test_heuristic_hands_off_to_tree_pinned(u, v, iterations, best, nodes, digest):
+    """the heuristic's best packing, as orbit indices, is the tree's
+    incumbent, and the tree proves the optimum from it"""
+    result = max_packing(u, v, 4, 3, heuristic_iterations=iterations)
+    assert (result.max_blocks, result.nodes_explored, result.proof) == (best, nodes, "bound")
+    assert _digest(result) == digest
 
 
 def _reference_build_orbits(u: int, v: int, k: int, t: int, index: dict) -> list:
@@ -320,24 +361,24 @@ def test_orbit_builder_matches_reference(k, t):
 
 
 def _developed_candidates(v: int, t: int, orbits: list, orbit_of: dict, members: list) -> list:
-    """Per t-subset orbit, the (mask, rep) of every orbit covering its
-    least member, found by developing all v images of each orbit and
-    keeping the one that holds that member, sorted by that image."""
+    """Per t-subset orbit, {orbit index: rank} of every orbit covering
+    its least member, found by developing all v images of each orbit
+    and keeping the one that holds that member, ranked by that image."""
     keyed: list = [[] for _ in members]
-    for rep, mask in orbits:
+    for i, (rep, _) in enumerate(orbits):
         for d in range(v):
             img = _image(rep, d, v)
             for sub in combinations(img, t):
                 j = orbit_of[sub]
                 if members[j][0] == sub:
-                    keyed[j].append((img, (mask, rep)))
-    return [[entry for _, entry in sorted(options)] for options in keyed]
+                    keyed[j].append((img, i))
+    return [{i: r for r, (_, i) in enumerate(sorted(options))} for options in keyed]
 
 
 @pytest.mark.parametrize("k, t", _BUILDER_KT)
 def test_candidates_match_developed_images(k, t):
     """Reading each branching image from the shift-ordered table finds
-    the same options, masks and order as developing every image."""
+    the same options and order as developing every image."""
     for u, v in _SMALL_GRIDS + [(2, 11)]:
         orbits, orbit_of, members = _orbits(u, v, k, t)
         assert (_candidates(v, t, orbits, orbit_of, members)
@@ -392,12 +433,13 @@ def test_ruin_recreate_matches_reference(u, v, k, t):
     # and 5x4 (1,200) the free bitset spans many 30-bit int digits.
     # The reference grows on its own masks of one bit per t-subset.
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else johnson_bound(u, v, k, t - 1)
-    orbits = _orbits(u, v, k, t)[0]
+    orbits, _, _, conflicts, _ = _tables(u, v, k, t)
     full = _reference_orbits(u, v, k, t)[0]
     for seed in (1, 2, 3, 20210 + 31 * u + v):
         ours, reference = random.Random(seed), random.Random(seed)
-        best = _ruin_recreate(orbits, cap, 300, ours)
-        assert _reps(best) == _reps(_reference_ruin_recreate(full, cap, 300, reference))
+        best = _ruin_recreate(conflicts, cap, 300, ours)
+        assert _reps(_at(orbits, best)) == _reps(
+            _reference_ruin_recreate(full, cap, 300, reference))
         assert ours.getstate() == reference.getstate()
 
 
@@ -414,11 +456,12 @@ def test_ruin_recreate_matches_reference_property(case, seed, iterations):
         cap = jstar(u, v)[0]
     else:
         cap = None if t < 2 else johnson_bound(u, v, k, t - 1)
-    orbits = _orbits(u, v, k, t)[0]
+    orbits, _, _, conflicts, _ = _tables(u, v, k, t)
     full = _reference_orbits(u, v, k, t)[0]
     ours, reference = random.Random(seed), random.Random(seed)
-    best = _ruin_recreate(orbits, cap, iterations, ours)
-    assert _reps(best) == _reps(_reference_ruin_recreate(full, cap, iterations, reference))
+    best = _ruin_recreate(conflicts, cap, iterations, ours)
+    assert _reps(_at(orbits, best)) == _reps(
+        _reference_ruin_recreate(full, cap, iterations, reference))
     assert ours.getstate() == reference.getstate()
 
 
@@ -503,16 +546,16 @@ def test_orbit_leave_matches_reference(u, v, k, t):
     # the heuristic incumbent is one greedy grow; on the t = 3 grids
     # but 1x13 it falls short of the optimum, so both trees improve on it
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    orbits, orbit_of, members = _orbits(u, v, k, t)
+    tables = _tables(u, v, k, t)
+    orbits, conflicts = tables[0], tables[3]
     full, index = _reference_orbits(u, v, k, t)
-    grown = _ruin_recreate(orbits, cap, 0, random.Random(20210 + 31 * u + v))
+    grown = _ruin_recreate(conflicts, cap, 0, random.Random(20210 + 31 * u + v))
     for incumbent in ([], grown):
-        reps, nodes, exhausted = _branch_and_bound(u, v, k, t, orbits, orbit_of, members,
-                                                   incumbent, cap, 10**7)
+        best, nodes, exhausted = _branch_and_bound(u, v, k, t, *tables, incumbent, cap, 10**7)
         ref_reps, ref_nodes, _ = _reference_branch_and_bound(v, k, t, full, index,
-                                                             incumbent, cap, 10**7,
-                                                             point_bound=True)
-        assert reps == ref_reps
+                                                             _at(orbits, incumbent), cap,
+                                                             10**7, point_bound=True)
+        assert _reps(_at(orbits, best)) == ref_reps
         assert not exhausted and nodes <= ref_nodes
 
 
@@ -525,15 +568,15 @@ def test_slot_bound_matches_reference(case, seed):
     A reference that runs out of its budget decides nothing."""
     u, v, k, t = case
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    orbits, orbit_of, members = _orbits(u, v, k, t)
+    tables = _tables(u, v, k, t)
+    orbits, conflicts = tables[0], tables[3]
     full, index = _reference_orbits(u, v, k, t)
-    incumbent = [] if seed is None else _ruin_recreate(orbits, cap, 0, random.Random(seed))
+    incumbent = [] if seed is None else _ruin_recreate(conflicts, cap, 0, random.Random(seed))
     ref_reps, ref_nodes, ref_exhausted = _reference_branch_and_bound(
-        v, k, t, full, index, incumbent, cap, 50_000)
+        v, k, t, full, index, _at(orbits, incumbent), cap, 50_000)
     assume(not ref_exhausted)
-    reps, nodes, exhausted = _branch_and_bound(u, v, k, t, orbits, orbit_of, members,
-                                               incumbent, cap, 50_000)
-    assert reps == ref_reps
+    best, nodes, exhausted = _branch_and_bound(u, v, k, t, *tables, incumbent, cap, 50_000)
+    assert _reps(_at(orbits, best)) == ref_reps
     assert not exhausted and nodes <= ref_nodes
 
 
@@ -620,15 +663,15 @@ def test_pair_bound_matches_row_bound(case, seed):
     greedy grow of some seed, t = 1 (no pair level) included."""
     u, v, k, t = case
     cap = jstar(u, v)[0] if (k, t) == (4, 3) else None
-    orbits, orbit_of, members = _orbits(u, v, k, t)
+    tables = _tables(u, v, k, t)
+    orbits, conflicts = tables[0], tables[3]
     full, index = _reference_orbits(u, v, k, t)
-    incumbent = [] if seed is None else _ruin_recreate(orbits, cap, 0, random.Random(seed))
+    incumbent = [] if seed is None else _ruin_recreate(conflicts, cap, 0, random.Random(seed))
     ref_reps, ref_nodes, ref_exhausted = _row_bound_branch_and_bound(
-        v, k, t, full, index, incumbent, cap, 10**6)
-    reps, nodes, exhausted = _branch_and_bound(u, v, k, t, orbits, orbit_of, members,
-                                               incumbent, cap, 10**6)
+        v, k, t, full, index, _at(orbits, incumbent), cap, 10**6)
+    best, nodes, exhausted = _branch_and_bound(u, v, k, t, *tables, incumbent, cap, 10**6)
     assert not ref_exhausted and not exhausted
-    assert reps == ref_reps
+    assert _reps(_at(orbits, best)) == ref_reps
     assert nodes <= ref_nodes
 
 
